@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -254,11 +253,11 @@ def _cmd_lp(config: RunConfig):
         volume = dil.volume_to_norm(volume)
     ball = _resolve_radius_volume(params, radius, volume)
     V = ball.volume
-    table = config.get("table") or 1
-    m = config.get("m") or 1
+    table = config.get("table", 1)
+    m = config.get("m", 1)
     n_ell, n_alpha = config.get("grid") or (40, 20)
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
-    tol = config.get("tol") or 0.02
+    tol = config.get("tol", 0.02)
 
     body = {
         "normalized": {"kappa": dil.kappa_norm, "volume": V, "dilation_scale": dil.scale},
@@ -315,7 +314,7 @@ def _cmd_measure_check(config: RunConfig):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
     n_nodes = config.get("grid") or 128
-    tol = config.get("tol") or 1e-7
+    tol = config.get("tol", 1e-7)
     measure = chordmeasure.discretize_ball_measure(ball, n_nodes)
     omega = sphere_volume(params.n - 1)
     santalo_rel = chordmeasure.santalo_residual(ball, measure) / (omega * ball.volume)
@@ -416,7 +415,7 @@ def _cmd_negbound(config: RunConfig):
     if r is None:
         raise UsageError("--radius is required")
     n_nodes = config.get("grid") or 128
-    tol = config.get("tol") or 1e-7
+    tol = config.get("tol", 1e-7)
 
     small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
     ball4 = ball_from_radius(ModelParams(4, -1.0), r)
@@ -485,9 +484,9 @@ def _cmd_relative(config: RunConfig):
     V = config.get("volume")
     if V is None:
         raise UsageError("--volume is required")
-    m = config.get("m") or 1
+    m = config.get("m", 1)
     n_nodes = config.get("grid") or 128
-    tol = config.get("tol") or 1e-7
+    tol = config.get("tol", 1e-7)
     case = relative.RelativeCase(params, m, V)
     bound = relative.relative_bound(case)
     report = relative.verify_relative_equality(case, n_nodes)
@@ -544,9 +543,23 @@ def _add_common(p, *, dim=False, kappa=False, rv=False, grid_int=False):
         g.add_argument("--volume", type=float)
     if grid_int:
         p.add_argument("--grid", type=int, help="grid size / node count")
-    p.add_argument("--tol", type=float, help="tolerance override")
+    p.add_argument("--tol", type=_positive_float, help="tolerance override (> 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _multiplicity(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"multiplicity must be >= 1, got {text!r}")
+    return value
 
 
 def _parse_grid_pair(text: str) -> tuple[int, int]:
@@ -576,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="build and solve the finite LP")
     p.add_argument("--table", type=int, choices=(1, 2), default=1)
-    p.add_argument("--m", type=int, default=1, help="multiplicity (table 2)")
+    p.add_argument("--m", type=_multiplicity, default=1, help="multiplicity (table 2), >= 1")
     p.add_argument("--grid", type=_parse_grid_pair, help="ell x alpha node counts, e.g. 40x20")
     _add_common(p, dim=True, kappa=True, rv=True)
 
@@ -607,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("relative", help="multiplicity-m relative bound")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_multiplicity, required=True)
     p.add_argument("--volume", type=float, required=True)
     _add_common(p, dim=True, kappa=True, grid_int=True)
 
@@ -615,10 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ISOPLP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

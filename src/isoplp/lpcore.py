@@ -7,14 +7,27 @@ as a chord measure, are compatible with boundary area A and enclosed volume
 V; minimizing A then gives a lower bound for the area of any region of
 volume V, and the model ball should be optimal.
 
-All rows are written as row . x >= rhs.  The solver wraps scipy's HiGHS
-interface; feasibility, duality gap and complementary slackness are
-re-checked here independently of the solver's own report.
+All rows are written as row . x >= rhs.  Every atom row is separable: a
+function of ell times a function of (alpha, beta).  Assembly evaluates the
+candle functions once per chord length and each family function once per
+angle pair, then fills the rows by broadcasting.
+
+The solver is column generation over the atom grid (Gilmore & Gomory 1961).
+HiGHS solves a restricted master program on a working set of columns;
+every column of the grid is then priced with one vectorized c - A^T y, and
+the most negative ones join the working set.  Phase 1 minimizes the summed
+row shortfall, so infeasibility is decided over the whole grid; phase 2
+minimizes the objective.  Pricing stops when no column outside the working
+set has a reduced cost below the solver's dual feasibility tolerance, a
+test stricter than the dual acceptance test.  The acceptance test (primal,
+dual, gap and complementary-slackness residuals) then runs on the full
+row matrix.  What is certified is the grid LP: every grid column is priced
+and checked, but chords off the grid are not.  The grid restricts the
+primal, so its optimum is evidence for the bound, not a lower bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +36,6 @@ from scipy.optimize import linprog
 
 from .chordmeasure import gauss_legendre
 from .spaceform import (
-    BallGeometry,
     ModelParams,
     ball_from_volume,
     candle,
@@ -45,8 +57,6 @@ __all__ = [
     "build_relative_lp",
     "product_family",
     "diagonal_profile_integral",
-    "lp_to_text",
-    "solution_to_json",
 ]
 
 
@@ -94,6 +104,7 @@ class LPSolution:
     duality_gap: float
     cs_residual: float
     solver_message: str = ""
+    pricing_rounds: int = 0  # full pricings of the column grid
 
 
 @dataclass
@@ -112,17 +123,116 @@ class WeakDualityReport:
         )
 
 
+# columns that join the working set per pricing round; an LP with at most
+# twice as many columns is solved on all of them from the first round
+_BATCH = 64
+
+# HiGHS statuses that describe the LP rather than the solve
+_HIGHS_STATUS = {2: "infeasible", 3: "unbounded"}
+
+
+def _violation(*arrays) -> float:
+    """Largest amount by which an entry falls below zero; 0.0, never -0.0, when none does."""
+    return max(0.0, *(float(np.max(-a, initial=0.0)) for a in arrays))
+
+
 def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
     slack = lp.row_matrix @ x - lp.rhs
-    primal_res = max(float(np.max(-slack, initial=0.0)), float(np.max(-x, initial=0.0)))
     reduced = lp.objective - lp.row_matrix.T @ y
-    dual_res = max(float(np.max(-reduced, initial=0.0)), float(np.max(-y, initial=0.0)))
     gap = float(lp.objective @ x - lp.rhs @ y)
     cs = max(
         float(np.max(np.abs(y * slack), initial=0.0)),
         float(np.max(np.abs(x * reduced), initial=0.0)),
     )
-    return primal_res, dual_res, gap, cs
+    return _violation(slack, x), _violation(reduced, y), gap, cs
+
+
+def _primal_tol(lp: LinearProgram, abs_matrix: np.ndarray, x: np.ndarray, tol: float) -> float:
+    """Accepted primal residual at x: tol times the magnitude of the row arithmetic."""
+    return tol * (
+        1.0
+        + float(np.max(np.abs(lp.rhs), initial=0.0))
+        + float(np.max(abs_matrix @ np.abs(x), initial=0.0))
+    )
+
+
+def _feasible(lp: LinearProgram, abs_matrix: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """The primal half of the acceptance test."""
+    return _violation(lp.row_matrix @ x - lp.rhs, x) <= _primal_tol(lp, abs_matrix, x, tol)
+
+
+def _most_negative(values: np.ndarray, k: int) -> np.ndarray:
+    if values.size <= k:
+        return np.arange(values.size)
+    return np.argpartition(values, k)[:k]
+
+
+def _first_columns(lp: LinearProgram) -> np.ndarray:
+    """All columns of a small LP; else each phase's first pricing from an empty working set.
+
+    With no columns, phase 1 has dual 1 on the rows that x = 0 violates and
+    phase 2 has dual 0, so the two pricings are -A^T [rhs > 0] and the cost.
+    """
+    if lp.n_vars <= 2 * _BATCH:
+        return np.arange(lp.n_vars)
+    shortfall = (lp.rhs > 0.0).astype(float) @ lp.row_matrix
+    return np.union1d(_most_negative(-shortfall, _BATCH), _most_negative(lp.objective, _BATCH))
+
+
+def _full(values: np.ndarray, work: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros(n)
+    out[work] = values[: work.size]
+    return out
+
+
+def _generate(lp: LinearProgram, abs_matrix: np.ndarray, cost: np.ndarray, work: np.ndarray, tol: float, phase1: bool):
+    """Column generation for min cost . x; returns (last HiGHS result, working set, pricing rounds).
+
+    Phase 1 gives every row an artificial shortfall variable of cost 1 and
+    ends as soon as the working set holds a point that passes the primal
+    acceptance test.  After each restricted solve every column is priced
+    with one c - A^T y, and up to _BATCH of the most negative join the
+    working set if their reduced cost is below -solver_tol: outside columns
+    are held to the dual feasibility tolerance HiGHS meets inside.  As
+    solver_tol <= tol <= the dual acceptance threshold, pricing stops only
+    where the dual acceptance test passes on every outside column.
+    """
+    solver_tol = min(tol, 1e-7)
+    rounds = 0
+    while True:
+        columns = lp.row_matrix[:, work]
+        c = cost[work]
+        if phase1:
+            columns = np.hstack([columns, np.eye(lp.n_rows)])
+            c = np.concatenate([c, np.ones(lp.n_rows)])
+        res = linprog(
+            c=c,
+            A_ub=-columns,
+            b_ub=-lp.rhs,
+            bounds=(0.0, None),
+            method="highs",
+            options={
+                "primal_feasibility_tolerance": solver_tol,
+                "dual_feasibility_tolerance": solver_tol,
+            },
+        )
+        if res.status != 0:
+            return res, work, rounds
+        if phase1 and _feasible(lp, abs_matrix, _full(res.x, work, lp.n_vars), tol):
+            return res, work, rounds
+        rounds += 1
+        y = -np.asarray(res.ineqlin.marginals, dtype=float)
+        reduced = cost - lp.row_matrix.T @ y
+        reduced[work] = np.inf
+        new = _most_negative(reduced, _BATCH)
+        new = new[reduced[new] < -solver_tol]
+        if new.size == 0:
+            return res, work, rounds
+        work = np.union1d(work, new)
+
+
+def _no_solution(status: str, message: str, rounds: int) -> LPSolution:
+    return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf, message, rounds)
 
 
 def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
@@ -131,47 +241,39 @@ def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
     tol bounds the accepted feasibility/stationarity residuals, each taken
     relative to the magnitude of the arithmetic that produced it.  The
     default matches the solver's own accuracy contract; the solver is asked
-    for at least that accuracy.
+    for at least that accuracy.  Column generation works on a subset of the
+    columns, but the acceptance test runs on the full row matrix.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    solver_tol = min(tol, 1e-7)
-    res = linprog(
-        c=lp.objective,
-        A_ub=-lp.row_matrix,
-        b_ub=-lp.rhs,
-        bounds=(0.0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": solver_tol,
-            "dual_feasibility_tolerance": solver_tol,
-        },
-    )
-    if res.status == 2:
-        return LPSolution("infeasible", None, None, None, math.inf, math.inf, math.inf, math.inf, res.message)
-    if res.status == 3:
-        return LPSolution("unbounded", None, None, None, math.inf, math.inf, math.inf, math.inf, res.message)
+    n = lp.n_vars
+    abs_matrix = np.abs(lp.row_matrix)
+    res, work, rounds = _generate(lp, abs_matrix, np.zeros(n), _first_columns(lp), tol, phase1=True)
+    if res.status == 0:
+        if not _feasible(lp, abs_matrix, _full(res.x, work, n), tol):
+            return _no_solution("infeasible", "phase 1: the row shortfall stays positive over every column", rounds)
+        res, work, phase2_rounds = _generate(lp, abs_matrix, lp.objective, work, tol, phase1=False)
+        rounds += phase2_rounds
     if res.status != 0:
-        return LPSolution("tolerance-failure", None, None, None, math.inf, math.inf, math.inf, math.inf, res.message)
+        return _no_solution(_HIGHS_STATUS.get(res.status, "tolerance-failure"), res.message, rounds)
 
-    x = np.asarray(res.x, dtype=float)
+    x = _full(res.x, work, n)
     y = -np.asarray(res.ineqlin.marginals, dtype=float)
     primal_res, dual_res, gap, cs = _residuals(lp, x, y)
     # each residual is judged against the magnitude of the arithmetic that
     # produced it; the rhs alone undersells rows whose matrix entries are large
-    abs_matrix = np.abs(lp.row_matrix)
-    primal_scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0)) + float(
-        np.max(abs_matrix @ np.abs(x), initial=0.0)
-    )
-    dual_scale = 1.0 + float(np.max(np.abs(lp.objective), initial=0.0)) + float(
-        np.max(abs_matrix.T @ np.abs(y), initial=0.0)
+    primal_tol = _primal_tol(lp, abs_matrix, x, tol)
+    dual_tol = tol * (
+        1.0
+        + float(np.max(np.abs(lp.objective), initial=0.0))
+        + float(np.max(abs_matrix.T @ np.abs(y), initial=0.0))
     )
     gap_scale = 1.0 + abs(float(lp.objective @ x)) + abs(float(lp.rhs @ y))
     ok = (
-        primal_res <= tol * primal_scale
-        and dual_res <= tol * dual_scale
+        primal_res <= primal_tol
+        and dual_res <= dual_tol
         and abs(gap) <= tol * gap_scale
-        and cs <= tol * max(primal_scale, dual_scale)
+        and cs <= max(primal_tol, dual_tol)
     )
     return LPSolution(
         "optimal" if ok else "tolerance-failure",
@@ -183,6 +285,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
         gap,
         cs,
         res.message,
+        rounds,
     )
 
 
@@ -243,8 +346,8 @@ def diagonal_profile_integral(f, n: int, n_nodes: int = 200) -> float:
     return float(np.dot(w, np.asarray(f(alpha, alpha)) * delta_weight(n, alpha)))
 
 
-def _grid_atoms(params: ModelParams, r_curve: float, grid: GridSpec):
-    """Angle nodes, ell nodes (curve-aligned), and the flattened atom table."""
+def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
+    """Angle nodes and ell nodes (curve-aligned); the atoms are their product."""
     m = grid.n_alpha
     alpha = (np.arange(1, m + 1) / (m + 1)) * (math.pi / 2.0)
     lmax = 2.0 * r_curve
@@ -256,9 +359,7 @@ def _grid_atoms(params: ModelParams, r_curve: float, grid: GridSpec):
     n_fill = grid.n_ell - (len(nodes[0]) if nodes else 0)
     if n_fill > 0:
         nodes.append((np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax)
-    ell = np.unique(np.concatenate(nodes))
-    L, A_, B_ = np.meshgrid(ell, alpha, alpha, indexing="ij")
-    return alpha, ell, L.ravel(), A_.ravel(), B_.ravel()
+    return alpha, np.unique(np.concatenate(nodes))
 
 
 def _assemble(
@@ -274,46 +375,38 @@ def _assemble(
     f_family,
     meta: dict,
 ) -> LinearProgram:
-    alpha, ell, L, A_, B_ = _grid_atoms(params, r_curve, grid)
-    sec_a = 1.0 / np.cos(A_)
-    sec_b = 1.0 / np.cos(B_)
-    f1 = candle(params, L) * sec_a * sec_b
-    f2 = candle_anti(params, L) / 2.0 * (sec_a + sec_b)
-    f3 = candle_anti2(params, L)
+    """Rows over the atoms (ell, alpha, beta) in C order, after the area column.
 
-    n_atoms = L.size
-    rows = []
-    rhs = []
-    labels = []
+    Every atom row is a function of ell times a function of (alpha, beta),
+    so each factor is evaluated once and the rows are filled by broadcasting.
+    """
+    alpha, ell = _grid_nodes(params, r_curve, grid)
+    sec = 1.0 / np.cos(alpha)
+    sec_a, sec_b = sec[:, None], sec[None, :]
+    A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
 
-    def add_row(area_c, atom_vals, rhs_val, label):
-        row = np.empty(1 + n_atoms)
-        row[0] = area_c
-        row[1:] = atom_vals
-        rows.append(row)
-        rhs.append(rhs_val)
-        labels.append(label)
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(
+        f"profile-{name}" for name, _ in f_family
+    )
+    row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
+    row_matrix[0, 0] = area_coeff
+    row_matrix[1, 0] = vol_coeff
+    # splitting the column axis keeps a view, so writes land in row_matrix
+    atoms = row_matrix[:, 1:].reshape(len(labels), ell.size, alpha.size, alpha.size)
+    atoms[0] = -(np.asarray(candle(params, ell))[:, None, None] * sec_a * sec_b)
+    atoms[1] = -(np.asarray(candle_anti(params, ell))[:, None, None] / 2.0 * (sec_a + sec_b))
+    atoms[2] = -np.asarray(candle_anti2(params, ell))[:, None, None]
+    atoms[3] = ell[:, None, None]
+    rhs = [0.0, 0.0, rhs_c, rhs_d]
+    for row, (_, f) in enumerate(f_family, start=4):
+        atoms[row] = -np.asarray(f(A_, B_), dtype=float)
+        rhs.append(-f_rhs_scale * diagonal_profile_integral(f, params.n))
 
-    add_row(area_coeff, -f1, 0.0, "area-vs-F1")
-    add_row(vol_coeff, -f2, 0.0, "volume-vs-F2")
-    add_row(0.0, -f3, rhs_c, "F3-cap")
-    add_row(0.0, L, rhs_d, "total-length")
-    for name, f in f_family:
-        vals = np.asarray(f(A_, B_), dtype=float)
-        add_row(0.0, -vals, -f_rhs_scale * diagonal_profile_integral(f, params.n), f"profile-{name}")
-
-    objective = np.zeros(1 + n_atoms)
+    objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0
     meta = dict(meta)
-    meta.update(
-        {
-            "alpha_nodes": alpha,
-            "ell_nodes": ell,
-            "atoms": (L, A_, B_),
-            "volume": V,
-        }
-    )
-    return LinearProgram(objective, np.vstack(rows), np.asarray(rhs), tuple(labels), meta)
+    meta.update({"alpha_nodes": alpha, "ell_nodes": ell, "volume": V})
+    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels, meta)
 
 
 def build_isoperimetric_lp(
@@ -396,27 +489,3 @@ def build_relative_lp(
             "relative_area": a_rel,
         },
     )
-
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain text dump: objective, then one line per row 'label, coeffs, >=, rhs'."""
-    lines = [f"minimize {' '.join(repr(c) for c in lp.objective)}"]
-    for label, row, rhs in zip(lp.row_labels, lp.row_matrix, lp.rhs):
-        coeffs = " ".join(repr(float(c)) for c in row)
-        lines.append(f"{label}, {coeffs}, >=, {rhs!r}")
-    lines.append("bounds x >= 0")
-    return "\n".join(lines) + "\n"
-
-
-def solution_to_json(sol: LPSolution) -> str:
-    payload = {
-        "schema": 1,
-        "status": sol.status,
-        "objective_value": sol.objective_value,
-        "primal_residual": sol.primal_residual,
-        "dual_residual": sol.dual_residual,
-        "duality_gap": sol.duality_gap,
-        "cs_residual": sol.cs_residual,
-        "dual": None if sol.dual is None else sol.dual.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)

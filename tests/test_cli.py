@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isoplp
 from isoplp import __version__
 from isoplp.cli import Dilation, RunConfig, UsageError, build_parser, main, make_dilation, run
 
@@ -126,6 +130,41 @@ def test_lp_table2_quotient(capsys):
     assert body["table2_rescaled"]["status"] == "optimal"
     assert body["table2_rescaled"]["relative_error"] <= 0.02
     assert "table2_printed_scaling" in body
+
+
+def test_lp_rejects_nonpositive_tol(capsys):
+    code, out, err = run_cli(
+        capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "40x20", "--tol", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "must be > 0" in err
+
+
+def test_lp_rejects_zero_multiplicity(capsys):
+    code, out, err = run_cli(
+        capsys, "lp", "--table", "2", "--m", "0", "--dim", "2", "--kappa", "0", "--volume", "1.0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--m" in err and "multiplicity must be >= 1" in err
+
+
+def _import_isoplp_with(env_overrides):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "ISOPLP_THREADS"}
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(isoplp.__file__)))
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_overrides)
+    probe = "import os, sys, isoplp; print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_isoplp_threads_applied_before_numpy_loads():
+    assert _import_isoplp_with({"ISOPLP_THREADS": "1"}) == ["1", "False"]
+    # an explicit BLAS setting wins
+    assert _import_isoplp_with({"ISOPLP_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}) == ["2", "False"]
 
 
 def test_measure_check_deterministic_mc(capsys):

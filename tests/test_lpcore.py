@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from isoplp import certificate
 from isoplp.lpcore import (
@@ -14,13 +15,19 @@ from isoplp.lpcore import (
     build_isoperimetric_lp,
     build_relative_lp,
     diagonal_profile_integral,
-    lp_to_text,
     product_family,
-    solution_to_json,
     solve,
     verify_weak_duality,
 )
-from isoplp.spaceform import ModelParams, ball_from_radius, sphere_volume
+from isoplp.spaceform import (
+    ModelParams,
+    ball_from_radius,
+    ball_from_volume,
+    candle,
+    candle_anti,
+    candle_anti2,
+    sphere_volume,
+)
 
 
 def _tiny_lp():
@@ -217,11 +224,129 @@ def test_relative_lp_flat_bound():
     assert_allclose(sol.objective_value, ball0.area / 2.0, rtol=1e-8)
 
 
-def test_lp_serialization_helpers():
-    lp = _tiny_lp()
+def test_exact_pair_reports_zero_violation_with_positive_sign():
+    # slack and reduced cost are exactly 0 at x = 3, y = 1; the report must
+    # read 0.0, not -0.0
+    rep = verify_weak_duality(_tiny_lp(), np.array([3.0]), np.array([1.0]))
+    assert rep.primal_violation == 0.0 and math.copysign(1.0, rep.primal_violation) == 1.0
+    assert rep.dual_violation == 0.0 and math.copysign(1.0, rep.dual_violation) == 1.0
+    sol = solve(_tiny_lp())
+    assert math.copysign(1.0, sol.primal_residual) == 1.0
+    assert math.copysign(1.0, sol.dual_residual) == 1.0
+
+
+def test_small_lp_is_solved_on_all_columns_in_one_round():
+    sol = solve(_tiny_lp())
+    assert sol.status == "optimal"
+    assert sol.pricing_rounds == 1
+
+
+N_DECOYS = 64
+
+
+def _random_lp_with_decoys(n_rows, seed, n_vars=2000):
+    """Feasible, bounded LP whose widest and cheapest columns are decoys.
+
+    Regular columns cost 1-2 times their coverage (column sum).  The first
+    pricing of an empty working set favours the widest columns (phase 1) and
+    the cheapest ones (phase 2); here those are decoys that cost 100 times
+    their coverage or cover almost nothing, so no optimum uses them and the
+    solve has to price the grid more than once.
+    """
+    rng = np.random.default_rng(seed)
+    n_regular = n_vars - 2 * N_DECOYS
+    regular = rng.uniform(0.1, 1.5, (n_rows, n_regular))
+    wide = rng.uniform(20.0, 30.0, (n_rows, N_DECOYS))
+    thin = rng.uniform(1e-6, 1e-5, (n_rows, N_DECOYS))
+    matrix = np.hstack([regular, wide, thin])
+    cost = np.concatenate(
+        [
+            rng.uniform(1.0, 2.0, n_regular) * regular.sum(axis=0),
+            100.0 * wide.sum(axis=0),
+            rng.uniform(1e-4, 2e-4, N_DECOYS),
+        ]
+    )
+    order = rng.permutation(n_vars)
+    return LinearProgram(
+        objective=cost[order],
+        row_matrix=matrix[:, order],
+        rhs=rng.uniform(0.2, 2.0, n_rows),
+        row_labels=tuple(f"r{i}" for i in range(n_rows)),
+    )
+
+
+@given(
+    n_rows=st.integers(min_value=3, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_column_generation_matches_all_column_solve(n_rows, seed):
+    lp = _random_lp_with_decoys(n_rows, seed)
     sol = solve(lp)
-    text = lp_to_text(lp)
-    assert "floor" in text
-    js = solution_to_json(sol)
-    assert js == solution_to_json(sol)
-    assert '"status"' in js
+    assert sol.status == "optimal"
+    ref = linprog(lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, bounds=(0.0, None), method="highs")
+    assert ref.status == 0
+    assert abs(sol.objective_value - ref.fun) <= 1e-9 * abs(ref.fun)
+    assert sol.pricing_rounds > 1
+    assert verify_weak_duality(lp, sol.primal, sol.dual).certifies(1e-7)
+
+
+def test_large_infeasible_lp_detected():
+    # sum(a x) >= 1 and -sum(b x) >= 1 contradict for positive a, b and x >= 0
+    rng = np.random.default_rng(3)
+    lp = LinearProgram(
+        objective=rng.uniform(0.5, 2.0, 2000),
+        row_matrix=np.vstack([rng.uniform(0.1, 1.0, 2000), -rng.uniform(0.1, 1.0, 2000), rng.uniform(0.1, 1.0, 2000)]),
+        rhs=np.array([1.0, 1.0, 0.5]),
+        row_labels=("lo", "hi", "other"),
+    )
+    assert solve(lp).status == "infeasible"
+
+
+def test_large_unbounded_lp_detected():
+    # positive rows are met by any large x; one column has negative cost
+    rng = np.random.default_rng(4)
+    cost = rng.uniform(0.5, 2.0, 2000)
+    cost[1234] = -1.0
+    lp = LinearProgram(
+        objective=cost,
+        row_matrix=rng.uniform(0.1, 1.0, (4, 2000)),
+        rhs=np.ones(4),
+        row_labels=tuple(f"r{i}" for i in range(4)),
+    )
+    assert solve(lp).status == "unbounded"
+
+
+def _meshgrid_rows(lp, params, family):
+    """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh."""
+    alpha, ell = lp.meta["alpha_nodes"], lp.meta["ell_nodes"]
+    L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
+    sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
+    rows = [
+        -candle(params, L) * sec_a * sec_b,
+        -candle_anti(params, L) / 2.0 * (sec_a + sec_b),
+        -candle_anti2(params, L),
+        L,
+    ]
+    rows += [-np.asarray(f(A, B), dtype=float) for _, f in family]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n, kappa, r", [(4, 1.0, 0.8), (2, 0.0, 1.0)])
+def test_separable_assembly_matches_meshgrid(n, kappa, r):
+    params = ModelParams(n, kappa)
+    ball = ball_from_radius(params, r)
+    fam = _reference_family(params, r)
+    lp = build_isoperimetric_lp(params, ball.volume, GridSpec(24, 12), fam)
+    assert lp.n_vars == 1 + lp.meta["ell_nodes"].size * 12 * 12
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(lp, params, fam), rtol=1e-12, atol=0.0)
+    assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
+
+
+def test_separable_assembly_matches_meshgrid_relative():
+    params, V, m = ModelParams(4, 1.0), 0.4, 3
+    ball0 = ball_from_volume(params, m * V)
+    fam = _reference_family(params, ball0.radius)
+    lp = build_relative_lp(params, V, m, GridSpec(24, 12), fam)
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(lp, params, fam), rtol=1e-12, atol=0.0)
+    assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
