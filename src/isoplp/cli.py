@@ -194,7 +194,7 @@ def _cmd_certificate(config: RunConfig):
         volume = dil.volume_to_norm(volume)
     ball = _resolve_radius_volume(params, radius, volume)
     r = ball.radius
-    grid = config.get("grid") or 80
+    grid = config.get("grid", 80)
 
     fit = certificate.solve_consistency(params, r)
     body = {
@@ -258,6 +258,7 @@ def _cmd_lp(config: RunConfig):
     n_ell, n_alpha = config.get("grid") or (40, 20)
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
     tol = config.get("tol", 0.02)
+    solver_tol = 1e-7
 
     body = {
         "normalized": {"kappa": dil.kappa_norm, "volume": V, "dilation_scale": dil.scale},
@@ -265,7 +266,7 @@ def _cmd_lp(config: RunConfig):
     }
 
     def solve_one(lp, bound, label):
-        sol = lpcore.solve(lp)
+        sol = lpcore.solve(lp, tol=solver_tol)
         entry = {
             "status": sol.status,
             "optimum": sol.objective_value,
@@ -300,20 +301,20 @@ def _cmd_lp(config: RunConfig):
             lpcore.build_relative_lp(params, V, m, grid, fam, variant="rescaled"), bound, "table2_rescaled"
         )
         lp_printed = lpcore.build_relative_lp(params, V, m, grid, fam, variant="printed")
-        sol_printed = lpcore.solve(lp_printed)
+        sol_printed = lpcore.solve(lp_printed, tol=solver_tol)
         body["table2_printed_scaling"] = {
             "status": sol_printed.status,
             "optimum": sol_printed.objective_value,
             "bound": bound,
         }
         passed = ok1
-    return body, {"relative_error": tol, "solver": 1e-9}, passed
+    return body, {"relative_error": tol, "solver": solver_tol}, passed
 
 
 def _cmd_measure_check(config: RunConfig):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
-    n_nodes = config.get("grid") or 128
+    n_nodes = config.get("grid", 128)
     tol = config.get("tol", 1e-7)
     measure = chordmeasure.discretize_ball_measure(ball, n_nodes)
     omega = sphere_volume(params.n - 1)
@@ -353,12 +354,12 @@ def _cmd_measure_check(config: RunConfig):
 
 def _cmd_lemma(config: RunConfig):
     case = config.get("case")
-    grid = config.get("grid") or 120
-    starts = config.get("starts") or 1000
-    seed = config.get("seed") or 0
+    grid = config.get("grid", 120)
+    starts = config.get("starts", 1000)
+    seed = config.get("seed", 0)
     report = lemmas.verify_H_nonneg(case, grid)
-    system = lemmas.critical_system(case)
-    roots = lemmas.solve_critical_points(system, n_starts=starts, seed=seed)
+    search = lemmas.solve_critical_points(lemmas.critical_system(case), n_starts=starts, seed=seed)
+    roots = search.roots
     max_curve_dist = max((r.curve_distance for r in roots), default=0.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = rng.random((10000, 2)) * 5.0
@@ -395,12 +396,12 @@ def _cmd_lemma(config: RunConfig):
             for r in roots
         ],
         "multistart": {
-            "n_starts": roots.n_starts,
-            "n_converged": roots.n_converged,
-            "n_singular": roots.n_singular,
-            "n_stalled": roots.n_stalled,
-            "n_out_of_domain": roots.n_out_of_domain,
-            "n_degenerate": roots.n_degenerate,
+            "n_starts": search.n_starts,
+            "n_converged": search.n_converged,
+            "n_singular": search.n_singular,
+            "n_stalled": search.n_stalled,
+            "n_out_of_domain": search.n_out_of_domain,
+            "n_degenerate": search.n_degenerate,
         },
         "max_root_curve_distance": max_curve_dist,
     }
@@ -414,7 +415,7 @@ def _cmd_negbound(config: RunConfig):
     r = config.get("radius")
     if r is None:
         raise UsageError("--radius is required")
-    n_nodes = config.get("grid") or 128
+    n_nodes = config.get("grid", 128)
     tol = config.get("tol", 1e-7)
 
     small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
@@ -485,7 +486,7 @@ def _cmd_relative(config: RunConfig):
     if V is None:
         raise UsageError("--volume is required")
     m = config.get("m", 1)
-    n_nodes = config.get("grid") or 128
+    n_nodes = config.get("grid", 128)
     tol = config.get("tol", 1e-7)
     case = relative.RelativeCase(params, m, V)
     bound = relative.relative_bound(case)
@@ -542,7 +543,7 @@ def _add_common(p, *, dim=False, kappa=False, rv=False, grid_int=False):
         g.add_argument("--radius", type=float)
         g.add_argument("--volume", type=float)
     if grid_int:
-        p.add_argument("--grid", type=int, help="grid size / node count")
+        p.add_argument("--grid", type=_positive_int, help="grid size / node count (> 0)")
     p.add_argument("--tol", type=_positive_float, help="tolerance override (> 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -551,6 +552,13 @@ def _add_common(p, *, dim=False, kappa=False, rv=False, grid_int=False):
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
@@ -600,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", help="polynomial nonnegativity verification")
     p.add_argument("--case", choices=lemmas.CASES, required=True)
-    p.add_argument("--starts", type=int, help="Newton multistart count")
+    p.add_argument("--starts", type=_positive_int, help="Newton multistart count (> 0)")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, grid_int=True)
 

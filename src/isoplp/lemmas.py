@@ -13,11 +13,20 @@ the S table, G and H, the quartic factorization used by the
 positive-curvature argument, closed-form gradient numerators of H (a
 3-polynomial critical system), a seeded multistart Newton search for its
 roots, and a dense grid plus escape-ray verification that H >= 0.
+
+The gradient numerators are stored as exponent tables with coefficient
+vectors; their Jacobian and scale tables are derived from them once, and a
+table evaluates at many points in one pass.  The multistart iterates all
+starts in lockstep as one (n_starts, 3) array: each iteration makes one
+batched convergence test and one batched linear solve, and every start
+runs its own backtracking line search.  Per start it is the same damped
+Newton iteration, so its roots and counts do not depend on the batching.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,100 +215,149 @@ def dGdp_identity(p: float) -> DGdpCheck:
 
 
 # ---------------------------------------------------------------------------
-# critical system: gradient numerators of H as coefficient maps
-# keys are exponent triples (i, j, k) for t^i p^j q^k
+# critical system: gradient numerators of H as monomial tables
+# A row (i, j, k, c) is the monomial c t^i p^j q^k.  A polynomial is summed in
+# row order; that order fixes its floating-point value bit for bit.
+
+_ET_SPH = ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, -9.0), (0, 0, 0, 1.0))
+_EP_SPH = (
+    (6, 4, 0, 81.0),
+    (4, 4, 0, 243.0),
+    (3, 4, 1, 486.0),
+    (3, 2, 1, 108.0),
+    (3, 0, 1, 6.0),
+    (2, 2, 0, -54.0),
+    (2, 0, 0, -3.0),
+    (0, 2, 0, -18.0),
+    (0, 0, 0, -1.0),
+)
+_ET_HYP = ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, 9.0), (0, 0, 0, -1.0))
+_EP_HYP = (
+    (6, 4, 0, 81.0),
+    (4, 4, 0, -243.0),
+    (3, 4, 1, 486.0),
+    (3, 2, 1, -108.0),
+    (3, 0, 1, 6.0),
+    (2, 2, 0, 54.0),
+    (2, 0, 0, -3.0),
+    (0, 2, 0, -18.0),
+    (0, 0, 0, 1.0),
+)
 
 
-def _swap_pq(poly: dict) -> dict:
-    return {(i, k, j): c for (i, j, k), c in poly.items()}
+def _scalar_power(x: np.ndarray, e: int) -> np.ndarray:
+    # x ** e element by element as numpy scalars compute it, with the C
+    # library's pow.  On SIMD builds the array power can differ from it in the
+    # last bit.  The scale is defined with this pow, and the 1e-13 test and the
+    # line search compare against the scale, so one changed bit can change
+    # which starts converge.
+    return np.array([v ** e for v in x])
 
 
-_ET_SPH = {(4, 1, 1): 9.0, (3, 1, 0): -6.0, (3, 0, 1): -6.0, (2, 0, 0): 3.0, (2, 1, 1): -9.0, (0, 0, 0): 1.0}
-_EP_SPH = {
-    (6, 4, 0): 81.0,
-    (4, 4, 0): 243.0,
-    (3, 4, 1): 486.0,
-    (3, 2, 1): 108.0,
-    (3, 0, 1): 6.0,
-    (2, 2, 0): -54.0,
-    (2, 0, 0): -3.0,
-    (0, 2, 0): -18.0,
-    (0, 0, 0): -1.0,
-}
-_ET_HYP = {(4, 1, 1): 9.0, (3, 1, 0): -6.0, (3, 0, 1): -6.0, (2, 0, 0): 3.0, (2, 1, 1): 9.0, (0, 0, 0): -1.0}
-_EP_HYP = {
-    (6, 4, 0): 81.0,
-    (4, 4, 0): -243.0,
-    (3, 4, 1): 486.0,
-    (3, 2, 1): -108.0,
-    (3, 0, 1): 6.0,
-    (2, 2, 0): 54.0,
-    (2, 0, 0): -3.0,
-    (0, 2, 0): -18.0,
-    (0, 0, 0): 1.0,
-}
+class _Table:
+    """K polynomials in (t, p, q): exponents (K, M, 3) and coefficients (K, M).
+
+    Values at N points come out as (N, K).  Each term is formed as
+    ((c t^i) p^j) q^k from power(column, e) and the terms are summed in row
+    order.  Shorter polynomials are padded at the end with 0 t^0 p^0 q^0,
+    which adds exactly zero.
+    """
+
+    def __init__(self, exps: np.ndarray, coef: np.ndarray, power=operator.pow):
+        self.exps, self.coef, self.power = exps, coef, power
+        self.used = [sorted({int(e) for e in exps[..., v].ravel()} - {0}) for v in range(3)]
+
+    @classmethod
+    def from_rows(cls, polys) -> _Table:
+        width = max(len(rows) for rows in polys)
+        exps = np.zeros((len(polys), width, 3), dtype=np.intp)
+        coef = np.zeros((len(polys), width))
+        for r, rows in enumerate(polys):
+            for m, (i, j, k, c) in enumerate(rows):
+                exps[r, m] = (i, j, k)
+                coef[r, m] = c
+        return cls(exps, coef)
+
+    def derivatives(self) -> _Table:
+        """The 3K partial derivatives; row 3r + v is d(poly r)/d(var v), its
+        terms in the order of the rows they come from."""
+        n_polys, width, _ = self.exps.shape
+        exps = np.zeros((n_polys, 3, width, 3), dtype=np.intp)
+        coef = np.zeros((n_polys, 3, width))
+        for r in range(n_polys):
+            for v in range(3):
+                live = self.exps[r, :, v] > 0
+                n = int(np.count_nonzero(live))
+                exps[r, v, :n] = self.exps[r, live]
+                exps[r, v, :n, v] -= 1
+                coef[r, v, :n] = self.coef[r, live] * self.exps[r, live, v]
+        return _Table(exps.reshape(3 * n_polys, width, 3), coef.reshape(3 * n_polys, width), self.power)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        pw = np.ones((len(x), 3, int(self.exps.max()) + 1))
+        for v, used in enumerate(self.used):
+            for e in used:
+                pw[:, v, e] = self.power(x[:, v], e)
+        e = self.exps
+        terms = self.coef * pw[:, 0, e[..., 0]] * pw[:, 1, e[..., 1]] * pw[:, 2, e[..., 2]]
+        out = np.zeros(terms.shape[:2])
+        for m in range(terms.shape[2]):
+            out = out + terms[:, :, m]
+        return out
 
 
-def _poly_eval(poly: dict, t, p, q):
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(np.broadcast(t, p, q).shape)
-    for (i, j, k), c in poly.items():
-        out = out + c * t ** i * p ** j * q ** k
-    return out
-
-
-def _poly_diff(poly: dict, var: int) -> dict:
-    out: dict = {}
-    for exps, c in poly.items():
-        e = exps[var]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[var] = e - 1
-        key = tuple(new)
-        out[key] = out.get(key, 0.0) + c * e
-    return out
-
-
-def _poly_abs_eval(poly: dict, t, p, q) -> float:
-    return float(sum(abs(c) * abs(t) ** i * abs(p) ** j * abs(q) ** k for (i, j, k), c in poly.items()))
+def _points(t, p, q) -> tuple[np.ndarray, tuple]:
+    t, p, q = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, p, q)))
+    return np.stack([t.ravel(), p.ravel(), q.ravel()], axis=1), t.shape
 
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Gradient numerators of H: three polynomials in (t, p, q) with search box."""
+    """Gradient numerators of H: three polynomials in (t, p, q) with search box.
+
+    Each polynomial is a sequence of monomial rows (i, j, k, c), meaning
+    c t^i p^j q^k.  They are stored as one exponent table and one coefficient
+    table, from which the Jacobian and scale tables are derived once.
+    ``eval``, ``jacobian`` and ``scale`` broadcast scalars or arrays.
+    """
 
     case: str
-    polys: tuple[dict, ...]
-    variables: tuple[str, ...]
+    polys: tuple
     box: tuple[tuple[float, float], ...]
-    _jacobian: tuple[tuple[dict, ...], ...] = field(default=None, repr=False)
+    _values: _Table = field(init=False, repr=False, compare=False)
+    _jacobian: _Table = field(init=False, repr=False, compare=False)
+    _abs: _Table = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        jac = tuple(tuple(_poly_diff(p, v) for v in range(3)) for p in self.polys)
-        object.__setattr__(self, "_jacobian", jac)
+        values = _Table.from_rows(self.polys)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_jacobian", values.derivatives())
+        object.__setattr__(self, "_abs", _Table(values.exps, np.abs(values.coef), _scalar_power))
+
+    def _scale(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 + self._abs(np.abs(x))
 
     def eval(self, t, p, q) -> np.ndarray:
-        return np.stack([_poly_eval(poly, t, p, q) for poly in self.polys])
+        """The three numerators, shape (3, *broadcast shape)."""
+        x, shape = _points(t, p, q)
+        return self._values(x).T.reshape(3, *shape)
 
     def jacobian(self, t, p, q) -> np.ndarray:
-        return np.array([[_poly_eval(d, t, p, q) for d in row] for row in self._jacobian])
+        """d(numerator r)/d(variable v) at [r, v], shape (3, 3, *broadcast shape)."""
+        x, shape = _points(t, p, q)
+        return self._jacobian(x).T.reshape(3, 3, *shape)
 
-    def scale(self, t: float, p: float, q: float) -> np.ndarray:
-        return np.array([1.0 + _poly_abs_eval(poly, t, p, q) for poly in self.polys])
+    def scale(self, t, p, q) -> np.ndarray:
+        """1 + sum of |c| |t|^i |p|^j |q|^k per numerator, shape (3, *broadcast shape)."""
+        x, shape = _points(t, p, q)
+        return self._scale(x).T.reshape(3, *shape)
 
     def gradient_of_H(self, t, p, q) -> tuple:
         """Rebuild (dH/dt, dH/dp, dH/dq) from the numerators (for FD cross-checks)."""
         t = np.asarray(t, dtype=float)
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        et, ep, eq = (
-            _poly_eval(self.polys[0], t, p, q),
-            _poly_eval(self.polys[1], t, p, q),
-            _poly_eval(self.polys[2], t, p, q),
-        )
+        et, ep, eq = self.eval(t, p, q)
         if self.case == "spherical":
             dt = -(16.0 / 3.0) * et / (1.0 + t * t) ** 4
             dp = (8.0 / 3.0) * ep / ((9.0 * p * p + 1.0) ** 2 * (1.0 + t * t) ** 3)
@@ -314,19 +372,13 @@ class PolySystem:
 def critical_system(case: str) -> PolySystem:
     """Numerators of grad H; common positive factors and denominators cleared."""
     _check_case(case)
+    et, ep = (_ET_SPH, _EP_SPH) if case == "spherical" else (_ET_HYP, _EP_HYP)
+    eq = tuple((i, k, j, c) for i, j, k, c in ep)
     if case == "spherical":
-        return PolySystem(
-            case,
-            (dict(_ET_SPH), dict(_EP_SPH), _swap_pq(_EP_SPH)),
-            ("t", "p", "q"),
-            ((0.01, 5.0), (0.05, 10.0), (0.05, 10.0)),
-        )
-    return PolySystem(
-        case,
-        (dict(_ET_HYP), dict(_EP_HYP), _swap_pq(_EP_HYP)),
-        ("t", "p", "q"),
-        ((0.01, 0.99), (1.0 / 3.0, 10.0), (1.0 / 3.0, 10.0)),
-    )
+        box = ((0.01, 5.0), (0.05, 10.0), (0.05, 10.0))
+    else:
+        box = ((0.01, 0.99), (1.0 / 3.0, 10.0), (1.0 / 3.0, 10.0))
+    return PolySystem(case, (et, ep, eq), box)
 
 
 def curve_distance(t: float, p: float, q: float) -> float:
@@ -351,7 +403,7 @@ class CriticalPoint:
 
 @dataclass
 class CriticalSearchResult:
-    """Sequence of clustered roots plus bookkeeping about the multistart."""
+    """Clustered roots plus bookkeeping about the multistart."""
 
     roots: list
     n_starts: int
@@ -361,14 +413,85 @@ class CriticalSearchResult:
     n_out_of_domain: int
     n_degenerate: int = 0
 
-    def __iter__(self):
-        return iter(self.roots)
 
-    def __len__(self) -> int:
-        return len(self.roots)
+_CONVERGED, _SINGULAR, _STALLED = 0, 1, 2
 
-    def __getitem__(self, i):
-        return self.roots[i]
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of one 3-vector is the square root of a BLAS dot product;
+    # a stack of (1, 3) @ (3, 1) products calls the same dot per row, so these
+    # norms equal it bit for bit (a sum of squares in numpy's order does not).
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -J^-1 F for a batch, J (N, 3, 3) and F (N, 3).
+
+    One batched solve; if any J is singular it raises, and the batch is solved
+    start by start, with a Levenberg step where J is singular.  Returns the
+    steps and a mask of the starts whose Levenberg system is singular too.
+    """
+    singular = np.zeros(len(F), dtype=bool)
+    try:
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(F)
+    for n, (Jn, Fn) in enumerate(zip(J, F)):
+        try:
+            steps[n] = np.linalg.solve(Jn, -Fn)
+        except np.linalg.LinAlgError:
+            JtJ = Jn.T @ Jn
+            lam = 1e-8 * (np.trace(JtJ) / 3.0 + 1.0)
+            try:
+                steps[n] = np.linalg.solve(JtJ + lam * np.eye(3), -Jn.T @ Fn)
+            except np.linalg.LinAlgError:
+                singular[n] = True
+    return steps, singular
+
+
+def _lockstep_newton(system: PolySystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton from every row of x (N, 3) at once.
+
+    Each start follows its own path: at most 120 iterations, each of which
+    either ends the start as converged (max |F|/scale < 1e-13) or takes the
+    Newton step with a backtracking line search, halving the step from 1 down
+    to 1/4096 until the scaled residual norm drops.  A start whose search
+    fails, or that runs out of iterations, has stalled.  Returns the final
+    points and each start's outcome.
+    """
+    x = x.copy()
+    outcome = np.full(len(x), _STALLED)
+    live = np.arange(len(x))
+    F, scale = system._values(x), system._scale(x)
+    for _ in range(120):
+        done = np.max(np.abs(F) / scale, axis=1) < 1e-13
+        outcome[live[done]] = _CONVERGED
+        live, F, scale = live[~done], F[~done], scale[~done]
+        if not live.size:
+            break
+        J = system._jacobian(x[live]).reshape(-1, 3, 3)
+        step, singular = _newton_steps(J, F)
+        outcome[live[singular]] = _SINGULAR
+        ok = ~singular
+        live, F, scale, step = live[ok], F[ok], scale[ok], step[ok]
+        norm = _norms(F / scale)
+        lam = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        trial = np.arange(live.size)
+        while trial.size:
+            xn = x[live[trial]] + lam[trial, None] * step[trial]
+            Fn, sn = system._values(xn), system._scale(xn)
+            better = _norms(Fn / sn) < norm[trial]
+            won = trial[better]
+            x[live[won]] = xn[better]
+            F[won], scale[won] = Fn[better], sn[better]
+            accepted[won] = True
+            trial = trial[~better]
+            lam[trial] *= 0.5
+            trial = trial[lam[trial] >= 1.0 / 4096.0]
+        live, F, scale = live[accepted], F[accepted], scale[accepted]
+    return x, outcome
 
 
 def solve_critical_points(
@@ -376,11 +499,11 @@ def solve_critical_points(
 ) -> CriticalSearchResult:
     """Deterministic multistart damped Newton on the 3-polynomial system.
 
-    Starts are Philox(seed) uniform in the box.  Singular Jacobians fall
-    back to a Levenberg step; starts that still fail are discarded and
-    counted.  Converged roots are filtered to the case domain, clustered
-    with radius 1e-6, and annotated with their distance to the curve
-    {p=q, 3pt=1}.
+    Starts are Philox(seed) uniform in the box and iterate in lockstep as one
+    (n_starts, 3) array.  Singular Jacobians fall back to a Levenberg step;
+    starts that still fail are discarded and counted.  Converged roots are
+    filtered to the case domain, clustered with radius 1e-6, and annotated
+    with their distance to the curve {p=q, 3pt=1}.
     """
     box = tuple(box) if box is not None else system.box
     lows = np.array([b[0] for b in box])
@@ -388,49 +511,10 @@ def solve_critical_points(
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = lows + rng.random((n_starts, 3)) * (highs - lows)
 
-    converged = []
-    n_singular = 0
-    n_stalled = 0
-    for x0 in starts:
-        x = x0.copy()
-        ok = False
-        singular = False
-        for _ in range(120):
-            F = system.eval(*x)
-            scale = system.scale(*x)
-            if np.max(np.abs(F) / scale) < 1e-13:
-                ok = True
-                break
-            J = system.jacobian(*x)
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                JtJ = J.T @ J
-                lam = 1e-8 * (np.trace(JtJ) / 3.0 + 1.0)
-                try:
-                    step = np.linalg.solve(JtJ + lam * np.eye(3), -J.T @ F)
-                except np.linalg.LinAlgError:
-                    singular = True
-                    break
-            nF = np.linalg.norm(F / scale)
-            lam_step = 1.0
-            accepted = False
-            while lam_step >= 1.0 / 4096.0:
-                xn = x + lam_step * step
-                Fn = system.eval(*xn)
-                if np.linalg.norm(Fn / system.scale(*xn)) < nF:
-                    x = xn
-                    accepted = True
-                    break
-                lam_step *= 0.5
-            if not accepted:
-                break
-        if ok:
-            converged.append(x)
-        elif singular:
-            n_singular += 1
-        else:
-            n_stalled += 1
+    points, outcome = _lockstep_newton(system, starts)
+    converged = points[outcome == _CONVERGED]
+    n_singular = int(np.count_nonzero(outcome == _SINGULAR))
+    n_stalled = int(np.count_nonzero(outcome == _STALLED))
 
     n_out = 0
     n_degenerate = 0
@@ -516,10 +600,6 @@ class HNonnegReport:
     @property
     def passed(self) -> bool:
         return self.min_value >= -1e-9 and self.rays_ok
-
-    def __iter__(self):
-        yield self.min_value
-        yield self.argmin
 
 
 def _ray_family(case: str):

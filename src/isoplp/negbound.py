@@ -66,10 +66,6 @@ class SmallnessCheck:
     margin: float
     product: float
 
-    def __iter__(self):
-        yield self.ok
-        yield self.margin
-
 
 def smallness_ok(inp: SmallnessInput) -> SmallnessCheck:
     """tanh(L sqrt(-kappa)) * tanh(r sqrt(-kappa)) <= 1/2, with its margin.

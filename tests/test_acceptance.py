@@ -119,7 +119,7 @@ def test_criterion_5_polynomial_lemmas_verified():
         report = lemmas.verify_H_nonneg(case, grid=120)
         assert report.min_value >= -1e-9, (case, report.min_value)
         assert report.rays_ok, case
-        roots = lemmas.solve_critical_points(lemmas.critical_system(case), n_starts=1000, seed=0)
+        roots = lemmas.solve_critical_points(lemmas.critical_system(case), n_starts=1000, seed=0).roots
         assert len(roots) > 0, case
         worst = max(r.curve_distance for r in roots)
         assert worst <= 1e-6, (case, worst)

@@ -132,6 +132,23 @@ def test_lp_table2_quotient(capsys):
     assert "table2_printed_scaling" in body
 
 
+def test_lp_reports_the_solver_tolerance_it_used(capsys, monkeypatch):
+    used = []
+    solve = isoplp.cli.lpcore.solve
+
+    def recording_solve(lp, tol):
+        used.append(tol)
+        return solve(lp, tol=tol)
+
+    monkeypatch.setattr(isoplp.cli.lpcore, "solve", recording_solve)
+    code, out, _ = run_cli(
+        capsys, "lp", "--table", "2", "--m", "2", "--dim", "2", "--kappa", "0", "--volume", "1.0", "--grid", "20x10"
+    )
+    assert code == 0
+    assert len(used) == 2
+    assert used == [json.loads(out)["tolerances"]["solver"]] * 2
+
+
 def test_lp_rejects_nonpositive_tol(capsys):
     code, out, err = run_cli(
         capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "40x20", "--tol", "0"
@@ -209,6 +226,22 @@ def test_lemma_hyperbolic(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["report"]["slope_sign_matches"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma", "--case", "spherical", "--starts", "0"),
+        ("lemma", "--case", "hyperbolic", "--grid", "0"),
+        ("certificate", "--dim", "4", "--kappa", "0", "--radius", "1", "--grid", "-3"),
+    ],
+)
+def test_nonpositive_counts_exit_2(capsys, argv):
+    # a zero or negative start or grid count is rejected, not replaced by the default
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[-2] in err and "must be > 0" in err
 
 
 def test_negbound_with_search(capsys):

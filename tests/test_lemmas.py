@@ -13,6 +13,7 @@ from isoplp.lemmas import (
     G_diag_peak,
     H,
     LemmaVars,
+    PolySystem,
     S_table,
     check_factorization,
     critical_system,
@@ -244,14 +245,14 @@ def test_curve_distance_zero_on_curve():
 @pytest.mark.parametrize("case", CASES)
 def test_critical_points_lie_on_curve(case):
     result = solve_critical_points(critical_system(case), n_starts=150, seed=0)
-    assert len(result) > 5
+    assert len(result.roots) > 5
     assert result.n_converged > 0
-    for root in result:
+    for root in result.roots:
         assert root.curve_distance <= 1e-6
         assert root.residual <= 1e-10
     # runs are reproducible
     again = solve_critical_points(critical_system(case), n_starts=150, seed=0)
-    assert [(r.t, r.p, r.q) for r in again] == [(r.t, r.p, r.q) for r in result]
+    assert [(r.t, r.p, r.q) for r in again.roots] == [(r.t, r.p, r.q) for r in result.roots]
 
 
 def test_critical_search_bookkeeping():
@@ -260,8 +261,129 @@ def test_critical_search_bookkeeping():
     assert total == 150
     assert result.n_out_of_domain + result.n_degenerate <= result.n_converged
     assert result.n_degenerate >= 0
-    first = result[0]
+    first = result.roots[0]
     assert hasattr(first, "n_merged") and first.n_merged >= 1
+
+
+@pytest.mark.parametrize(
+    "case,expected",
+    [("spherical", (126, 127, 873, 0, 1, 0)), ("hyperbolic", (172, 204, 796, 0, 18, 14))],
+)
+def test_multistart_counts_pinned(case, expected):
+    # (roots, converged, stalled, singular, out of domain, degenerate) at
+    # seed 0, 1000 starts, as the per-start loop produced them
+    result = solve_critical_points(critical_system(case), n_starts=1000, seed=0)
+    got = (
+        len(result.roots),
+        result.n_converged,
+        result.n_stalled,
+        result.n_singular,
+        result.n_out_of_domain,
+        result.n_degenerate,
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "case,first,last",
+    [
+        (
+            "spherical",
+            (0.027251796425956598, 12.231609546878943, 12.231609546879035),
+            (3.730809126149363, 0.08934612360546278, 0.08934612360546278),
+        ),
+        (
+            "hyperbolic",
+            (0.030984546686328444, 10.758050995802106, 10.758050995802114),
+            (0.8440144198929487, 0.3949379601537843, 0.39493796015378996),
+        ),
+    ],
+)
+def test_multistart_root_coordinates_pinned(case, first, last):
+    roots = solve_critical_points(critical_system(case), n_starts=250, seed=1).roots
+    assert_allclose((roots[0].t, roots[0].p, roots[0].q), first, rtol=0, atol=1e-12)
+    assert_allclose((roots[-1].t, roots[-1].p, roots[-1].q), last, rtol=0, atol=1e-12)
+
+
+def _per_start_multistart(system, n_starts, seed):
+    """The multistart one start at a time, through the public scalar API."""
+    lows = np.array([b[0] for b in system.box])
+    highs = np.array([b[1] for b in system.box])
+    starts = lows + np.random.Generator(np.random.Philox(key=seed)).random((n_starts, 3)) * (highs - lows)
+    converged, n_singular, n_stalled = [], 0, 0
+    for x in starts:
+        ok = singular = False
+        for _ in range(120):
+            F, scale = system.eval(*x), system.scale(*x)
+            if np.max(np.abs(F) / scale) < 1e-13:
+                ok = True
+                break
+            J = system.jacobian(*x)
+            try:
+                step = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                JtJ = J.T @ J
+                lam = 1e-8 * (np.trace(JtJ) / 3.0 + 1.0)
+                try:
+                    step = np.linalg.solve(JtJ + lam * np.eye(3), -J.T @ F)
+                except np.linalg.LinAlgError:
+                    singular = True
+                    break
+            nF = np.linalg.norm(F / scale)
+            lam_step = 1.0
+            while lam_step >= 1.0 / 4096.0:
+                xn = x + lam_step * step
+                if np.linalg.norm(system.eval(*xn) / system.scale(*xn)) < nF:
+                    x = xn
+                    break
+                lam_step *= 0.5
+            else:
+                break
+        if ok:
+            converged.append(tuple(float(v) for v in x))
+        n_singular += singular
+        n_stalled += not ok and not singular
+    return converged, n_singular, n_stalled
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lockstep_multistart_matches_per_start_loop(case):
+    system = critical_system(case)
+    result = solve_critical_points(system, n_starts=200, seed=2)
+    converged, n_singular, n_stalled = _per_start_multistart(system, 200, seed=2)
+    assert (result.n_converged, result.n_singular, result.n_stalled) == (len(converged), n_singular, n_stalled)
+    # every root is, bit for bit, a point the per-start loop converged to
+    assert result.roots and all((r.t, r.p, r.q) in converged for r in result.roots)
+    merged = sum(r.n_merged for r in result.roots)
+    assert merged + result.n_out_of_domain + result.n_degenerate == result.n_converged
+
+
+def test_multistart_singular_jacobian_takes_levenberg_steps():
+    # J = [[1, 1, 0], [1, 1, 0], [0, 0, 1]] everywhere: every batched solve
+    # raises, and each start falls back to the Levenberg step
+    line = ((1, 0, 0, 1.0), (0, 1, 0, 1.0), (0, 0, 0, -1.0))
+    q_line = ((0, 0, 1, 1.0), (0, 0, 0, -1.0))
+    system = PolySystem("spherical", (line, line, q_line), ((0.1, 0.45), (0.1, 0.45), (0.5, 1.5)))
+    result = solve_critical_points(system, n_starts=40, seed=3)
+    assert result.n_converged + result.n_singular + result.n_stalled == 40
+    assert result.n_converged == 40
+    assert sum(r.n_merged for r in result.roots) == 40
+    for r in result.roots:
+        assert abs(r.t + r.p - 1.0) <= 1e-12
+        assert abs(r.q - 1.0) <= 1e-12
+
+
+def test_polysystem_broadcasts_arrays():
+    system = critical_system("hyperbolic")
+    t = np.array([[0.3], [0.6]])
+    p, q = np.array([0.5, 0.9, 1.4]), 2.0
+    vals, jac, scale = system.eval(t, p, q), system.jacobian(t, p, q), system.scale(t, p, q)
+    assert vals.shape == scale.shape == (3, 2, 3) and jac.shape == (3, 3, 2, 3)
+    for a in range(2):
+        for b in range(3):
+            assert np.array_equal(vals[:, a, b], system.eval(t[a, 0], p[b], q))
+            assert np.array_equal(jac[:, :, a, b], system.jacobian(t[a, 0], p[b], q))
+            assert np.array_equal(scale[:, a, b], system.scale(t[a, 0], p[b], q))
 
 
 def test_default_grid_ranges_inside_domain():

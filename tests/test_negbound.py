@@ -28,8 +28,6 @@ def test_smallness_value_and_flag():
     assert chk.ok
     assert chk.margin == pytest.approx(0.5 - math.tanh(2.0) * math.tanh(0.3), rel=1e-15)
     assert chk.product == pytest.approx(math.tanh(2.0) * math.tanh(0.3), rel=1e-15)
-    ok, margin = chk
-    assert ok and margin == chk.margin
 
 
 def test_smallness_fails_for_long_geodesics():
