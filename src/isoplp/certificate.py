@@ -12,9 +12,10 @@ pins the coefficients up to scale, and the induced admissible test function
     f(alpha, beta) = sup_ell [ d*ell - a*F1 - b*F2 - c*F3 ](ell, alpha, beta)
 
 closes the duality argument.  This module reconstructs coefficients
-numerically (SVD of the collocated consistency system), tabulates the six
-closed-form cases, computes f by a guarded scan + derivative refinement,
-and verifies all required properties of a certificate.
+numerically (SVD of the collocated consistency system), writes the paper's
+certificates for n in {2, 4} at any curvature in closed form, computes f
+by a guarded scan + derivative refinement, and verifies all required
+properties of a certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .spaceform import (
     candle_anti2,
     candle_prime,
     chord_T,
-    chord_T_inverse,
 )
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "DegenerateConsistencyError",
     "SupDomainError",
     "UnverifiedCertificateError",
-    "REFERENCE_CASES",
     "solve_consistency",
     "paper_certificate",
     "sup_integrand",
@@ -162,58 +161,64 @@ def _sec_sum(alpha, beta):
     return 1.0 / np.cos(alpha) + 1.0 / np.cos(beta)
 
 
+def _tan_kappa(kappa: float, r: float) -> float:
+    """tan(sqrt(k) r)/sqrt(k), r, or tanh(sqrt(-k) r)/sqrt(-k)."""
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        return math.tan(rt * r) / rt
+    if kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        return math.tanh(rt * r) / rt
+    return r
+
+
+def _atan_kappa(kappa: float, x):
+    """Inverse of _tan_kappa in its length argument."""
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        return np.arctan(rt * x) / rt
+    if kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        return np.arctanh(rt * x) / rt
+    return x
+
+
 def _make_reference(params: ModelParams, r: float) -> DualCertificate | None:
-    n, kappa = params.n, params.kappa
-    if kappa == 0.0 and n == 4:
+    n, kappa = params.n, params.kappa + 0.0  # kappa = -0.0 must not give b = -0.0
+    t = _tan_kappa(kappa, r)
+    if n == 4:
+        closed = {}
+        if kappa == 0.0:
+            closed = dict(
+                f_closed=lambda a, b: 16.0 * r ** 3 * np.sqrt(np.cos(a) * np.cos(b)),
+                argmax_closed=lambda a, b: 2.0 * r * np.sqrt(np.cos(a) * np.cos(b)),
+            )
         return DualCertificate(
-            params, r, 1.0, 0.0, 0.0, 12.0 * r * r, source="reference",
-            f_closed=lambda a, b, _r=r: 16.0 * _r ** 3 * np.sqrt(np.cos(a) * np.cos(b)),
-            argmax_closed=lambda a, b, _r=r: 2.0 * _r * np.sqrt(np.cos(a) * np.cos(b)),
+            params, r, 1.0, 6.0 * kappa * t, 9.0 * kappa * kappa * t * t, 12.0 * t * t,
+            source="reference", **closed,
         )
-    if kappa == 0.0 and n == 2:
+    if n == 2:
         return DualCertificate(
-            params, r, 0.0, 1.0, 0.0, 2.0 * r, source="reference",
-            f_closed=lambda a, b, _r=r: 4.0 * _r ** 2 / _sec_sum(a, b),
-            argmax_closed=lambda a, b, _r=r: 4.0 * _r / _sec_sum(a, b),
-        )
-    if kappa == 1.0 and n == 4:
-        t = math.tan(r)
-        return DualCertificate(params, r, 1.0, 6.0 * t, 9.0 * t * t, 12.0 * t * t, source="reference")
-    if kappa == 1.0 and n == 2:
-        t = math.tan(r)
-        return DualCertificate(
-            params, r, 0.0, 1.0, t, 2.0 * t, source="reference",
-            f_closed=lambda a, b, _t=t: 2.0 * _t * np.arctan(2.0 * _t / _sec_sum(a, b)),
-            argmax_closed=lambda a, b, _t=t: 2.0 * np.arctan(2.0 * _t / _sec_sum(a, b)),
-        )
-    if kappa == -1.0 and n == 4:
-        t = math.tanh(r)
-        return DualCertificate(params, r, 1.0, -6.0 * t, 9.0 * t * t, 12.0 * t * t, source="reference")
-    if kappa == -1.0 and n == 2:
-        t = math.tanh(r)
-        return DualCertificate(
-            params, r, 0.0, 1.0, -t, 2.0 * t, source="reference",
-            f_closed=lambda a, b, _t=t: 2.0 * _t * np.arctanh(2.0 * _t / _sec_sum(a, b)),
-            argmax_closed=lambda a, b, _t=t: 2.0 * np.arctanh(2.0 * _t / _sec_sum(a, b)),
+            params, r, 0.0, 1.0, kappa * t, 2.0 * t, source="reference",
+            f_closed=lambda a, b: 2.0 * t * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
+            argmax_closed=lambda a, b: 2.0 * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
         )
     return None
 
 
-REFERENCE_CASES = ((2, 0.0), (4, 0.0), (2, 1.0), (4, 1.0), (2, -1.0), (4, -1.0))
-
-
 def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
-    """Tabulated reference certificate for the six solved (n, kappa) cases."""
+    """The paper's certificate for n in {2, 4} at any curvature, with T = tan_kappa(r).
+
+    n = 4: (a, b, c, d) = (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
+    n = 2: (0, 1, kappa T, 2 T) with the closed sup 2 T atan_kappa(2 T/(sec a + sec b)).
+    """
     if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
         raise ValueError("radius must be strictly inside the hemisphere")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     cert = _make_reference(params, r)
     if cert is None:
-        raise ValueError(
-            f"no tabulated certificate for (n, kappa) = ({params.n}, {params.kappa}); "
-            f"known cases: {REFERENCE_CASES}"
-        )
+        raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {params.n}")
     return cert
 
 
@@ -252,17 +257,20 @@ _CAP_FACTOR = 40.0
 
 
 def _sup_domain(cert: DualCertificate) -> tuple[float, bool]:
-    if cert.params.kappa > 0.0:
-        return math.pi / math.sqrt(cert.params.kappa), False
-    return _CAP_FACTOR * max(1.0, cert.r), True
+    kappa = cert.params.kappa
+    if kappa > 0.0:
+        return math.pi / math.sqrt(kappa), False
+    rt = math.sqrt(-kappa) or 1.0  # kappa = 0 caps at 40 * max(1, r)
+    return _CAP_FACTOR * max(1.0, rt * cert.r) / rt, True
 
 
 def build_f(cert: DualCertificate, alpha, beta):
     """Numeric sup over chord lengths: returns (value, argmax) arrays.
 
     Dense scan, then bisection on the analytic ell-derivative inside the
-    bracketing cell (golden-section fallback on plateaus).  For kappa <= 0
-    the domain is capped at 40*max(1, r); a sup escaping to the cap raises
+    bracketing cell (golden-section fallback on plateaus).  For kappa < 0
+    the domain is capped at 40*max(1, sqrt(-kappa) r)/sqrt(-kappa), for
+    kappa = 0 at 40*max(1, r); a sup escaping to the cap raises
     SupDomainError since the certificate then bounds nothing.
     """
     a_arr = np.asarray(alpha, dtype=float)

@@ -14,11 +14,8 @@ Monte Carlo sampling.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -37,7 +34,6 @@ from .spaceform import (
 )
 
 __all__ = [
-    "ChordAtom",
     "DiscreteMeasure",
     "FUNCTIONAL_IDS",
     "gauss_legendre",
@@ -47,25 +43,11 @@ __all__ = [
     "integrate",
     "santalo_residual",
     "croke_residual",
-    "measure_to_csv",
-    "measure_from_csv",
-    "measure_to_json",
-    "measure_from_json",
 ]
 
 _PROVENANCES = ("quadrature", "monte-carlo", "external")
 
 FUNCTIONAL_IDS = ("F1", "F2", "F3", "F4")
-
-
-@dataclass(frozen=True)
-class ChordAtom:
-    """One weighted chord: length, two boundary angles, mass."""
-
-    ell: float
-    alpha: float
-    beta: float
-    mass: float
 
 
 @dataclass
@@ -104,22 +86,6 @@ class DiscreteMeasure:
     @property
     def size(self) -> int:
         return int(self.mass.size)
-
-    def atoms(self) -> list[ChordAtom]:
-        return [
-            ChordAtom(float(l), float(a), float(b), float(m))
-            for l, a, b, m in zip(self.ell, self.alpha, self.beta, self.mass)
-        ]
-
-    @classmethod
-    def from_atoms(
-        cls, atoms, provenance: str = "external", seed: int | None = None
-    ) -> "DiscreteMeasure":
-        ell = [a.ell for a in atoms]
-        alpha = [a.alpha for a in atoms]
-        beta = [a.beta for a in atoms]
-        mass = [a.mass for a in atoms]
-        return cls(ell, alpha, beta, mass, provenance=provenance, seed=seed)
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         return DiscreteMeasure(
@@ -264,53 +230,3 @@ def croke_residual(ball: BallGeometry, measure: DiscreteMeasure, which: int) -> 
         3: ball.volume ** 2,
     }[which]
     return lhs - rhs
-
-
-_CSV_FIELDS = ("ell", "alpha", "beta", "mass")
-
-
-def measure_to_csv(measure: DiscreteMeasure) -> str:
-    """Serialize atoms as CSV with header ell,alpha,beta,mass."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for l, a, b, m in zip(measure.ell, measure.alpha, measure.beta, measure.mass):
-        writer.writerow([repr(float(l)), repr(float(a)), repr(float(b)), repr(float(m))])
-    return buf.getvalue()
-
-
-def measure_from_csv(text: str, provenance: str = "external") -> DiscreteMeasure:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if [h.strip() for h in header] != list(_CSV_FIELDS):
-        raise ValueError(f"expected header {','.join(_CSV_FIELDS)}, got {','.join(header)}")
-    rows = [[float(x) for x in row] for row in reader if row]
-    if not rows:
-        raise ValueError("no atoms in CSV")
-    arr = np.asarray(rows)
-    return DiscreteMeasure(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], provenance=provenance)
-
-
-def measure_to_json(measure: DiscreteMeasure) -> str:
-    payload = {
-        "schema": 1,
-        "provenance": measure.provenance,
-        "seed": measure.seed,
-        "atoms": {
-            "ell": measure.ell.tolist(),
-            "alpha": measure.alpha.tolist(),
-            "beta": measure.beta.tolist(),
-            "mass": measure.mass.tolist(),
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def measure_from_json(text: str) -> DiscreteMeasure:
-    payload = json.loads(text)
-    atoms = payload["atoms"]
-    return DiscreteMeasure(
-        atoms["ell"], atoms["alpha"], atoms["beta"], atoms["mass"],
-        provenance=payload.get("provenance", "external"),
-        seed=payload.get("seed"),
-    )

@@ -7,9 +7,11 @@ are byte-identical across runs with the same arguments and seed.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
 
-Curvatures outside {-1, 0, 1} are handled by the dilation that rescales
-them to unit size (lengths scale by sqrt|kappa|, volumes by |kappa|^(n/2));
-reports then carry both normalized and user-unit values.
+Each subcommand declares the flags it reads, with their defaults and
+validation, in `build_parser`; the `config` echo of a report holds the
+effective values.  Every subcommand takes the curvature bound as given, so
+all reported lengths, volumes, areas and coefficients are in the user's
+units.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,50 +41,22 @@ class RunConfig:
     """Parsed arguments for one CLI run."""
 
     command: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
-    def get(self, key, default=None):
-        return self.options.get(key, default)
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+        """The command and every flag that has a value, except the report format and path."""
+        options = {
+            k: v for k, v in vars(args).items() if k not in ("command", "format", "out") and v is not None
+        }
+        return cls(args.command, options)
+
+    def get(self, key):
+        return self.options.get(key)
 
 
 class UsageError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# curvature normalization
-
-
-@dataclass(frozen=True)
-class Dilation:
-    """Rescaling of (n, kappa) to unit curvature size: lengths *= scale."""
-
-    n: int
-    kappa_user: float
-    kappa_norm: float
-    scale: float  # sqrt(|kappa|) or 1
-
-    def length_to_norm(self, x: float) -> float:
-        return x * self.scale
-
-    def length_from_norm(self, x: float) -> float:
-        return x / self.scale
-
-    def volume_to_norm(self, v: float) -> float:
-        return v * self.scale ** self.n
-
-    def volume_from_norm(self, v: float) -> float:
-        return v / self.scale ** self.n
-
-    def area_from_norm(self, a: float) -> float:
-        return a / self.scale ** (self.n - 1)
-
-
-def make_dilation(n: int, kappa: float) -> Dilation:
-    if kappa in (-1.0, 0.0, 1.0):
-        return Dilation(n, kappa, kappa, 1.0)
-    scale = math.sqrt(abs(kappa))
-    return Dilation(n, kappa, math.copysign(1.0, kappa), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +127,9 @@ def _flatten(obj, prefix=""):
 
 
 def _resolve_radius_volume(params: ModelParams, radius, volume):
-    if (radius is None) == (volume is None):
-        raise UsageError("exactly one of --radius/--volume is required")
     if radius is not None:
-        ball = ball_from_radius(params, radius)
-    else:
-        ball = ball_from_volume(params, volume)
-    return ball
+        return ball_from_radius(params, radius)
+    return ball_from_volume(params, volume)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +137,11 @@ def _resolve_radius_volume(params: ModelParams, radius, volume):
 
 
 def _cmd_profile(config: RunConfig):
-    n = config.get("dim")
-    kappa = config.get("kappa")
-    params = ModelParams(n, kappa)
+    params = ModelParams(config.get("dim"), config.get("kappa"))
     vmin, vmax, steps = config.get("vmin"), config.get("vmax"), config.get("steps")
-    if not (0 < vmin <= vmax) or steps < 1:
-        raise UsageError("need 0 < vmin <= vmax and steps >= 1")
-    if kappa > 0 and vmax > max_ball_volume(params):
+    if vmin > vmax:
+        raise UsageError("need vmin <= vmax")
+    if params.kappa > 0 and vmax > max_ball_volume(params):
         raise UsageError(f"vmax exceeds the hemisphere volume {max_ball_volume(params)}")
     vols = np.linspace(vmin, vmax, steps)
     rows = []
@@ -184,52 +152,43 @@ def _cmd_profile(config: RunConfig):
 
 
 def _cmd_certificate(config: RunConfig):
-    n = config.get("dim")
-    dil = make_dilation(n, config.get("kappa"))
-    params = ModelParams(n, dil.kappa_norm)
-    radius, volume = config.get("radius"), config.get("volume")
-    if radius is not None:
-        radius = dil.length_to_norm(radius)
-    if volume is not None:
-        volume = dil.volume_to_norm(volume)
-    ball = _resolve_radius_volume(params, radius, volume)
-    r = ball.radius
-    grid = config.get("grid", 80)
+    params = ModelParams(config.get("dim"), config.get("kappa"))
+    r = _resolve_radius_volume(params, config.get("radius"), config.get("volume")).radius
+    tols = {"consistency": 1e-8, "reference_match": 1e-6, "membership_defect": 1e-9}
 
     fit = certificate.solve_consistency(params, r)
-    body = {
-        "normalized": {"kappa": dil.kappa_norm, "radius": r, "dilation_scale": dil.scale},
-        "user_units": {"kappa": dil.kappa_user, "radius": dil.length_from_norm(r)},
-        "consistency_fit": {
-            "a": fit.a, "b": fit.b, "c": fit.c, "d": fit.d, "residual": fit.residual,
-        },
-    }
-    passed = fit.residual <= 1e-8 * max(1.0, abs(fit.d))
+    body = {"radius": r}
+    if fit.residual > tols["consistency"] * max(1.0, abs(fit.d)):
+        body["consistency_fit"] = {
+            "residual": fit.residual,
+            "message": (
+                f"no (a, b, c, d) certificate of this form exists for (n, kappa) = "
+                f"({params.n}, {params.kappa}): the consistency equation has no solution within tolerance"
+            ),
+        }
+        return body, tols, False
+    body["consistency_fit"] = {"a": fit.a, "b": fit.b, "c": fit.c, "d": fit.d, "residual": fit.residual}
     try:
         cert = certificate.paper_certificate(params, r)
     except ValueError:
-        cert = None
         body["reference"] = None
-    if cert is not None:
-        ref = dict(zip("abcd", cert.coefficients))
-        coeff_scale = max(abs(v) for v in cert.coefficients)
-        mismatch = max(abs(getattr(fit, k) - ref[k]) for k in "abcd") / coeff_scale
-        require_nonneg = params.kappa >= 0.0
-        report = certificate.verify_certificate(cert, grid=grid, require_nonneg=require_nonneg)
-        body["reference"] = ref
-        body["reference_mismatch"] = mismatch
-        body["verification"] = {
-            "consistency_residual": report.consistency_residual,
-            "curve_sup_deviation": report.curve_sup_deviation,
-            "membership_min_f": report.membership.min_f,
-            "membership_min_defect": report.membership.min_defect,
-            "negative_coefficients": list(report.negative_coefficients),
-            "nonneg_required": report.nonneg_required,
-            "passed": report.passed,
-        }
-        passed = passed and mismatch <= 1e-6 and report.passed
-    tols = {"consistency": 1e-8, "reference_match": 1e-6, "membership_defect": 1e-9}
-    return body, tols, passed
+        return body, tols, True
+    ref = dict(zip("abcd", cert.coefficients))
+    coeff_scale = max(abs(v) for v in cert.coefficients)
+    mismatch = max(abs(getattr(fit, k) - ref[k]) for k in "abcd") / coeff_scale
+    report = certificate.verify_certificate(cert, grid=config.get("grid"), require_nonneg=params.kappa >= 0.0)
+    body["reference"] = ref
+    body["reference_mismatch"] = mismatch
+    body["verification"] = {
+        "consistency_residual": report.consistency_residual,
+        "curve_sup_deviation": report.curve_sup_deviation,
+        "membership_min_f": report.membership.min_f,
+        "membership_min_defect": report.membership.min_defect,
+        "negative_coefficients": list(report.negative_coefficients),
+        "nonneg_required": report.nonneg_required,
+        "passed": report.passed,
+    }
+    return body, tols, mismatch <= tols["reference_match"] and report.passed
 
 
 def _default_family(params: ModelParams, r: float):
@@ -243,27 +202,16 @@ def _default_family(params: ModelParams, r: float):
 
 
 def _cmd_lp(config: RunConfig):
-    n = config.get("dim")
-    dil = make_dilation(n, config.get("kappa"))
-    params = ModelParams(n, dil.kappa_norm)
-    radius, volume = config.get("radius"), config.get("volume")
-    if radius is not None:
-        radius = dil.length_to_norm(radius)
-    if volume is not None:
-        volume = dil.volume_to_norm(volume)
-    ball = _resolve_radius_volume(params, radius, volume)
+    params = ModelParams(config.get("dim"), config.get("kappa"))
+    ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
     V = ball.volume
-    table = config.get("table", 1)
-    m = config.get("m", 1)
-    n_ell, n_alpha = config.get("grid") or (40, 20)
+    m = config.get("m")
+    n_ell, n_alpha = config.get("grid")
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
-    tol = config.get("tol", 0.02)
+    tol = config.get("tol")
     solver_tol = 1e-7
 
-    body = {
-        "normalized": {"kappa": dil.kappa_norm, "volume": V, "dilation_scale": dil.scale},
-        "grid": {"n_ell": n_ell, "n_alpha": n_alpha},
-    }
+    body = {"volume": V, "grid": {"n_ell": n_ell, "n_alpha": n_alpha}}
 
     def solve_one(lp, bound, label):
         sol = lpcore.solve(lp, tol=solver_tol)
@@ -271,7 +219,6 @@ def _cmd_lp(config: RunConfig):
             "status": sol.status,
             "optimum": sol.objective_value,
             "bound": bound,
-            "bound_user_units": dil.area_from_norm(bound),
             "duality_gap": sol.duality_gap,
         }
         ok = sol.status == "optimal"
@@ -288,7 +235,7 @@ def _cmd_lp(config: RunConfig):
         body[label] = entry
         return ok
 
-    if table == 1:
+    if config.get("table") == 1:
         fam = _default_family(params, ball.radius)
         lp = lpcore.build_isoperimetric_lp(params, V, grid, fam)
         passed = solve_one(lp, ball.area, "table1")
@@ -297,7 +244,7 @@ def _cmd_lp(config: RunConfig):
         ball0 = ball_from_volume(params, m * V)
         fam = _default_family(params, ball0.radius)
         bound = relative.relative_bound(case)
-        ok1 = solve_one(
+        passed = solve_one(
             lpcore.build_relative_lp(params, V, m, grid, fam, variant="rescaled"), bound, "table2_rescaled"
         )
         lp_printed = lpcore.build_relative_lp(params, V, m, grid, fam, variant="printed")
@@ -307,15 +254,14 @@ def _cmd_lp(config: RunConfig):
             "optimum": sol_printed.objective_value,
             "bound": bound,
         }
-        passed = ok1
     return body, {"relative_error": tol, "solver": solver_tol}, passed
 
 
 def _cmd_measure_check(config: RunConfig):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
-    n_nodes = config.get("grid", 128)
-    tol = config.get("tol", 1e-7)
+    n_nodes = config.get("grid")
+    tol = config.get("tol")
     measure = chordmeasure.discretize_ball_measure(ball, n_nodes)
     omega = sphere_volume(params.n - 1)
     santalo_rel = chordmeasure.santalo_residual(ball, measure) / (omega * ball.volume)
@@ -331,7 +277,7 @@ def _cmd_measure_check(config: RunConfig):
         "croke_relative": croke_rel,
     }
     mc_n = config.get("mc_samples")
-    if mc_n:
+    if mc_n is not None:
         seed = config.get("seed")
         if seed is None:
             raise UsageError("--seed is required with --mc-samples")
@@ -354,9 +300,9 @@ def _cmd_measure_check(config: RunConfig):
 
 def _cmd_lemma(config: RunConfig):
     case = config.get("case")
-    grid = config.get("grid", 120)
-    starts = config.get("starts", 1000)
-    seed = config.get("seed", 0)
+    grid = config.get("grid")
+    starts = config.get("starts")
+    seed = config.get("seed")
     report = lemmas.verify_H_nonneg(case, grid)
     search = lemmas.solve_critical_points(lemmas.critical_system(case), n_starts=starts, seed=seed)
     roots = search.roots
@@ -413,10 +359,8 @@ def _cmd_lemma(config: RunConfig):
 
 def _cmd_negbound(config: RunConfig):
     r = config.get("radius")
-    if r is None:
-        raise UsageError("--radius is required")
-    n_nodes = config.get("grid", 128)
-    tol = config.get("tol", 1e-7)
+    n_nodes = config.get("grid")
+    tol = config.get("tol")
 
     small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
     ball4 = ball_from_radius(ModelParams(4, -1.0), r)
@@ -435,9 +379,7 @@ def _cmd_negbound(config: RunConfig):
     }
     passed = abs(conj) <= tol and abs(hyp2) <= tol
     if config.get("search"):
-        res = negbound.ch2_counterexample_search(
-            config.get("ell_max") or 10.0, config.get("r_max") or 5.0
-        )
+        res = negbound.ch2_counterexample_search(config.get("ell_max"), config.get("r_max"))
         zero = negbound.question1_margin(
             negbound.CurvatureSpectrum((-1.0, -1.0, -1.0)), res.r, min(res.ell, 3.0)
         )
@@ -452,19 +394,17 @@ def _cmd_negbound(config: RunConfig):
 def _cmd_prince(config: RunConfig):
     shape = config.get("shape")
     if shape == "disk":
-        dom = littleprince.disk(config.get("r") or 1.0)
+        dom = littleprince.disk(config.get("r"))
     elif shape == "ellipse":
-        dom = littleprince.ellipse(config.get("a") or 2.0, config.get("b") or 0.5)
+        dom = littleprince.ellipse(config.get("a"), config.get("b"))
     elif shape == "square":
         dom = littleprince.square_side_midpoint()
-    elif shape == "csv":
+    else:
         path = config.get("csv")
         if not path:
             raise UsageError("--csv PATH is required for --shape csv")
         with open(path) as fh:
             dom = littleprince.from_csv(fh.read())
-    else:
-        raise UsageError(f"unknown shape {shape!r}")
     g = littleprince.gravity(dom)
     a = littleprince.area(dom)
     margin = littleprince.verify_pp(dom)
@@ -483,11 +423,9 @@ def _cmd_prince(config: RunConfig):
 def _cmd_relative(config: RunConfig):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     V = config.get("volume")
-    if V is None:
-        raise UsageError("--volume is required")
-    m = config.get("m", 1)
-    n_nodes = config.get("grid", 128)
-    tol = config.get("tol", 1e-7)
+    m = config.get("m")
+    n_nodes = config.get("grid")
+    tol = config.get("tol")
     case = relative.RelativeCase(params, m, V)
     bound = relative.relative_bound(case)
     report = relative.verify_relative_equality(case, n_nodes)
@@ -533,18 +471,18 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return (0 if passed else 1), report
 
 
-def _add_common(p, *, dim=False, kappa=False, rv=False, grid_int=False):
-    if dim:
+def _add_common(p, *, model=False, rv=False, grid=None, tol=None):
+    if model:
         p.add_argument("--dim", type=int, required=True, help="dimension n >= 2")
-    if kappa:
         p.add_argument("--kappa", type=float, required=True, help="curvature bound")
     if rv:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--radius", type=float)
         g.add_argument("--volume", type=float)
-    if grid_int:
-        p.add_argument("--grid", type=_positive_int, help="grid size / node count (> 0)")
-    p.add_argument("--tol", type=_positive_float, help="tolerance override (> 0)")
+    if grid is not None:
+        p.add_argument("--grid", type=_positive_int, default=grid, help=f"grid size / node count (> 0, default {grid})")
+    if tol is not None:
+        p.add_argument("--tol", type=_positive_float, default=tol, help=f"tolerance of the check (> 0, default {tol})")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -560,13 +498,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def _multiplicity(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"multiplicity must be >= 1, got {text!r}")
     return value
 
 
@@ -587,50 +518,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="tabulate ball area against volume")
-    p.add_argument("--vmin", type=float, required=True)
-    p.add_argument("--vmax", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    _add_common(p, dim=True, kappa=True)
+    p.add_argument("--vmin", type=_positive_float, required=True)
+    p.add_argument("--vmax", type=_positive_float, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
+    _add_common(p, model=True)
 
     p = sub.add_parser("certificate", help="reconstruct and verify a dual certificate")
-    _add_common(p, dim=True, kappa=True, rv=True, grid_int=True)
+    _add_common(p, model=True, rv=True, grid=80)
 
     p = sub.add_parser("lp", help="build and solve the finite LP")
     p.add_argument("--table", type=int, choices=(1, 2), default=1)
-    p.add_argument("--m", type=_multiplicity, default=1, help="multiplicity (table 2), >= 1")
-    p.add_argument("--grid", type=_parse_grid_pair, help="ell x alpha node counts, e.g. 40x20")
-    _add_common(p, dim=True, kappa=True, rv=True)
+    p.add_argument("--m", type=_positive_int, default=1, help="multiplicity (table 2), > 0")
+    p.add_argument("--grid", type=_parse_grid_pair, default=(40, 20), help="ell x alpha node counts, e.g. 40x20")
+    _add_common(p, model=True, rv=True, tol=0.02)
 
     p = sub.add_parser("measure-check", help="chord-measure integral identities")
-    p.add_argument("--mc-samples", type=int, dest="mc_samples")
+    p.add_argument("--mc-samples", type=_positive_int, dest="mc_samples", help="Monte Carlo chord count (> 0)")
     p.add_argument("--seed", type=int)
-    _add_common(p, dim=True, kappa=True, rv=True, grid_int=True)
+    _add_common(p, model=True, rv=True, grid=128, tol=1e-7)
 
     p = sub.add_parser("lemma", help="polynomial nonnegativity verification")
     p.add_argument("--case", choices=lemmas.CASES, required=True)
-    p.add_argument("--starts", type=_positive_int, help="Newton multistart count (> 0)")
+    p.add_argument("--starts", type=_positive_int, default=1000, help="Newton multistart count (> 0)")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, grid_int=True)
+    _add_common(p, grid=120)
 
     p = sub.add_parser("negbound", help="negative-curvature inequalities")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--search", action="store_true", help="run the counterexample search")
-    p.add_argument("--ell-max", type=float, dest="ell_max")
-    p.add_argument("--r-max", type=float, dest="r_max")
-    _add_common(p, grid_int=True)
+    p.add_argument("--ell-max", type=_positive_float, default=10.0, dest="ell_max")
+    p.add_argument("--r-max", type=_positive_float, default=5.0, dest="r_max")
+    _add_common(p, grid=128, tol=1e-7)
 
     p = sub.add_parser("prince", help="planar gravity of a star-shaped domain")
     p.add_argument("--shape", choices=("disk", "ellipse", "square", "csv"), required=True)
-    p.add_argument("--r", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--r", type=_positive_float, default=1.0, help="disk radius")
+    p.add_argument("--a", type=_positive_float, default=2.0, help="ellipse semi-axis")
+    p.add_argument("--b", type=_positive_float, default=0.5, help="ellipse semi-axis")
     p.add_argument("--csv", help="CSV path with header alpha,L")
     _add_common(p)
 
     p = sub.add_parser("relative", help="multiplicity-m relative bound")
-    p.add_argument("--m", type=_multiplicity, required=True)
+    p.add_argument("--m", type=_positive_int, required=True, help="multiplicity, > 0")
     p.add_argument("--volume", type=float, required=True)
-    _add_common(p, dim=True, kappa=True, grid_int=True)
+    _add_common(p, model=True, grid=128, tol=1e-7)
 
     return parser
 
@@ -641,16 +572,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    options = {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
-    fmt = options.pop("format", "json")
-    out = options.pop("out", None)
-    config = RunConfig(command=args.command, options=options)
     try:
-        code, report = run(config)
+        code, report = run(RunConfig.from_args(args))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, fmt, out)
+    _emit(report, args.format, args.out)
     return code
 
 

@@ -86,10 +86,26 @@ def test_paper_certificate_coefficients(case, r):
 
 
 def test_paper_certificate_rejects_unknown_curvature():
-    with pytest.raises(ValueError):
-        paper_certificate(ModelParams(2, 0.5), 1.0)
+    # the paper's certificates cover n in {2, 4} at every curvature, no other dimension
     with pytest.raises(ValueError):
         paper_certificate(ModelParams(3, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("kappa", [4.0, 0.5, 0.01, -0.25, -9.0])
+@pytest.mark.parametrize("n", [2, 4])
+def test_paper_certificate_matches_consistency_any_curvature(n, kappa):
+    params = ModelParams(n, kappa)
+    cert = paper_certificate(params, 0.35)
+    fit = solve_consistency(params, 0.35)
+    scale = max(abs(v) for v in cert.coefficients)
+    assert max(abs(c - f) for c, f in zip(cert.coefficients, fit[:4])) <= 1e-12 * scale
+
+
+def test_negative_zero_curvature_gives_no_negative_zero():
+    # --kappa -0 parses to -0.0; the flat coefficients must still print as 0.0
+    for n in (2, 4):
+        cert = paper_certificate(ModelParams(n, -0.0), 1.0)
+        assert all(math.copysign(1.0, v) == 1.0 for v in cert.coefficients)
 
 
 def test_negative_coefficients_flagged():
@@ -127,6 +143,17 @@ def test_build_f_matches_closed_form(case, r):
     val, arg = build_f(cert, A, B)
     assert_allclose(val, cert.f_closed(A, B), rtol=1e-9, atol=1e-12)
     assert_allclose(arg, cert.argmax_closed(A, B), rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [4.0, -0.25, -9.0])
+def test_closed_form_n2_any_curvature(kappa):
+    # f = 2T atan_kappa(2T/(sec a + sec b)) with T = tan_kappa(r), and its argmax
+    cert = paper_certificate(ModelParams(2, kappa), 0.35)
+    a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 24)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    val, arg = build_f(cert, A, B)
+    assert np.max(np.abs(val - cert.f_closed(A, B))) <= 1e-12
+    assert np.max(np.abs(arg - cert.argmax_closed(A, B))) <= 1e-12
 
 
 def test_closed_form_values_flat():

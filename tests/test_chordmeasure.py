@@ -1,6 +1,5 @@
 """Chord measures on balls: discretization, sampling, integral identities."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isoplp.chordmeasure import (
-    ChordAtom,
     DiscreteMeasure,
     SingularAtomError,
     ball_chord_density,
@@ -17,10 +15,6 @@ from isoplp.chordmeasure import (
     discretize_ball_measure,
     gauss_legendre,
     integrate,
-    measure_from_csv,
-    measure_from_json,
-    measure_to_csv,
-    measure_to_json,
     sample_chords,
     santalo_residual,
 )
@@ -52,12 +46,8 @@ def test_measure_atoms_and_scaling():
     mu = DiscreteMeasure([0.5, 1.0], [0.1, 0.2], [0.1, 0.3], [2.0, 3.0])
     assert mu.size == 2
     assert_allclose(mu.total_mass, 5.0)
-    atoms = mu.atoms()
-    assert atoms[1] == ChordAtom(1.0, 0.2, 0.3, 3.0)
     half = mu.scaled(0.5)
     assert_allclose(half.total_mass, 2.5)
-    rebuilt = DiscreteMeasure.from_atoms(atoms)
-    assert_allclose(rebuilt.mass, mu.mass)
 
 
 def test_chord_density_normalizes_to_F_identities():
@@ -164,21 +154,3 @@ def test_monte_carlo_angles_in_range(seed):
     s = sample_chords(DISK, 64, seed)
     assert np.all(s.alpha >= 0.0) and np.all(s.alpha <= math.pi / 2.0)
     assert np.all(s.ell > 0.0) and np.all(s.ell <= DISK.max_chord)
-
-
-def test_csv_round_trip():
-    mu = discretize_ball_measure(DISK, 16)
-    text = measure_to_csv(mu)
-    assert text.splitlines()[0] == "ell,alpha,beta,mass"
-    back = measure_from_csv(text)
-    assert_allclose(back.ell, mu.ell, rtol=0, atol=0)
-    assert_allclose(back.mass, mu.mass, rtol=0, atol=0)
-
-
-def test_json_round_trip_sorted_and_stable():
-    mu = discretize_ball_measure(DISK, 8)
-    text = measure_to_json(mu)
-    assert text == measure_to_json(mu)
-    back = measure_from_json(text)
-    assert_allclose(back.ell, mu.ell, rtol=0, atol=0)
-    assert back.provenance == mu.provenance

@@ -1,4 +1,4 @@
-"""Command line interface: exit codes, report shape, determinism, dilation."""
+"""Command line interface: exit codes, report shape, determinism, curvature units."""
 
 import json
 import math
@@ -10,7 +10,7 @@ import pytest
 
 import isoplp
 from isoplp import __version__
-from isoplp.cli import Dilation, RunConfig, UsageError, build_parser, main, make_dilation, run
+from isoplp.cli import RunConfig, UsageError, build_parser, main, run
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,8 @@ def test_certificate_flat_4ball(capsys):
     assert body["reference"]["d"] == pytest.approx(12.0, rel=1e-12)
     assert body["reference_mismatch"] <= 1e-6
     assert body["verification"]["passed"] is True
+    # the config echo holds the effective grid, not only the flags given
+    assert report["config"]["grid"] == 80
 
 
 def test_certificate_output_byte_identical(capsys):
@@ -63,17 +65,31 @@ def test_certificate_output_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_certificate_dilation_normalizes_curvature(capsys):
-    # kappa=4 runs at kappa=1 with lengths halved; reported radius is the
-    # user's, the normalized one sits next to it
+def test_certificate_reports_user_units(capsys):
+    # kappa = 4 is solved as given: T = tan(2 r)/2, c = kappa T, d = 2 T
     code, out, _ = run_cli(capsys, "certificate", "--dim", "2", "--kappa", "4", "--radius", "0.35")
     assert code == 0
     report = json.loads(out)
     assert report["config"]["kappa"] == 4.0
     body = report["report"]
-    assert body["normalized"]["kappa"] == 1.0
-    assert body["normalized"]["radius"] == pytest.approx(0.7, rel=1e-12)
-    assert body["user_units"]["radius"] == pytest.approx(0.35, rel=1e-12)
+    assert body["radius"] == 0.35
+    t = math.tan(0.7) / 2.0
+    assert body["reference"]["c"] == pytest.approx(4.0 * t, rel=1e-14)
+    assert body["reference"]["d"] == pytest.approx(2.0 * t, rel=1e-14)
+    assert body["consistency_fit"]["c"] == pytest.approx(4.0 * t, rel=1e-10)
+    assert "normalized" not in body and "user_units" not in body
+
+
+@pytest.mark.parametrize("n,kappa,r", [(3, 0.0, 1.0), (3, 1.0, 0.7)])
+def test_certificate_without_solution_gives_no_coefficients(capsys, n, kappa, r):
+    code, out, _ = run_cli(capsys, "certificate", "--dim", str(n), "--kappa", str(kappa), "--radius", str(r))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    fit = report["report"]["consistency_fit"]
+    assert not set("abcd") & set(fit)
+    assert fit["residual"] > report["tolerances"]["consistency"]
+    assert f"no (a, b, c, d) certificate of this form exists for (n, kappa) = ({n}, {kappa!r})" in fit["message"]
 
 
 def test_certificate_out_file(tmp_path, capsys):
@@ -115,6 +131,20 @@ def test_lp_flat_disk(capsys):
     assert entry["relative_error"] <= 0.02
     assert entry["weak_duality"]["primal_violation"] <= 1e-9
     assert "total-length" in entry["dual"]
+
+
+def test_lp_bound_scales_with_curvature(capsys):
+    # at kappa = 4, radius 0.35 the disk is the kappa = 1, radius 0.7 disk with lengths halved
+    def table1(*argv):
+        code, out, _ = run_cli(capsys, "lp", "--dim", "2", *argv)
+        assert code == 0
+        return json.loads(out)["report"]["table1"]
+
+    small = table1("--kappa", "4", "--radius", "0.35")
+    unit = table1("--kappa", "1", "--radius", "0.7")
+    assert small["bound"] == pytest.approx(unit["bound"] / 2.0, rel=1e-14)
+    assert small["bound"] == pytest.approx(math.pi * math.sin(0.7), rel=1e-14)
+    assert small["optimum"] == pytest.approx(2.023869553538537, abs=1e-6)
 
 
 def test_lp_table2_quotient(capsys):
@@ -164,7 +194,7 @@ def test_lp_rejects_zero_multiplicity(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "--m" in err and "multiplicity must be >= 1" in err
+    assert "--m" in err and "must be > 0" in err
 
 
 def _import_isoplp_with(env_overrides):
@@ -234,6 +264,10 @@ def test_lemma_hyperbolic(capsys):
         ("lemma", "--case", "spherical", "--starts", "0"),
         ("lemma", "--case", "hyperbolic", "--grid", "0"),
         ("certificate", "--dim", "4", "--kappa", "0", "--radius", "1", "--grid", "-3"),
+        ("prince", "--shape", "disk", "--r", "0"),
+        ("negbound", "--radius", "1.2", "--search", "--ell-max", "0"),
+        ("negbound", "--radius", "1.2", "--search", "--r-max", "0"),
+        ("measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--mc-samples", "0"),
     ],
 )
 def test_nonpositive_counts_exit_2(capsys, argv):
@@ -242,6 +276,30 @@ def test_nonpositive_counts_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert argv[-2] in err and "must be > 0" in err
+
+
+def test_prince_ellipse_zero_axes_exit_2(capsys):
+    code, out, err = run_cli(capsys, "prince", "--shape", "ellipse", "--a", "0", "--b", "0")
+    assert code == 2
+    assert out == ""
+    assert "must be > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certificate", "--dim", "4", "--kappa", "0", "--radius", "1"),
+        ("lemma", "--case", "spherical"),
+        ("prince", "--shape", "square"),
+        ("profile", "--dim", "2", "--kappa", "0", "--vmin", "1", "--vmax", "2", "--steps", "3"),
+    ],
+)
+def test_tol_rejected_where_unused(capsys, argv):
+    # only lp, measure-check, negbound and relative have a tolerance to set
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_negbound_with_search(capsys):
@@ -301,9 +359,8 @@ def test_relative_command(capsys):
 
 
 def test_run_config_direct():
-    code, report = run(
-        RunConfig("certificate", {"dim": 4, "kappa": 0.0, "radius": 1.0})
-    )
+    args = build_parser().parse_args(["certificate", "--dim", "4", "--kappa", "0", "--radius", "1"])
+    code, report = run(RunConfig.from_args(args))
     assert code == 0
     assert report["passed"] is True
     assert report["command"] == "certificate"
@@ -312,29 +369,6 @@ def test_run_config_direct():
 def test_run_rejects_unknown_command():
     with pytest.raises(UsageError):
         run(RunConfig("frobnicate", {}))
-
-
-def test_dilation_round_trip():
-    d = make_dilation(2, 4.0)
-    assert d.kappa_norm == 1.0
-    assert d.length_to_norm(0.35) == pytest.approx(0.7, rel=1e-15)
-    assert d.length_from_norm(d.length_to_norm(0.35)) == pytest.approx(0.35, rel=1e-15)
-    assert d.volume_to_norm(1.0) == pytest.approx(4.0, rel=1e-15)
-    assert d.volume_from_norm(d.volume_to_norm(2.2)) == pytest.approx(2.2, rel=1e-15)
-
-
-def test_dilation_identity_for_unit_curvatures():
-    for kappa in (-1.0, 0.0, 1.0):
-        d = make_dilation(3, kappa)
-        assert d.scale == 1.0
-        assert d.length_to_norm(1.3) == 1.3
-
-
-def test_dilation_negative_curvature():
-    d = make_dilation(4, -0.25)
-    assert d.kappa_norm == -1.0
-    assert d.length_to_norm(2.0) == pytest.approx(1.0, rel=1e-15)
-    assert d.volume_to_norm(16.0) == pytest.approx(16.0 * 0.25 ** 2, rel=1e-15)
 
 
 def test_parser_help_lists_subcommands():
