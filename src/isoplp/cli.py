@@ -202,10 +202,14 @@ def _default_family(params: ModelParams, r: float):
 
 
 def _cmd_lp(config: RunConfig):
+    m = config.get("m")
+    if config.get("table") == 2 and m is None:
+        raise UsageError("--m is required with --table 2")
+    if config.get("table") == 1 and m is not None:
+        raise UsageError("--m is only read with --table 2")
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
     V = ball.volume
-    m = config.get("m")
     n_ell, n_alpha = config.get("grid")
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
     tol = config.get("tol")
@@ -258,6 +262,11 @@ def _cmd_lp(config: RunConfig):
 
 
 def _cmd_measure_check(config: RunConfig):
+    mc_n, seed = config.get("mc_samples"), config.get("seed")
+    if mc_n is not None and seed is None:
+        raise UsageError("--seed is required with --mc-samples")
+    if mc_n is None and seed is not None:
+        raise UsageError("--seed is only read with --mc-samples")
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
     n_nodes = config.get("grid")
@@ -276,11 +285,7 @@ def _cmd_measure_check(config: RunConfig):
         "santalo_relative": santalo_rel,
         "croke_relative": croke_rel,
     }
-    mc_n = config.get("mc_samples")
     if mc_n is not None:
-        seed = config.get("seed")
-        if seed is None:
-            raise UsageError("--seed is required with --mc-samples")
         sample = chordmeasure.sample_chords(ball, mc_n, seed)
         est = chordmeasure.integrate(sample, "F4", params)
         exact = omega * ball.volume
@@ -528,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="build and solve the finite LP")
     p.add_argument("--table", type=int, choices=(1, 2), default=1)
-    p.add_argument("--m", type=_positive_int, default=1, help="multiplicity (table 2), > 0")
+    p.add_argument("--m", type=_positive_int, help="multiplicity (> 0); required with --table 2, read only there")
     p.add_argument("--grid", type=_parse_grid_pair, default=(40, 20), help="ell x alpha node counts, e.g. 40x20")
     _add_common(p, model=True, rv=True, tol=0.02)
 
     p = sub.add_parser("measure-check", help="chord-measure integral identities")
     p.add_argument("--mc-samples", type=_positive_int, dest="mc_samples", help="Monte Carlo chord count (> 0)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="Monte Carlo seed; required with --mc-samples, read only there")
     _add_common(p, model=True, rv=True, grid=128, tol=1e-7)
 
     p = sub.add_parser("lemma", help="polynomial nonnegativity verification")

@@ -30,7 +30,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "CASES",
@@ -382,13 +381,18 @@ def critical_system(case: str) -> PolySystem:
 
 
 def curve_distance(t: float, p: float, q: float) -> float:
-    """Euclidean distance from (t,p,q) to the curve {(1/(3s), s, s) : s > 0}."""
+    """Euclidean distance from (t,p,q) to the curve {(1/(3s), s, s) : s > 0}.
 
-    def d2(s: float) -> float:
-        return (t - 1.0 / (3.0 * s)) ** 2 + (p - s) ** 2 + (q - s) ** 2
-
-    res = minimize_scalar(d2, bounds=(1e-8, 1e8), method="bounded", options={"xatol": 1e-13})
-    return math.sqrt(float(res.fun))
+    The squared distance d2(s) is stationary where 18 s^4 - 9 (p + q) s^3 +
+    3 t s - 1 = 0.  The quartic is -1 at s = 0 and grows without bound, so
+    it has a positive root, and the minimum of d2 is at one.  d2 is taken at
+    the positive real part of every root: a complex root only adds a
+    candidate, and no candidate lies below the minimum.
+    """
+    roots = np.roots([18.0, -9.0 * (p + q), 0.0, 3.0 * t, -1.0]).real
+    s = roots[roots > 0.0]
+    d2 = (t - 1.0 / (3.0 * s)) ** 2 + (p - s) ** 2 + (q - s) ** 2
+    return math.sqrt(float(d2.min()))
 
 
 @dataclass(frozen=True)
@@ -684,6 +688,8 @@ def slice_max_t(case: str, p: float) -> float:
         if p <= 1.0 / 3.0:
             raise ValueError(f"hyperbolic p must exceed 1/3, got {p}")
         hi = 1.0 - 1e-12
+    from scipy.optimize import minimize_scalar
+
     ts = np.linspace(1e-12, hi, 4097)
     k = int(np.argmax(G(case, ts, p, p)))
     res = minimize_scalar(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "StarDomain",
@@ -122,6 +121,10 @@ def from_csv(text: str, tag: str = "custom") -> StarDomain:
 
 
 def _quad_profile(fun, knots) -> float:
+    # adaptive quadrature for profiles given by the user (steep ellipses, CSV
+    # tables); scipy is imported here so the other subcommands never load it
+    from scipy.integrate import quad
+
     # quad requires limit > len(points), so densely sampled profiles need room
     pts = [k for k in knots if -_HALF_PI < k < _HALF_PI] or None
     limit = 400 if pts is None else max(400, 2 * len(pts) + 10)

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .chordmeasure import gauss_legendre
 from .spaceform import (
@@ -58,6 +57,17 @@ __all__ = [
     "product_family",
     "diagonal_profile_integral",
 ]
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first solve.
+
+    scipy is loaded only by the code paths that call it; `solve` looks this
+    name up at call time, so a rebinding of `lpcore.linprog` takes effect.
+    """
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

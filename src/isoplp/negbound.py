@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chordmeasure import DiscreteMeasure, integrate
 from .spaceform import (
     CurvatureSpectrum,
     ModelParams,
+    _panel_count,
+    _panel_rule,
     ball_from_radius,
     candle,
     candle_anti,
@@ -124,17 +125,30 @@ def hyp2_lemma_residual(r: float, measure: DiscreteMeasure) -> float:
 
 def _difference_kernels(spectrum: CurvatureSpectrum, ell: float, kappa_cmp: float):
     """(j - s)(ell), integral over [0, ell] of (j - s), and the nested double
-    integral, all as differences so a matching spectrum gives exact zeros."""
+    integral, all as differences so a matching spectrum gives zeros up to
+    rounding (j multiplies the one-dimensional candles, s raises one to a power).
+
+    Both integrals use the panelled Gauss-Legendre rule of the spaceform
+    candle integrals, with [0, ell] split at every conjugate radius inside
+    it, where j or s is clamped to zero and loses its smoothness.
+    """
     params = ModelParams(spectrum.n, kappa_cmp)
+    kappa_max = max(abs(k) for k in (*spectrum.curvatures, kappa_cmp))
+    caps = {math.pi / math.sqrt(k) for k in (max(spectrum.curvatures), kappa_cmp) if k > 0.0}
+    cuts = [0.0, *sorted(c for c in caps if c < ell), ell]
 
-    def u(t: float) -> float:
-        return float(candle_from_spectrum(spectrum, t)) - float(candle(params, t))
+    def u(t):
+        return candle_from_spectrum(spectrum, t) - candle(params, t)
 
-    u0 = u(ell)
-    u1, _ = quad(u, 0.0, ell, epsabs=1e-9, epsrel=1e-11, limit=200)
-    # double integral of u over {0 <= x <= y <= ell} = integral of (ell - y) u(y)
-    u2, _ = quad(lambda y: (ell - y) * u(y), 0.0, ell, epsabs=1e-9, epsrel=1e-11, limit=200)
-    return u0, u1, u2
+    u1 = u2 = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x, w = _panel_rule(_panel_count(hi - lo, spectrum.n, kappa_max))
+        y = lo + (hi - lo) * x
+        fy = u(y) * ((hi - lo) * w)
+        u1 += float(np.sum(fy))
+        # double integral of u over {0 <= x <= y <= ell} = integral of (ell - y) u(y)
+        u2 += float(np.sum((ell - y) * fy))
+    return float(u(ell)), u1, u2
 
 
 def question1_margin(

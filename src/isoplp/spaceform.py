@@ -14,11 +14,12 @@ cosines, which lose ~7 digits near the flat limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "ModelParams",
@@ -228,18 +229,59 @@ def candle_prime(params: ModelParams, t) -> float | np.ndarray:
     return _wrap(val, scalar)
 
 
-def _anti_quad(params: ModelParams, arr: np.ndarray) -> np.ndarray:
-    flat = arr.ravel()
-    out = np.array([quad(lambda y: candle(params, y), 0.0, ti, limit=200)[0] for ti in flat])
-    return out.reshape(arr.shape)
+# Gauss-Legendre rule for the candle integrals of the dimensions without a
+# closed form.  The integrand sn(y)^(n-1) is entire; a panel at most
+# _GL_PANEL / ((n - 1) sqrt|kappa|) wide holds at most _GL_PANEL / 2 radians
+# (or e-folds) of each of its exponential terms on its half-width, where the
+# 24-point rule is exact to far below rounding.  At kappa = 0 the integrand is
+# a polynomial of degree n - 1, exact on one panel for n up to 47.
+_GL_ORDER = 24
+_GL_PANEL = 8.0
+_GL_CHUNK = 1 << 18  # quadrature nodes evaluated per block
 
 
-def _anti2_quad(params: ModelParams, arr: np.ndarray) -> np.ndarray:
-    # second antiderivative as a single integral of (t - y) s(y)
+@functools.lru_cache(maxsize=64)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """_GL_ORDER-point Gauss-Legendre nodes and weights on each of `panels` equal panels of [0, 1].
+
+    Cached, as leggauss costs about 0.7 ms; the arrays are read-only because
+    every caller shares them.
+    """
+    x, w = leggauss(_GL_ORDER)
+    nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
+    rule = nodes.ravel(), np.tile(0.5 * w / panels, panels)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _panel_count(length: float, n: int, kappa: float) -> int:
+    """Panels of the candle rule for an interval of the given length."""
+    if kappa == 0.0 or not length > 0.0:
+        return 1
+    return max(1, math.ceil(length * (n - 1) * math.sqrt(abs(kappa)) / _GL_PANEL))
+
+
+def _candle_integral(params: ModelParams, arr: np.ndarray, second: bool) -> np.ndarray:
+    """Integral of s(y), or of (t - y) s(y) with second, over [0, min(t, conjugate radius)].
+
+    The integrand is positive, so the rule loses no digits to cancellation.
+    Every point gets the panel count of the longest interval; points are
+    evaluated in blocks of at most _GL_CHUNK nodes.
+    """
+    n, kappa = params.n, params.kappa
     flat = arr.ravel()
-    out = np.array(
-        [quad(lambda y, ti=ti: (ti - y) * candle(params, y), 0.0, ti, limit=200)[0] for ti in flat]
-    )
+    m = np.minimum(flat, params.conjugate_radius)
+    u, w = _panel_rule(_panel_count(float(m.max(initial=0.0)), n, kappa))
+    out = np.empty_like(flat)
+    step = max(1, _GL_CHUNK // u.size)
+    for i in range(0, flat.size, step):
+        mi = m[i : i + step, None]
+        y = mi * u
+        f = _sn(kappa, y) ** (n - 1)
+        if second:
+            f *= flat[i : i + step, None] - y
+        out[i : i + step] = (f @ w) * mi[:, 0]
     return out.reshape(arr.shape)
 
 
@@ -247,14 +289,14 @@ def candle_anti(params: ModelParams, t) -> float | np.ndarray:
     """First antiderivative of the candle function, vanishing at 0.
 
     Closed cancellation-free forms for n in {2, 4}; for kappa > 0 the value
-    saturates at the conjugate radius.  Other dimensions fall back to
-    adaptive quadrature.
+    saturates at the conjugate radius.  Other dimensions use a panelled
+    24-point Gauss-Legendre rule (relative error below 1e-13).
     """
     arr, scalar = _as_array(t)
     _validate_t(arr)
     n, kappa = params.n, params.kappa
     if n not in (2, 4):
-        return _wrap(_anti_quad(params, arr), scalar)
+        return _wrap(_candle_integral(params, arr, second=False), scalar)
     tc = np.minimum(arr, params.conjugate_radius) if kappa > 0.0 else arr
     s2 = _sn(kappa, tc / 2.0)
     if n == 2:
@@ -269,14 +311,16 @@ def candle_anti2(params: ModelParams, t) -> float | np.ndarray:
     """Second antiderivative of the candle function (both derivatives vanish at 0).
 
     For kappa > 0 the continuation past the conjugate radius is linear with
-    slope candle_anti at the cap.  Stable for small |kappa|*t^2 via guarded
-    series for w - sin(w) and sinh(w) - w.
+    slope candle_anti at the cap.  Closed forms for n in {2, 4}, stable for
+    small |kappa|*t^2 via guarded series for w - sin(w) and sinh(w) - w;
+    other dimensions integrate (t - y) s(y) with the Gauss-Legendre rule of
+    candle_anti.
     """
     arr, scalar = _as_array(t)
     _validate_t(arr)
     n, kappa = params.n, params.kappa
     if n not in (2, 4):
-        return _wrap(_anti2_quad(params, arr), scalar)
+        return _wrap(_candle_integral(params, arr, second=True), scalar)
 
     if kappa == 0.0:
         val = arr ** 3 / 6.0 if n == 2 else arr ** 5 / 20.0

@@ -197,21 +197,79 @@ def test_lp_rejects_zero_multiplicity(capsys):
     assert "--m" in err and "must be > 0" in err
 
 
-def _import_isoplp_with(env_overrides):
+def _run_probe(probe, *argv, env_overrides=None):
+    """stdout of a fresh interpreter running probe with this checkout's isoplp."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "ISOPLP_THREADS"}
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(isoplp.__file__)))
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_overrides)
-    probe = "import os, sys, isoplp; print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    env.update(env_overrides or {})
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def _import_isoplp_with(env_overrides):
+    probe = "import os, sys, isoplp; print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    return _run_probe(probe, env_overrides=env_overrides)
 
 
 def test_isoplp_threads_applied_before_numpy_loads():
     assert _import_isoplp_with({"ISOPLP_THREADS": "1"}) == ["1", "False"]
     # an explicit BLAS setting wins
     assert _import_isoplp_with({"ISOPLP_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}) == ["2", "False"]
+
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from isoplp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,uses_scipy",
+    [
+        (("--version",), False),
+        (("certificate", "--dim", "4", "--kappa", "1", "--radius", "0.8", "--grid", "20"), False),
+        (("measure-check", "--dim", "3", "--kappa", "1", "--radius", "0.8", "--grid", "32",
+          "--mc-samples", "1000", "--seed", "1"), False),
+        (("negbound", "--radius", "1.2", "--grid", "32", "--search"), False),
+        (("relative", "--dim", "3", "--kappa", "1", "--m", "2", "--volume", "0.3", "--grid", "32"), False),
+        (("profile", "--dim", "3", "--kappa", "-1", "--vmin", "0.5", "--vmax", "2", "--steps", "4"), False),
+        (("lemma", "--case", "hyperbolic", "--grid", "20", "--starts", "20"), False),
+        # the two paths that need scipy: HiGHS for lp, adaptive quadrature for prince
+        (("lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5"), True),
+        (("prince", "--shape", "disk"), True),
+    ],
+    ids=lambda v: v[0].lstrip("-") if isinstance(v, tuple) else None,
+)
+def test_scipy_loaded_only_where_used(argv, uses_scipy):
+    code, loaded = _run_probe(_SCIPY_PROBE, *argv)
+    assert code == "0"
+    assert loaded == str(uses_scipy)
+
+
+def test_lp_m_only_with_table_2(capsys):
+    code, out, err = run_cli(capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--m", "5")
+    assert code == 2
+    assert out == ""
+    assert "--m is only read with --table 2" in err
+    code, out, err = run_cli(capsys, "lp", "--table", "2", "--dim", "2", "--kappa", "0", "--volume", "1.0")
+    assert code == 2
+    assert out == ""
+    assert "--m is required with --table 2" in err
+    code, out, _ = run_cli(capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5")
+    assert code == 0
+    assert "m" not in json.loads(out)["config"]
+
+
+def test_measure_check_seed_needs_mc_samples(capsys):
+    code, out, err = run_cli(capsys, "measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--seed", "9")
+    assert code == 2
+    assert out == ""
+    assert "--seed is only read with --mc-samples" in err
 
 
 def test_measure_check_deterministic_mc(capsys):

@@ -238,8 +238,43 @@ def test_hyperbolic_slope_sign():
 
 def test_curve_distance_zero_on_curve():
     for s in (0.4, 1.0, 3.0):
-        assert curve_distance(1.0 / (3.0 * s), s, s) <= 1e-7
+        assert curve_distance(1.0 / (3.0 * s), s, s) <= 1e-12
     assert curve_distance(1.0, 1.0, 1.0) > 0.4
+
+
+@pytest.mark.parametrize("s0", [0.2, 1.0, 5.0])
+def test_curve_distance_along_normal(s0):
+    # (0, 1, -1) is normal to the curve everywhere and keeps the nearest point:
+    # d2(s) = (t0 - 1/(3s))^2 + 2 (s0 - s)^2 + delta^2
+    t0 = 1.0 / (3.0 * s0)
+    for delta in (0.01, 0.1, 1.0, 10.0):
+        step = delta / math.sqrt(2.0)
+        assert curve_distance(t0, s0 + step, s0 - step) == pytest.approx(delta, rel=1e-12)
+    # the normal in the plane of the tangent and the t axis, at a small offset
+    normal = np.array([-2.0, -1.0 / (3.0 * s0 * s0), -1.0 / (3.0 * s0 * s0)])
+    normal /= np.linalg.norm(normal)
+    t, p, q = np.array([t0, s0, s0]) + 0.01 * normal
+    assert curve_distance(t, p, q) == pytest.approx(0.01, rel=1e-12)
+
+
+def test_curve_distance_never_above_bounded_brent():
+    # the bounded Brent search it replaced minimizes the rounded d2, so it can
+    # land an ulp below the rounded value at the true stationary point; a
+    # margin of 4 ulp covers that and nothing more
+    from scipy.optimize import minimize_scalar
+
+    def brent(t, p, q):
+        def d2(s):
+            return (t - 1.0 / (3.0 * s)) ** 2 + (p - s) ** 2 + (q - s) ** 2
+
+        res = minimize_scalar(d2, bounds=(1e-8, 1e8), method="bounded", options={"xatol": 1e-13})
+        return math.sqrt(float(res.fun))
+
+    rng = np.random.Generator(np.random.Philox(key=11))
+    points = rng.random((2000, 3)) * 5.0
+    ours = np.array([curve_distance(*x) for x in points])
+    ref = np.array([brent(*x) for x in points])
+    assert np.all(ours <= ref * (1.0 + 4.0 * np.finfo(float).eps))
 
 
 @pytest.mark.parametrize("case", CASES)

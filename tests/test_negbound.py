@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +121,32 @@ def test_ch2_closed_kernels_match_quadrature(ell):
     closed = [float(x) for x in _ch2_difference_closed(np.array(ell))]
     for a, b in zip(quadrature, closed):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+def test_difference_kernels_split_at_conjugate_radii():
+    # j is clamped to 0 past pi (its largest curvature is 1), s past pi / sqrt(0.5);
+    # both cuts lie inside [0, 5]
+    spectrum, kappa_cmp, ell = CurvatureSpectrum((1.0, 0.3, -0.5)), 0.5, 5.0
+    u0, u1, u2 = _difference_kernels(spectrum, ell, kappa_cmp)
+
+    def sn(k, y):
+        rk = mpmath.sqrt(abs(k))
+        return mpmath.sin(rk * y) / rk if k > 0 else mpmath.sinh(rk * y) / rk
+
+    with mpmath.workdps(30):
+        cut_j, cut_s = mpmath.pi, mpmath.pi / mpmath.sqrt(kappa_cmp)
+
+        def u(y):
+            j = sn(1.0, y) * sn(0.3, y) * sn(-0.5, y) if y < cut_j else 0
+            return j - (sn(kappa_cmp, y) ** 3 if y < cut_s else 0)
+
+        pieces = [0, cut_j, cut_s, ell]
+        ref1 = mpmath.quad(u, pieces)
+        ref2 = mpmath.quad(lambda y: (ell - y) * u(y), pieces)
+        ref0 = u(mpmath.mpf(ell))
+    assert u0 == pytest.approx(float(ref0), rel=1e-13)
+    assert u1 == pytest.approx(float(ref1), rel=1e-13)
+    assert u2 == pytest.approx(float(ref2), rel=1e-13)
 
 
 def test_ch2_counterexample_found():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +150,70 @@ def test_candle_n3_quadrature_fallback():
 
     ref = quad(lambda y: math.sin(y) ** 2, 0, t)[0]
     assert_allclose(candle_anti(params, t), ref, rtol=1e-10)
+
+
+def _n3_exact(kappa, t):
+    """candle_anti and candle_anti2 for n = 3 in closed form, in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        k = mpmath.mpf(kappa)
+        m = mpmath.mpf(min(t, ModelParams(3, kappa).conjugate_radius))
+        if kappa > 0:
+            w = 2 * mpmath.sqrt(k) * m
+            anti = (w - mpmath.sin(w)) / (4 * k ** 1.5)
+            anti2 = (w * w / 2 - 1 + mpmath.cos(w)) / (8 * k * k)
+        else:
+            w = 2 * mpmath.sqrt(-k) * m
+            anti = (mpmath.sinh(w) - w) / (4 * (-k) ** 1.5)
+            anti2 = (mpmath.cosh(w) - 1 - w * w / 2) / (8 * k * k)
+        # past the conjugate radius the second antiderivative continues linearly
+        return float(anti), float(anti2 + anti * (mpmath.mpf(t) - m))
+
+
+@pytest.mark.parametrize("kappa", [4.0, 1.0, 0.3, -0.3, -1.0, -4.0])
+def test_candle_n3_matches_exact_form(kappa):
+    params = ModelParams(3, kappa)
+    hi = 1.6 * params.conjugate_radius if kappa > 0 else 3.0
+    t = np.linspace(0.02, hi, 41)
+    exact = np.array([_n3_exact(kappa, ti) for ti in t])
+    assert_allclose(candle_anti(params, t), exact[:, 0], rtol=1e-13, atol=0)
+    assert_allclose(candle_anti2(params, t), exact[:, 1], rtol=1e-13, atol=0)
+
+
+def _sn_mp(kappa, y):
+    if kappa > 0:
+        rk = mpmath.sqrt(kappa)
+        return mpmath.sin(rk * y) / rk
+    if kappa < 0:
+        rk = mpmath.sqrt(-kappa)
+        return mpmath.sinh(rk * y) / rk
+    return y
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.01, 0.0, 0.01, 1.0, 4.0])
+def test_candle_gauss_legendre_matches_mpmath(n, kappa):
+    params = ModelParams(n, kappa)
+    t = np.array([1e-3, 0.05, 0.4, 1.3, 2.5, 4.0])
+    anti, anti2 = candle_anti(params, t), candle_anti2(params, t)
+    with mpmath.workdps(30):
+        k = mpmath.mpf(kappa)
+        for ti, a1, a2 in zip(t, anti, anti2):
+            m = min(ti, params.conjugate_radius)
+            ref1 = mpmath.quad(lambda y: _sn_mp(k, y) ** (n - 1), [0, m])
+            ref2 = mpmath.quad(lambda y: (mpmath.mpf(ti) - y) * _sn_mp(k, y) ** (n - 1), [0, m])
+            assert abs(a1 - ref1) <= 1e-13 * abs(ref1), (ti, a1, ref1)
+            assert abs(a2 - ref2) <= 1e-13 * abs(ref2), (ti, a2, ref2)
+
+
+def test_candle_gauss_legendre_blocks_match_slices():
+    # 20,001 points on the two-panel rule of t = 3 take four evaluation blocks;
+    # slices of 1,000 points take one each
+    params = ModelParams(5, -1.0)
+    t = np.linspace(0.0, 3.0, 20001)
+    for fn in (candle_anti, candle_anti2):
+        sliced = np.concatenate([fn(params, t[i : i + 1000]) for i in range(0, t.size, 1000)])
+        assert_allclose(fn(params, t), sliced, rtol=1e-13, atol=0)
+    assert candle_anti(params, np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_ball_volume_area_flat():
