@@ -28,7 +28,6 @@ import numpy as np
 
 from .spaceform import (
     ModelParams,
-    ball_from_volume,
     candle,
     candle_anti,
     candle_anti2,
@@ -43,7 +42,6 @@ __all__ = [
     "CertificateReport",
     "DegenerateConsistencyError",
     "SupDomainError",
-    "UnverifiedCertificateError",
     "solve_consistency",
     "paper_certificate",
     "sup_integrand",
@@ -52,7 +50,6 @@ __all__ = [
     "evaluate_f",
     "check_family_membership",
     "verify_certificate",
-    "duality_lower_bound",
 ]
 
 
@@ -62,10 +59,6 @@ class DegenerateConsistencyError(RuntimeError):
 
 class SupDomainError(RuntimeError):
     """The sup over chord lengths escaped to the artificial domain cap."""
-
-
-class UnverifiedCertificateError(RuntimeError):
-    """A bound was requested from a certificate that failed verification."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,6 @@ class DualCertificate:
     b: float
     c: float
     d: float
-    source: str = "custom"
     f_closed: Callable | None = None
     argmax_closed: Callable | None = None
 
@@ -123,21 +115,19 @@ def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[::-1]
 
 
-def solve_consistency(params: ModelParams, r: float, node_count: int = 64) -> ConsistencyFit:
+def solve_consistency(params: ModelParams, r: float) -> ConsistencyFit:
     """Recover certificate coefficients from the stationarity equation on the curve.
 
-    Collocates the 4-column linear system at Chebyshev chord lengths, takes
+    Collocates the 4-column linear system at 64 Chebyshev chord lengths, takes
     the SVD kernel (columns scaled to unit norm first), and normalizes the
     gauge to a=1 when a is non-negligible, else b=1.  The residual is the
     max defect on a 10x denser grid.  Raises DegenerateConsistencyError when
     the kernel is not one dimensional.
     """
-    if node_count < 8:
-        raise ValueError(f"need at least 8 collocation nodes, got {node_count}")
     if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
         raise ValueError("radius must be strictly inside the hemisphere")
     lo, hi = 0.02 * 2.0 * r, 0.98 * 2.0 * r
-    cols = _consistency_columns(params, r, _cheb_nodes(lo, hi, node_count))
+    cols = _consistency_columns(params, r, _cheb_nodes(lo, hi, 64))
     scale = np.linalg.norm(cols, axis=0)
     scale[scale == 0.0] = 1.0
     _, sing, vt = np.linalg.svd(cols / scale, full_matrices=False)
@@ -152,7 +142,7 @@ def solve_consistency(params: ModelParams, r: float, node_count: int = 64) -> Co
         v = v / v[1]
     else:
         v = v / v[np.argmax(np.abs(v))]
-    dense = _consistency_columns(params, r, _cheb_nodes(lo, hi, 10 * node_count))
+    dense = _consistency_columns(params, r, _cheb_nodes(lo, hi, 640))
     residual = float(np.max(np.abs(dense @ v)))
     return ConsistencyFit(float(v[0]), float(v[1]), float(v[2]), float(v[3]), residual)
 
@@ -194,12 +184,11 @@ def _make_reference(params: ModelParams, r: float) -> DualCertificate | None:
                 argmax_closed=lambda a, b: 2.0 * r * np.sqrt(np.cos(a) * np.cos(b)),
             )
         return DualCertificate(
-            params, r, 1.0, 6.0 * kappa * t, 9.0 * kappa * kappa * t * t, 12.0 * t * t,
-            source="reference", **closed,
+            params, r, 1.0, 6.0 * kappa * t, 9.0 * kappa * kappa * t * t, 12.0 * t * t, **closed
         )
     if n == 2:
         return DualCertificate(
-            params, r, 0.0, 1.0, kappa * t, 2.0 * t, source="reference",
+            params, r, 0.0, 1.0, kappa * t, 2.0 * t,
             f_closed=lambda a, b: 2.0 * t * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
             argmax_closed=lambda a, b: 2.0 * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
         )
@@ -333,10 +322,8 @@ def evaluate_f(cert: DualCertificate, alpha, beta):
 class MembershipReport:
     """Admissibility of f: nonnegative, with concavity-type diagonal defect >= 0."""
 
-    grid_angles: np.ndarray
     min_f: float
     min_defect: float
-    max_equality_gap: float
     f_nonneg_ok: bool
     defect_ok: bool
     equality_on_diagonal: bool
@@ -349,16 +336,13 @@ class MembershipReport:
 _DEFECT_TOL = 1e-9
 
 
-def check_family_membership(cert: DualCertificate, grid=80) -> MembershipReport:
-    """Check f >= 0 and (f(a,a)+f(b,b))/2 - f(a,b) >= 0 on an angle grid.
+def check_family_membership(cert: DualCertificate, grid: int = 80) -> MembershipReport:
+    """Check f >= 0 and (f(a,a)+f(b,b))/2 - f(a,b) >= 0 on a grid x grid angle grid.
 
-    grid: node count or explicit angle array in [0, pi/2).  Equality of the
-    defect should only happen next to the diagonal.
+    The angles are equispaced on [0, pi/2 - 1e-3].  Equality of the defect
+    should only happen next to the diagonal.
     """
-    if np.isscalar(grid):
-        angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, int(grid))
-    else:
-        angles = np.asarray(grid, dtype=float)
+    angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, grid)
     A, B = np.meshgrid(angles, angles, indexing="ij")
     fvals, _ = evaluate_f(cert, A, B)
     fdiag = np.diag(fvals)
@@ -367,10 +351,8 @@ def check_family_membership(cert: DualCertificate, grid=80) -> MembershipReport:
     max_gap = float(np.max(np.abs(angles[eq_i] - angles[eq_j]), initial=0.0))
     step = float(np.max(np.diff(angles))) if angles.size > 1 else 0.0
     return MembershipReport(
-        grid_angles=angles,
         min_f=float(fvals.min()),
         min_defect=float(defect.min()),
-        max_equality_gap=max_gap,
         f_nonneg_ok=bool(fvals.min() >= -_DEFECT_TOL),
         defect_ok=bool(defect.min() >= -_DEFECT_TOL),
         equality_on_diagonal=bool(max_gap <= step * (1 + 1e-9)),
@@ -388,16 +370,12 @@ class CertificateReport:
     nonneg_required: bool
 
     @property
-    def nonneg_ok(self) -> bool:
-        return not self.negative_coefficients
-
-    @property
     def passed(self) -> bool:
         return (
             self.consistency_ok
             and self.curve_sup_ok
             and self.membership.passed
-            and (self.nonneg_ok or not self.nonneg_required)
+            and not (self.negative_coefficients and self.nonneg_required)
         )
 
 
@@ -405,22 +383,21 @@ def verify_certificate(
     cert: DualCertificate,
     grid: int = 80,
     require_nonneg: bool = True,
-    consistency_nodes: int = 200,
-    curve_nodes: int = 60,
 ) -> CertificateReport:
     """Full certificate check: consistency, sup location on the curve, membership, signs.
 
-    The sup check takes chord lengths ell0 on the curve, sets both angles to
+    The consistency residual is taken at 200 Chebyshev chord lengths.  The
+    sup check takes 60 chord lengths ell0 on the curve, sets both angles to
     arccos(chord_T(ell0)), and requires the numeric argmax of the sup to
     return to ell0 (tolerance 1e-8 absolute + relative).
     """
     params, r = cert.params, cert.r
-    cols = _consistency_columns(params, r, _cheb_nodes(0.02 * 2 * r, 0.98 * 2 * r, consistency_nodes))
+    cols = _consistency_columns(params, r, _cheb_nodes(0.02 * 2 * r, 0.98 * 2 * r, 200))
     coeff_scale = max(abs(v) for v in cert.coefficients)
     consistency_residual = float(np.max(np.abs(cols @ np.array(cert.coefficients)))) / max(coeff_scale, 1e-300)
     consistency_ok = consistency_residual <= 1e-8
 
-    ell0 = np.linspace(0.05 * 2 * r, 0.95 * 2 * r, curve_nodes)
+    ell0 = np.linspace(0.05 * 2 * r, 0.95 * 2 * r, 60)
     alpha0 = np.arccos(np.asarray(chord_T(params.kappa, r, ell0)))
     _, argmax = build_f(cert, alpha0, alpha0)
     curve_dev = float(np.max(np.abs(argmax - ell0) / (1.0 + np.abs(ell0))))
@@ -436,20 +413,3 @@ def verify_certificate(
         negative_coefficients=cert.negative_coefficients,
         nonneg_required=require_nonneg,
     )
-
-
-def duality_lower_bound(cert: DualCertificate, V: float, require_nonneg: bool = True) -> float:
-    """Area lower bound certified for volume V; raises unless the certificate verifies.
-
-    With nonnegative verified coefficients the dual argument pins the LP
-    optimum to the model ball's boundary area, which is returned.
-    """
-    report = verify_certificate(cert, require_nonneg=require_nonneg)
-    if not report.passed:
-        raise UnverifiedCertificateError(
-            f"certificate failed verification: consistency_ok={report.consistency_ok}, "
-            f"curve_sup_ok={report.curve_sup_ok}, membership={report.membership.passed}, "
-            f"negative={report.negative_coefficients}"
-        )
-    ball = ball_from_volume(cert.params, V)
-    return ball.area

@@ -35,7 +35,6 @@ from .spaceform import (
 
 __all__ = [
     "DiscreteMeasure",
-    "FUNCTIONAL_IDS",
     "gauss_legendre",
     "ball_chord_density",
     "discretize_ball_measure",
@@ -45,11 +44,6 @@ __all__ = [
     "croke_residual",
 ]
 
-_PROVENANCES = ("quadrature", "monte-carlo", "external")
-
-FUNCTIONAL_IDS = ("F1", "F2", "F3", "F4")
-
-
 @dataclass
 class DiscreteMeasure:
     """Finitely supported measure on chords, stored as parallel arrays."""
@@ -58,8 +52,6 @@ class DiscreteMeasure:
     alpha: np.ndarray
     beta: np.ndarray
     mass: np.ndarray
-    provenance: str = "quadrature"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         self.ell = np.atleast_1d(np.asarray(self.ell, dtype=float))
@@ -69,8 +61,6 @@ class DiscreteMeasure:
         sizes = {self.ell.size, self.alpha.size, self.beta.size, self.mass.size}
         if len(sizes) != 1:
             raise ValueError(f"atom arrays must share a length, got sizes {sorted(sizes)}")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}")
         if not np.all(np.isfinite(self.ell)) or np.any(self.ell < 0):
             raise ValueError("chord lengths must be finite and >= 0")
         for name, ang in (("alpha", self.alpha), ("beta", self.beta)):
@@ -88,10 +78,7 @@ class DiscreteMeasure:
         return int(self.mass.size)
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            self.ell, self.alpha, self.beta, self.mass * factor,
-            provenance=self.provenance, seed=self.seed,
-        )
+        return DiscreteMeasure(self.ell, self.alpha, self.beta, self.mass * factor)
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +124,7 @@ def discretize_ball_measure(ball: BallGeometry, n_nodes: int) -> DiscreteMeasure
     mass = w * ball.area * delta_weight(params.n, alpha)
     ell = chord_T_inverse(params.kappa, ball.radius, np.cos(alpha))
     order = np.argsort(ell)
-    return DiscreteMeasure(
-        ell[order], alpha[order], alpha[order], mass[order], provenance="quadrature"
-    )
+    return DiscreteMeasure(ell[order], alpha[order], alpha[order], mass[order])
 
 
 def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeasure:
@@ -160,7 +145,7 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
     ell = chord_T_inverse(params.kappa, ball.radius, np.cos(alpha))
     total = ball.area * sphere_volume(n - 2) / (n - 1)
     mass = np.full(n_samples, total / n_samples)
-    return DiscreteMeasure(ell, alpha, alpha, mass, provenance="monte-carlo", seed=seed)
+    return DiscreteMeasure(ell, alpha, alpha, mass)
 
 
 class SingularAtomError(ValueError):
@@ -205,7 +190,7 @@ def integrate(measure: DiscreteMeasure, functional, params: ModelParams) -> floa
     elif functional == "F4":
         vals = measure.ell
     else:
-        raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONAL_IDS} or a callable")
+        raise ValueError(f"unknown functional {functional!r}; expected F1, F2, F3, F4 or a callable")
     return float(np.dot(measure.mass, vals))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -229,11 +230,10 @@ def _cmd_lp(config: RunConfig):
         if ok:
             entry["relative_error"] = abs(sol.objective_value - bound) / bound
             entry["dual"] = dict(zip(lp.row_labels, sol.dual.tolist()))
-            check = lpcore.verify_weak_duality(lp, sol.primal, sol.dual)
             entry["weak_duality"] = {
-                "gap": check.gap,
-                "primal_violation": check.primal_violation,
-                "dual_violation": check.dual_violation,
+                "gap": sol.duality_gap,
+                "primal_violation": sol.primal_residual,
+                "dual_violation": sol.dual_residual,
             }
             ok = entry["relative_error"] <= tol
         body[label] = entry
@@ -408,8 +408,12 @@ def _cmd_prince(config: RunConfig):
         path = config.get("csv")
         if not path:
             raise UsageError("--csv PATH is required for --shape csv")
-        with open(path) as fh:
-            dom = littleprince.from_csv(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --csv {path}: {exc.strerror or exc}") from exc
+        dom = littleprince.from_csv(text)
     g = littleprince.gravity(dom)
     a = littleprince.area(dom)
     margin = littleprince.verify_pp(dom)
@@ -494,8 +498,8 @@ def _add_common(p, *, model=False, rv=False, grid=None, tol=None):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text!r}")
     return value
 
 
@@ -514,8 +518,20 @@ def _parse_grid_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 40x20, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in e-notation as a value.
+
+    argparse alone recognizes only forms like -1 and -1.5, and reads
+    `--kappa -1e-3` as a flag with no value.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoplp",
         description="Verification toolkit for isoperimetric LP bounds on model spaces",
     )

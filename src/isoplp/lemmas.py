@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "CASES",
-    "LemmaVars",
     "PolySystem",
     "CriticalPoint",
     "CriticalSearchResult",
@@ -51,7 +50,6 @@ __all__ = [
     "critical_system",
     "solve_critical_points",
     "verify_H_nonneg",
-    "slice_max_t",
     "curve_distance",
     "default_grid_ranges",
 ]
@@ -62,29 +60,6 @@ CASES = ("spherical", "hyperbolic")
 def _check_case(case: str) -> None:
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
-
-
-@dataclass(frozen=True)
-class LemmaVars:
-    """A point in the substituted coordinates, domain-checked per case."""
-
-    case: str
-    t: float
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        _check_case(self.case)
-        if self.case == "hyperbolic":
-            if not (0.0 <= self.t < 1.0):
-                raise ValueError(f"hyperbolic t must lie in [0, 1), got {self.t}")
-            if self.p < 1.0 / 3.0 or self.q < 1.0 / 3.0:
-                raise ValueError("hyperbolic p, q must be >= 1/3")
-        else:
-            if self.t < 0.0:
-                raise ValueError(f"spherical t must be >= 0, got {self.t}")
-            if self.p <= 0.0 or self.q <= 0.0:
-                raise ValueError("p, q must be positive")
 
 
 def S_table(case: str, t):
@@ -351,22 +326,6 @@ class PolySystem:
         x, shape = _points(t, p, q)
         return self._scale(x).T.reshape(3, *shape)
 
-    def gradient_of_H(self, t, p, q) -> tuple:
-        """Rebuild (dH/dt, dH/dp, dH/dq) from the numerators (for FD cross-checks)."""
-        t = np.asarray(t, dtype=float)
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        et, ep, eq = self.eval(t, p, q)
-        if self.case == "spherical":
-            dt = -(16.0 / 3.0) * et / (1.0 + t * t) ** 4
-            dp = (8.0 / 3.0) * ep / ((9.0 * p * p + 1.0) ** 2 * (1.0 + t * t) ** 3)
-            dq = (8.0 / 3.0) * eq / ((9.0 * q * q + 1.0) ** 2 * (1.0 + t * t) ** 3)
-        else:
-            dt = (16.0 / 3.0) * et / (1.0 - t * t) ** 4
-            dp = (8.0 / 3.0) * ep / ((9.0 * p * p - 1.0) ** 2 * (1.0 - t * t) ** 3)
-            dq = (8.0 / 3.0) * eq / ((9.0 * q * q - 1.0) ** 2 * (1.0 - t * t) ** 3)
-        return dt, dp, dq
-
 
 def critical_system(case: str) -> PolySystem:
     """Numerators of grad H; common positive factors and denominators cleared."""
@@ -498,20 +457,17 @@ def _lockstep_newton(system: PolySystem, x: np.ndarray) -> tuple[np.ndarray, np.
     return x, outcome
 
 
-def solve_critical_points(
-    system: PolySystem, box=None, n_starts: int = 1000, seed: int = 0
-) -> CriticalSearchResult:
+def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 0) -> CriticalSearchResult:
     """Deterministic multistart damped Newton on the 3-polynomial system.
 
-    Starts are Philox(seed) uniform in the box and iterate in lockstep as one
-    (n_starts, 3) array.  Singular Jacobians fall back to a Levenberg step;
-    starts that still fail are discarded and counted.  Converged roots are
-    filtered to the case domain, clustered with radius 1e-6, and annotated
-    with their distance to the curve {p=q, 3pt=1}.
+    Starts are Philox(seed) uniform in the system's box and iterate in
+    lockstep as one (n_starts, 3) array.  Singular Jacobians fall back to a
+    Levenberg step; starts that still fail are discarded and counted.
+    Converged roots are filtered to the case domain, clustered with radius
+    1e-6, and annotated with their distance to the curve {p=q, 3pt=1}.
     """
-    box = tuple(box) if box is not None else system.box
-    lows = np.array([b[0] for b in box])
-    highs = np.array([b[1] for b in box])
+    lows = np.array([b[0] for b in system.box])
+    highs = np.array([b[1] for b in system.box])
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = lows + rng.random((n_starts, 3)) * (highs - lows)
 
@@ -590,7 +546,6 @@ class RayCheck:
 
 @dataclass
 class HNonnegReport:
-    case: str
     min_value: float
     argmin: tuple[float, float, float]
     argmin_curve_distance: float
@@ -636,22 +591,17 @@ def _ray_family(case: str):
     )
 
 
-def verify_H_nonneg(case: str, grid=120) -> HNonnegReport:
-    """Dense-grid minimum of H plus liminf >= 0 along 8 escape rays.
+def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
+    """Dense-grid minimum of H on a grid^3 grid plus liminf >= 0 along 8 escape rays.
 
-    grid: int n for an n^3 grid, or (nt, np, nq).  Ties in the argmin go to
-    the lexicographically smallest index.  The argmin is annotated with its
-    distance to the vanishing curve.
+    Ties in the argmin go to the lexicographically smallest index.  The
+    argmin is annotated with its distance to the vanishing curve.
     """
     _check_case(case)
-    if np.isscalar(grid):
-        shape = (int(grid),) * 3
-    else:
-        shape = tuple(int(g) for g in grid)
     (t0, t1), (p0, p1), (q0, q1) = default_grid_ranges(case)
-    ts = np.linspace(t0, t1, shape[0])
-    ps = np.linspace(p0, p1, shape[1])
-    qs = np.linspace(q0, q1, shape[2])
+    ts = np.linspace(t0, t1, grid)
+    ps = np.linspace(p0, p1, grid)
+    qs = np.linspace(q0, q1, grid)
     vals = H(case, ts[:, None, None], ps[None, :, None], qs[None, None, :])
     flat_idx = int(np.argmin(vals))
     it, ip, iq = np.unravel_index(flat_idx, vals.shape)
@@ -662,40 +612,9 @@ def verify_H_nonneg(case: str, grid=120) -> HNonnegReport:
         tail_min = float(np.min(tail))
         rays.append(RayCheck(label=label, tail_min=tail_min, passed=bool(tail_min >= -1e-9)))
     return HNonnegReport(
-        case=case,
         min_value=float(vals[it, ip, iq]),
         argmin=argmin,
         argmin_curve_distance=curve_distance(*argmin),
-        grid_shape=shape,
+        grid_shape=(grid, grid, grid),
         rays=tuple(rays),
     )
-
-
-def slice_max_t(case: str, p: float) -> float:
-    """Maximizer of t -> G(t, p, p); the lemma says it is exactly 1/(3p).
-
-    The slice is not unimodal: past the interior peak it dips and then rises
-    again toward its t -> infinity limit, so a single bounded Brent search
-    can escape to the boundary.  Scan densely first, then refine inside the
-    bracketing cell only.
-    """
-    _check_case(case)
-    if case == "spherical":
-        if p <= 0.0:
-            raise ValueError(f"spherical p must be positive, got {p}")
-        hi = max(10.0, 5.0 / (3.0 * p))
-    else:
-        if p <= 1.0 / 3.0:
-            raise ValueError(f"hyperbolic p must exceed 1/3, got {p}")
-        hi = 1.0 - 1e-12
-    from scipy.optimize import minimize_scalar
-
-    ts = np.linspace(1e-12, hi, 4097)
-    k = int(np.argmax(G(case, ts, p, p)))
-    res = minimize_scalar(
-        lambda t: -float(G(case, t, p, p)),
-        bounds=(ts[max(k - 1, 0)], ts[min(k + 1, ts.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(res.x)

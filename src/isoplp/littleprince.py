@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,7 +88,7 @@ def square_side_midpoint() -> StarDomain:
     return StarDomain(L, tag="square-on-side", knots=(-split, split))
 
 
-def from_table(alphas, lengths, tag: str = "custom") -> StarDomain:
+def from_table(alphas, lengths) -> StarDomain:
     """Piecewise-linear profile through sampled (alpha, L) points."""
     alphas = np.asarray(alphas, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -104,10 +104,10 @@ def from_table(alphas, lengths, tag: str = "custom") -> StarDomain:
     def L(alpha):
         return np.interp(alpha, alphas, lengths, left=0.0, right=0.0)
 
-    return StarDomain(L, tag=tag, knots=tuple(float(a) for a in alphas))
+    return StarDomain(L, tag="custom", knots=tuple(float(a) for a in alphas))
 
 
-def from_csv(text: str, tag: str = "custom") -> StarDomain:
+def from_csv(text: str) -> StarDomain:
     """Profile from CSV with header alpha,L."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -117,7 +117,7 @@ def from_csv(text: str, tag: str = "custom") -> StarDomain:
     if len(rows) < 2:
         raise ValueError("need at least 2 samples")
     rows.sort()
-    return from_table([r[0] for r in rows], [r[1] for r in rows], tag=tag)
+    return from_table([r[0] for r in rows], [r[1] for r in rows])
 
 
 def _quad_profile(fun, knots) -> float:

@@ -29,7 +29,7 @@ primal, so its optimum is evidence for the bound, not a lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,8 @@ from .spaceform import (
 __all__ = [
     "LinearProgram",
     "LPSolution",
-    "WeakDualityReport",
     "GridSpec",
     "solve",
-    "verify_weak_duality",
     "build_isoperimetric_lp",
     "build_relative_lp",
     "product_family",
@@ -78,7 +76,6 @@ class LinearProgram:
     row_matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple[str, ...]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
@@ -113,24 +110,7 @@ class LPSolution:
     dual_residual: float
     duality_gap: float
     cs_residual: float
-    solver_message: str = ""
     pricing_rounds: int = 0  # full pricings of the column grid
-
-
-@dataclass
-class WeakDualityReport:
-    primal_objective: float
-    dual_objective: float
-    gap: float
-    primal_violation: float
-    dual_violation: float
-
-    def certifies(self, tol: float) -> bool:
-        return (
-            self.primal_violation <= tol
-            and self.dual_violation <= tol
-            and abs(self.gap) <= tol
-        )
 
 
 # columns that join the working set per pricing round; an LP with at most
@@ -241,8 +221,8 @@ def _generate(lp: LinearProgram, abs_matrix: np.ndarray, cost: np.ndarray, work:
         work = np.union1d(work, new)
 
 
-def _no_solution(status: str, message: str, rounds: int) -> LPSolution:
-    return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf, message, rounds)
+def _no_solution(status: str, rounds: int) -> LPSolution:
+    return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf, rounds)
 
 
 def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
@@ -261,11 +241,11 @@ def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
     res, work, rounds = _generate(lp, abs_matrix, np.zeros(n), _first_columns(lp), tol, phase1=True)
     if res.status == 0:
         if not _feasible(lp, abs_matrix, _full(res.x, work, n), tol):
-            return _no_solution("infeasible", "phase 1: the row shortfall stays positive over every column", rounds)
+            return _no_solution("infeasible", rounds)
         res, work, phase2_rounds = _generate(lp, abs_matrix, lp.objective, work, tol, phase1=False)
         rounds += phase2_rounds
     if res.status != 0:
-        return _no_solution(_HIGHS_STATUS.get(res.status, "tolerance-failure"), res.message, rounds)
+        return _no_solution(_HIGHS_STATUS.get(res.status, "tolerance-failure"), rounds)
 
     x = _full(res.x, work, n)
     y = -np.asarray(res.ineqlin.marginals, dtype=float)
@@ -294,26 +274,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
         dual_res,
         gap,
         cs,
-        res.message,
         rounds,
-    )
-
-
-def verify_weak_duality(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray) -> WeakDualityReport:
-    """Independent arithmetic check of a primal/dual pair (no solver involved)."""
-    primal = np.asarray(primal, dtype=float)
-    dual = np.asarray(dual, dtype=float)
-    if primal.shape != (lp.n_vars,):
-        raise ValueError(f"primal has shape {primal.shape}, expected ({lp.n_vars},)")
-    if dual.shape != (lp.n_rows,):
-        raise ValueError(f"dual has shape {dual.shape}, expected ({lp.n_rows},)")
-    primal_res, dual_res, gap, _ = _residuals(lp, primal, dual)
-    return WeakDualityReport(
-        primal_objective=float(lp.objective @ primal),
-        dual_objective=float(lp.rhs @ dual),
-        gap=gap,
-        primal_violation=primal_res,
-        dual_violation=dual_res,
     )
 
 
@@ -321,38 +282,34 @@ def verify_weak_duality(lp: LinearProgram, primal: np.ndarray, dual: np.ndarray)
 class GridSpec:
     """Atom grid: n_ell chord lengths x n_alpha x n_alpha boundary angles.
 
-    With align_curve the ell list includes the image of each angle node under
-    the ball's chord curve (these atoms let the discrete program reproduce
-    the ball measure), padded by uniform nodes up to n_ell.
+    The ell list includes the image of each angle node under the ball's
+    chord curve (these atoms let the discrete program reproduce the ball
+    measure), padded by uniform nodes up to n_ell.
     """
 
     n_ell: int = 40
     n_alpha: int = 20
-    align_curve: bool = True
 
     def __post_init__(self) -> None:
         if self.n_alpha < 2:
             raise ValueError("need at least 2 angle nodes")
-        if self.n_ell < (self.n_alpha if self.align_curve else 2):
+        if self.n_ell < self.n_alpha:
             raise ValueError("n_ell must cover at least the curve nodes")
 
-    def refined(self) -> "GridSpec":
-        return GridSpec(2 * self.n_ell, 2 * self.n_alpha, self.align_curve)
 
-
-def product_family(gammas=(0.5, 1.0, 1.5, 2.0)):
-    """Test functions f(alpha, beta) = (cos a cos b)^gamma, all in the admissible cone."""
+def product_family():
+    """Test functions f(alpha, beta) = (cos a cos b)^gamma, gamma in {0.5, 1, 1.5, 2}; all are admissible."""
     fam = []
-    for g in gammas:
+    for g in (0.5, 1.0, 1.5, 2.0):
         def f(alpha, beta, _g=g):
             return (np.cos(alpha) * np.cos(beta)) ** _g
         fam.append((f"pow{g:g}", f))
     return fam
 
 
-def diagonal_profile_integral(f, n: int, n_nodes: int = 200) -> float:
-    """integral over [0, pi/2] of f(alpha, alpha) * delta_weight(n, alpha)."""
-    alpha, w = gauss_legendre(0.0, math.pi / 2.0, n_nodes)
+def diagonal_profile_integral(f, n: int) -> float:
+    """integral over [0, pi/2] of f(alpha, alpha) * delta_weight(n, alpha), 200-node Gauss-Legendre."""
+    alpha, w = gauss_legendre(0.0, math.pi / 2.0, 200)
     return float(np.dot(w, np.asarray(f(alpha, alpha)) * delta_weight(n, alpha)))
 
 
@@ -363,18 +320,13 @@ def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
     lmax = 2.0 * r_curve
     if params.kappa > 0.0:
         lmax = min(lmax, math.pi / math.sqrt(params.kappa))
-    nodes = []
-    if grid.align_curve:
-        nodes.append(np.asarray(chord_T_inverse(params.kappa, r_curve, np.cos(alpha))))
-    n_fill = grid.n_ell - (len(nodes[0]) if nodes else 0)
-    if n_fill > 0:
-        nodes.append((np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax)
-    return alpha, np.unique(np.concatenate(nodes))
+    n_fill = grid.n_ell - m
+    fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
+    return alpha, np.unique(np.concatenate([chord_T_inverse(params.kappa, r_curve, np.cos(alpha)), fill]))
 
 
 def _assemble(
     params: ModelParams,
-    V: float,
     area_coeff: float,
     vol_coeff: float,
     rhs_c: float,
@@ -383,7 +335,6 @@ def _assemble(
     r_curve: float,
     grid: GridSpec,
     f_family,
-    meta: dict,
 ) -> LinearProgram:
     """Rows over the atoms (ell, alpha, beta) in C order, after the area column.
 
@@ -414,9 +365,7 @@ def _assemble(
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0
-    meta = dict(meta)
-    meta.update({"alpha_nodes": alpha, "ell_nodes": ell, "volume": V})
-    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels, meta)
+    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels)
 
 
 def build_isoperimetric_lp(
@@ -435,7 +384,6 @@ def build_isoperimetric_lp(
     omega = sphere_volume(params.n - 1)
     return _assemble(
         params,
-        V,
         area_coeff=ball.area,
         vol_coeff=V,
         rhs_c=-V * V,
@@ -444,7 +392,6 @@ def build_isoperimetric_lp(
         r_curve=ball.radius,
         grid=grid,
         f_family=f_family,
-        meta={"kind": "isoperimetric", "ball": ball, "params": params},
     )
 
 
@@ -481,7 +428,6 @@ def build_relative_lp(
         rhs_d = V
     return _assemble(
         params,
-        V,
         area_coeff=m * a_rel,
         vol_coeff=m * V,
         rhs_c=rhs_c,
@@ -490,12 +436,4 @@ def build_relative_lp(
         r_curve=ball0.radius,
         grid=grid,
         f_family=f_family,
-        meta={
-            "kind": "relative",
-            "ball0": ball0,
-            "params": params,
-            "m": m,
-            "variant": variant,
-            "relative_area": a_rel,
-        },
     )

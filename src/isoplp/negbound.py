@@ -23,8 +23,6 @@ from .spaceform import (
     _panel_rule,
     ball_from_radius,
     candle,
-    candle_anti,
-    candle_anti2,
     candle_from_spectrum,
 )
 
@@ -151,30 +149,22 @@ def _difference_kernels(spectrum: CurvatureSpectrum, ell: float, kappa_cmp: floa
     return float(u(ell)), u1, u2
 
 
-def question1_margin(
-    spectrum: CurvatureSpectrum,
-    r: float,
-    ell: float,
-    alpha: float = 0.0,
-    beta: float = 0.0,
-    kappa_cmp: float = -1.0,
-) -> float:
-    """Margin of the candle-comparison inequality for one chord.
+def question1_margin(spectrum: CurvatureSpectrum, r: float, ell: float) -> float:
+    """Margin of the candle-comparison inequality for one chord at cos(alpha) = cos(beta) = 1.
 
-    LHS(spectrum candle j) minus RHS(model candle s at curvature kappa_cmp),
-    with the kernel structure
+    LHS(spectrum candle j) minus RHS(model candle s at curvature -1), with
+    the kernel structure
 
-        j(ell)/cc - 3 tanh(r) (J1/cos a + J1/cos b) + 9 tanh(r)^2 J2,
+        j(ell) - 6 tanh(r) J1 + 9 tanh(r)^2 J2,
 
     computed directly on the differences j - s, so the model spectrum gives
     an exact zero margin.  Negative margin = inequality violated.
     """
     if not (ell > 0.0 and r > 0.0):
         raise ValueError("r and ell must be positive")
-    u0, u1, u2 = _difference_kernels(spectrum, ell, kappa_cmp)
+    u0, u1, u2 = _difference_kernels(spectrum, ell, -1.0)
     tr = math.tanh(r)
-    ca, cb = math.cos(alpha), math.cos(beta)
-    return u0 / (ca * cb) - 3.0 * tr * (u1 / ca + u1 / cb) + 9.0 * tr * tr * u2
+    return u0 - 6.0 * tr * u1 + 9.0 * tr * tr * u2
 
 
 def _ch2_difference_closed(ell: np.ndarray):
@@ -201,26 +191,24 @@ class CounterexampleResult:
     r: float
     ell: float
     margin: float
-    grid_shape: tuple[int, int]
 
     @property
     def violated(self) -> bool:
         return self.margin < 0.0
 
 
-def ch2_counterexample_search(
-    ell_max: float, r_max: float, grid: tuple[int, int] = (80, 60)
-) -> CounterexampleResult:
+def ch2_counterexample_search(ell_max: float, r_max: float) -> CounterexampleResult:
     """Deterministic grid search for a violation by the complex-hyperbolic candle.
 
-    Scans the Question-1 margin at cos(alpha) = cos(beta) = 1 over
-    (0, r_max] x (0, ell_max] using closed-form difference kernels (the
-    hyperbolic-sine sums integrate termwise), returning the most negative
-    margin and its location.  Ties go to the first grid point scanned.
+    Scans the Question-1 margin at cos(alpha) = cos(beta) = 1 over 60 radii
+    in (0, r_max] times 80 lengths in (0, ell_max], using closed-form
+    difference kernels (the hyperbolic-sine sums integrate termwise), and
+    returns the most negative margin and its location.  Ties go to the first
+    grid point scanned.
     """
     if ell_max <= 0.0 or r_max <= 0.0:
         raise ValueError("search bounds must be positive")
-    n_ell, n_r = int(grid[0]), int(grid[1])
+    n_ell, n_r = 80, 60
     ells = np.linspace(ell_max / n_ell, ell_max, n_ell)
     rs = np.linspace(r_max / n_r, r_max, n_r)
     u0, u1, u2 = _ch2_difference_closed(ells)
@@ -232,5 +220,4 @@ def ch2_counterexample_search(
         r=float(rs[ir]),
         ell=float(ells[il]),
         margin=float(margins[ir, il]),
-        grid_shape=(n_ell, n_r),
     )

@@ -504,12 +504,11 @@ def delta_weight(n: int, alpha) -> float | np.ndarray:
     return _wrap(val, scalar)
 
 
-def candle_from_spectrum(spectrum: CurvatureSpectrum, t, return_flag: bool = False):
+def candle_from_spectrum(spectrum: CurvatureSpectrum, t):
     """Candle of a space whose curvature operator has the given eigenvalues.
 
     Product of the one dimensional candles; clamped to 0 past the first
-    conjugate point when some eigenvalue is positive.  With return_flag the
-    second element reports whether the clamp was active anywhere.
+    conjugate point when some eigenvalue is positive.
     """
     arr, scalar = _as_array(t)
     _validate_t(arr)
@@ -519,9 +518,4 @@ def candle_from_spectrum(spectrum: CurvatureSpectrum, t, return_flag: bool = Fal
     val = np.ones_like(arr)
     for k in spectrum.curvatures:
         val = val * _sn(k, tc)
-    clipped = arr >= cap
-    val = np.where(clipped, 0.0, val)
-    out = _wrap(val, scalar)
-    if return_flag:
-        return out, bool(np.any(clipped))
-    return out
+    return _wrap(np.where(arr >= cap, 0.0, val), scalar)

@@ -152,7 +152,7 @@ def test_criterion_6_negative_curvature_identities_tight():
 
 def test_criterion_7_ch2_counterexample_and_model_zero():
     t0 = time.perf_counter()
-    result = negbound.ch2_counterexample_search(10.0, 5.0, grid=(80, 60))
+    result = negbound.ch2_counterexample_search(10.0, 5.0)
     assert result.violated
     assert result.margin < 0.0
     model = negbound.question1_margin(

@@ -11,10 +11,8 @@ from isoplp.certificate import (
     DegenerateConsistencyError,
     DualCertificate,
     SupDomainError,
-    UnverifiedCertificateError,
     build_f,
     check_family_membership,
-    duality_lower_bound,
     evaluate_f,
     paper_certificate,
     solve_consistency,
@@ -22,7 +20,7 @@ from isoplp.certificate import (
     sup_integrand_dell,
     verify_certificate,
 )
-from isoplp.spaceform import ModelParams, ball_from_volume
+from isoplp.spaceform import ModelParams
 
 CASES = [
     ((2, 0.0), 1.0),
@@ -82,7 +80,6 @@ def test_paper_certificate_coefficients(case, r):
     n, kappa = case
     cert = paper_certificate(ModelParams(n, kappa), r)
     assert_allclose(cert.coefficients, REFERENCE[case](r), rtol=1e-14)
-    assert cert.source == "reference"
 
 
 def test_paper_certificate_rejects_unknown_curvature():
@@ -111,6 +108,9 @@ def test_negative_zero_curvature_gives_no_negative_zero():
 def test_negative_coefficients_flagged():
     cert = paper_certificate(ModelParams(4, -1.0), 1.0)
     assert cert.negative_coefficients == ("b",)
+    # the negative coefficient fails the check only where the sign is required
+    assert not verify_certificate(cert, grid=40, require_nonneg=True).passed
+    assert verify_certificate(cert, grid=40, require_nonneg=False).passed
     cert2 = paper_certificate(ModelParams(2, 1.0), 0.7)
     assert cert2.negative_coefficients == ()
 
@@ -216,23 +216,6 @@ def test_verify_certificate_full(case, r):
     assert report.passed
     assert report.consistency_residual <= 1e-8
     assert report.curve_sup_deviation <= 1e-8
-
-
-def test_duality_lower_bound_flat():
-    params = ModelParams(2, 0.0)
-    V = math.pi
-    bound = duality_lower_bound(paper_certificate(params, 1.0), V)
-    assert_allclose(bound, 2.0 * math.pi, rtol=1e-10)
-
-
-def test_duality_lower_bound_requires_nonneg():
-    params = ModelParams(4, -1.0)
-    cert = paper_certificate(params, 1.2)
-    with pytest.raises(UnverifiedCertificateError):
-        duality_lower_bound(cert, 1.0, require_nonneg=True)
-    bound = duality_lower_bound(cert, 1.0, require_nonneg=False)
-    assert bound > 0.0
-    assert_allclose(bound, ball_from_volume(params, 1.0).area, rtol=1e-12)
 
 
 def test_degenerate_consistency_detected():

@@ -38,8 +38,6 @@ def test_measure_validation():
         DiscreteMeasure([0.1, 0.2], [0.0], [0.0], [1.0])
     with pytest.raises(ValueError):
         DiscreteMeasure([0.1], [2.0], [0.0], [1.0])  # angle beyond pi/2
-    with pytest.raises(ValueError):
-        DiscreteMeasure([0.1], [0.0], [0.0], [1.0], provenance="nonsense")
 
 
 def test_measure_atoms_and_scaling():
@@ -129,7 +127,6 @@ def test_monte_carlo_reproducible_and_unbiased():
     s1 = sample_chords(DISK, 5000, 123)
     s2 = sample_chords(DISK, 5000, 123)
     assert_allclose(s1.ell, s2.ell, rtol=0, atol=0)
-    assert s1.provenance == "monte-carlo"
     s3 = sample_chords(DISK, 5000, 124)
     assert not np.array_equal(s1.ell, s3.ell)
     # prefix property: first draws do not depend on the sample count

@@ -1,10 +1,13 @@
 """Command line interface: exit codes, report shape, determinism, curvature units."""
 
+import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,20 @@ def test_version_flag(capsys):
 def test_unknown_flag_exits_2(capsys):
     code, out, err = run_cli(capsys, "certificate", "--dim", "4", "--kappa", "0", "--radius", "1", "--frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("kappa", ["-1e-3", "-2.5E-1"])
+def test_negative_kappa_in_e_notation(capsys, kappa):
+    # argparse alone takes "-1e-3" for a flag; the value form must match --kappa=
+    args = ("certificate", "--dim", "2", "--radius", "0.5")
+    code, out, err = run_cli(capsys, *args, "--kappa", kappa)
+    code_eq, out_eq, _ = run_cli(capsys, *args, f"--kappa={kappa}")
+    assert code == code_eq == 0, err
+    assert out == out_eq
+    assert json.loads(out)["config"]["kappa"] == float(kappa)
+    code, out, _ = run_cli(capsys, *args, "--kappa", kappa, "--frobnicate")
+    assert code == 2
+    assert out == ""
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -145,6 +162,27 @@ def test_lp_bound_scales_with_curvature(capsys):
     assert small["bound"] == pytest.approx(unit["bound"] / 2.0, rel=1e-14)
     assert small["bound"] == pytest.approx(math.pi * math.sin(0.7), rel=1e-14)
     assert small["optimum"] == pytest.approx(2.023869553538537, abs=1e-6)
+
+
+def test_lp_weak_duality_block_is_the_solution_residuals(capsys, monkeypatch):
+    solutions = []
+    solve = isoplp.cli.lpcore.solve
+
+    def recording_solve(lp, tol):
+        solutions.append(solve(lp, tol=tol))
+        return solutions[-1]
+
+    monkeypatch.setattr(isoplp.cli.lpcore, "solve", recording_solve)
+    code, out, _ = run_cli(capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5")
+    assert code == 0
+    (sol,) = solutions
+    entry = json.loads(out)["report"]["table1"]
+    assert entry["weak_duality"] == {
+        "gap": entry["duality_gap"],
+        "primal_violation": sol.primal_residual,
+        "dual_violation": sol.dual_residual,
+    }
+    assert entry["duality_gap"] == sol.duality_gap
 
 
 def test_lp_table2_quotient(capsys):
@@ -336,6 +374,20 @@ def test_nonpositive_counts_exit_2(capsys, argv):
     assert argv[-2] in err and "must be > 0" in err
 
 
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--a", ("prince", "--shape", "ellipse", "--a", "inf", "--b", "1")),
+        ("--tol", ("lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--tol", "inf")),
+    ],
+)
+def test_infinite_positive_float_exits_2(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be > 0 and finite, got 'inf'" in err
+
+
 def test_prince_ellipse_zero_axes_exit_2(capsys):
     code, out, err = run_cli(capsys, "prince", "--shape", "ellipse", "--a", "0", "--b", "0")
     assert code == 2
@@ -404,6 +456,14 @@ def test_prince_csv_requires_path(capsys):
     assert code == 2
 
 
+def test_prince_unreadable_csv_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such.csv"
+    code, out, err = run_cli(capsys, "prince", "--shape", "csv", "--csv", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read --csv {missing}")
+
+
 def test_relative_command(capsys):
     code, out, _ = run_cli(
         capsys, "relative", "--m", "2", "--dim", "2", "--kappa", "0", "--volume", "1.5708"
@@ -434,3 +494,34 @@ def test_parser_help_lists_subcommands():
     help_text = parser.format_help()
     for name in ("profile", "certificate", "lp", "measure-check", "lemma", "negbound", "prince", "relative"):
         assert name in help_text
+
+
+LAYERS = ("spaceform", "chordmeasure", "certificate", "lpcore", "lemmas", "negbound", "littleprince", "relative")
+
+
+def test_every_exported_name_resolves():
+    # perfbench's tracer looks up each name of a layer's __all__
+    missing = []
+    for layer in LAYERS:
+        mod = importlib.import_module(f"isoplp.{layer}")
+        missing += [f"{layer}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Quick start (CLI)")[1].split("\n## ")[0]
+    lines = []
+    for line in section.splitlines():
+        line = line.split("#")[0].strip().removeprefix("$ ")
+        if line.startswith("isoplp "):
+            lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_cli_invocations_parse():
+    lines = _readme_cli_lines()
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in lines} == set(isoplp.cli._COMMANDS)

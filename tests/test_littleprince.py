@@ -74,7 +74,7 @@ def test_shape_validation():
 
 def test_from_table_matches_disk():
     alphas = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2001)
-    dom = from_table(alphas, 2.0 * np.cos(alphas), tag="sampled-disk")
+    dom = from_table(alphas, 2.0 * np.cos(alphas))
     assert area(dom) == pytest.approx(math.pi, rel=1e-5)
     assert gravity(dom) == pytest.approx(0.5, rel=1e-5)
     assert verify_pp(dom) >= -1e-9
@@ -93,8 +93,8 @@ def test_from_table_validation():
 
 def test_from_csv_round_trip():
     text = "alpha,L\n-1.5,0.2\n0.0,2.0\n1.5,0.2\n"
-    dom = from_csv(text, tag="triangle-ish")
-    assert dom.tag == "triangle-ish"
+    dom = from_csv(text)
+    assert dom.tag == "custom"
     assert dom(0.0) == pytest.approx(2.0)
     assert dom(0.75) == pytest.approx(np.interp(0.75, [-1.5, 0.0, 1.5], [0.2, 2.0, 0.2]))
     assert verify_pp(dom) > 0.0
@@ -116,7 +116,7 @@ def test_random_profiles_never_beat_the_disk(seed, n_knots):
     rng = np.random.Generator(np.random.Philox(key=seed))
     alphas = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_knots)
     lengths = rng.random(n_knots) * 3.0
-    dom = from_table(alphas, lengths, tag="random")
+    dom = from_table(alphas, lengths)
     assert verify_pp(dom) >= -1e-9
 
 

@@ -1,4 +1,4 @@
-"""Finite LP assembly and solving; weak duality is checked independently."""
+"""Finite LP assembly and solving; the residuals are checked against hand-made pairs."""
 
 import math
 
@@ -12,12 +12,13 @@ from isoplp import certificate
 from isoplp.lpcore import (
     GridSpec,
     LinearProgram,
+    _grid_nodes,
+    _residuals,
     build_isoperimetric_lp,
     build_relative_lp,
     diagonal_profile_integral,
     product_family,
     solve,
-    verify_weak_duality,
 )
 from isoplp.spaceform import (
     ModelParams,
@@ -28,6 +29,10 @@ from isoplp.spaceform import (
     candle_anti2,
     sphere_volume,
 )
+
+
+def _certifies(sol, tol):
+    return sol.primal_residual <= tol and sol.dual_residual <= tol and abs(sol.duality_gap) <= tol
 
 
 def _tiny_lp():
@@ -62,9 +67,8 @@ def test_solve_two_constraints():
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, 14.0 / 5.0, rtol=1e-11)
     assert_allclose(sol.primal, [8.0 / 5.0, 6.0 / 5.0], rtol=1e-10)
-    rep = verify_weak_duality(lp, sol.primal, sol.dual)
-    assert rep.certifies(1e-8)
-    assert rep.gap <= 1e-9
+    assert _certifies(sol, 1e-8)
+    assert sol.duality_gap <= 1e-9
 
 
 def test_solve_detects_infeasible():
@@ -103,9 +107,9 @@ def test_lp_shape_validation():
 
 def test_weak_duality_flags_violations():
     lp = _tiny_lp()
-    rep = verify_weak_duality(lp, np.array([2.0]), np.array([1.0]))
-    assert rep.primal_violation > 0.9  # x = 2 violates x >= 3 by 1
-    assert not rep.certifies(1e-8)
+    primal_violation, _, gap, _ = _residuals(lp, np.array([2.0]), np.array([1.0]))
+    assert primal_violation > 0.9  # x = 2 violates x >= 3 by 1
+    assert gap == -1.0
 
 
 @given(
@@ -125,17 +129,10 @@ def test_weak_duality_on_random_solvable_lps(n_vars, n_rows, seed):
     sol = solve(lp)
     # positive data makes the problem feasible and bounded
     assert sol.status == "optimal"
-    rep = verify_weak_duality(lp, sol.primal, sol.dual)
-    assert rep.certifies(1e-7)
+    assert _certifies(sol, 1e-7)
     # weak duality: dual objective never exceeds primal objective
-    assert rep.dual_objective <= rep.primal_objective + 1e-7 * (1 + abs(rep.primal_objective))
-
-
-def test_grid_spec_refinement():
-    g = GridSpec(n_ell=40, n_alpha=20)
-    g2 = g.refined()
-    assert g2.n_ell > g.n_ell and g2.n_alpha > g.n_alpha
-    assert g2.align_curve == g.align_curve
+    primal_objective, dual_objective = float(lp.objective @ sol.primal), float(lp.rhs @ sol.dual)
+    assert dual_objective <= primal_objective + 1e-7 * (1 + abs(primal_objective))
 
 
 def test_product_family_diagonal_integral():
@@ -182,8 +179,7 @@ def test_isoperimetric_lp_dual_value_flat_cases():
         lp = build_isoperimetric_lp(params, ball.volume, GridSpec(30, 14), _reference_family(params, r))
         sol = solve(lp)
         assert_allclose(sol.objective_value, expect, rtol=1e-9)
-        rep = verify_weak_duality(lp, sol.primal, sol.dual)
-        assert rep.certifies(1e-7)
+        assert _certifies(sol, 1e-7)
 
 
 def test_lp_monotone_under_refinement():
@@ -227,9 +223,9 @@ def test_relative_lp_flat_bound():
 def test_exact_pair_reports_zero_violation_with_positive_sign():
     # slack and reduced cost are exactly 0 at x = 3, y = 1; the report must
     # read 0.0, not -0.0
-    rep = verify_weak_duality(_tiny_lp(), np.array([3.0]), np.array([1.0]))
-    assert rep.primal_violation == 0.0 and math.copysign(1.0, rep.primal_violation) == 1.0
-    assert rep.dual_violation == 0.0 and math.copysign(1.0, rep.dual_violation) == 1.0
+    primal_violation, dual_violation, _, _ = _residuals(_tiny_lp(), np.array([3.0]), np.array([1.0]))
+    assert primal_violation == 0.0 and math.copysign(1.0, primal_violation) == 1.0
+    assert dual_violation == 0.0 and math.copysign(1.0, dual_violation) == 1.0
     sol = solve(_tiny_lp())
     assert math.copysign(1.0, sol.primal_residual) == 1.0
     assert math.copysign(1.0, sol.dual_residual) == 1.0
@@ -288,7 +284,7 @@ def test_column_generation_matches_all_column_solve(n_rows, seed):
     assert ref.status == 0
     assert abs(sol.objective_value - ref.fun) <= 1e-9 * abs(ref.fun)
     assert sol.pricing_rounds > 1
-    assert verify_weak_duality(lp, sol.primal, sol.dual).certifies(1e-7)
+    assert _certifies(sol, 1e-7)
 
 
 def test_large_infeasible_lp_detected():
@@ -317,9 +313,9 @@ def test_large_unbounded_lp_detected():
     assert solve(lp).status == "unbounded"
 
 
-def _meshgrid_rows(lp, params, family):
+def _meshgrid_rows(params, r_curve, grid, family):
     """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh."""
-    alpha, ell = lp.meta["alpha_nodes"], lp.meta["ell_nodes"]
+    alpha, ell = _grid_nodes(params, r_curve, grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
     rows = [
@@ -337,9 +333,12 @@ def test_separable_assembly_matches_meshgrid(n, kappa, r):
     params = ModelParams(n, kappa)
     ball = ball_from_radius(params, r)
     fam = _reference_family(params, r)
-    lp = build_isoperimetric_lp(params, ball.volume, GridSpec(24, 12), fam)
-    assert lp.n_vars == 1 + lp.meta["ell_nodes"].size * 12 * 12
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(lp, params, fam), rtol=1e-12, atol=0.0)
+    grid = GridSpec(24, 12)
+    lp = build_isoperimetric_lp(params, ball.volume, grid, fam)
+    # the LP places its curve nodes on the ball it recovers from the volume
+    r_curve = ball_from_volume(params, ball.volume).radius
+    assert lp.n_vars == 1 + _grid_nodes(params, r_curve, grid)[1].size * 12 * 12
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, r_curve, grid, fam), rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
 
 
@@ -347,6 +346,7 @@ def test_separable_assembly_matches_meshgrid_relative():
     params, V, m = ModelParams(4, 1.0), 0.4, 3
     ball0 = ball_from_volume(params, m * V)
     fam = _reference_family(params, ball0.radius)
-    lp = build_relative_lp(params, V, m, GridSpec(24, 12), fam)
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(lp, params, fam), rtol=1e-12, atol=0.0)
+    grid = GridSpec(24, 12)
+    lp = build_relative_lp(params, V, m, grid, fam)
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball0.radius, grid, fam), rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (lp.n_rows - 2), rtol=1e-12)

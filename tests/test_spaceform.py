@@ -312,10 +312,9 @@ def test_candle_from_spectrum_mixed_and_flag():
         math.sinh(1.5 * t) / 1.5 * (math.sinh(0.75 * t) / 0.75) ** 2
     )
     assert_allclose(candle_from_spectrum(spectrum_in, t), expect, rtol=1e-13)
-    # positive entries saturate past the first conjugate point and set the flag
+    # positive entries saturate past the first conjugate point
     spec_pos = CurvatureSpectrum((4.0, 1.0))
-    val, clamped = candle_from_spectrum(spec_pos, math.pi, return_flag=True)
-    assert val == 0.0 and bool(clamped)
+    assert candle_from_spectrum(spec_pos, math.pi) == 0.0
 
 
 @given(t=st.floats(min_value=0.0, max_value=2.8))
