@@ -3,7 +3,7 @@
 Modules:
     spaceform     geometry of the model spaces (candle functions, balls, chords)
     chordmeasure  chord measures of metric balls, quadrature and sampling
-    lpcore        finite linear programs, solver wrapper, duality checks
+    lpcore        finite linear programs, simplex solver, duality checks
     certificate   dual certificates: reconstruction, verification, induced f
     lemmas        polynomial nonnegativity lemmas behind the n=4 certificates
     negbound      inequalities and counterexample searches below a curvature bound

@@ -342,6 +342,9 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
     The angles are equispaced on [0, pi/2 - 1e-3].  Equality of the defect
     should only happen next to the diagonal.
     """
+    if grid < 2:
+        # one node has only the diagonal, where the defect is 0 by construction
+        raise ValueError(f"the membership grid needs at least 2 angle nodes, got {grid}")
     angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, grid)
     A, B = np.meshgrid(angles, angles, indexing="ij")
     fvals, _ = evaluate_f(cert, A, B)
@@ -349,7 +352,7 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
     eq_i, eq_j = np.nonzero(defect <= _DEFECT_TOL)
     max_gap = float(np.max(np.abs(angles[eq_i] - angles[eq_j]), initial=0.0))
-    step = float(np.max(np.diff(angles))) if angles.size > 1 else 0.0
+    step = float(np.max(np.diff(angles)))
     return MembershipReport(
         min_f=float(fvals.min()),
         min_defect=float(defect.min()),

@@ -214,7 +214,7 @@ def _cmd_lp(config: RunConfig):
     n_ell, n_alpha = config.get("grid")
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
     tol = config.get("tol")
-    solver_tol = 1e-7
+    solver_tol = 1e-9
 
     body = {"volume": V, "grid": {"n_ell": n_ell, "n_alpha": n_alpha}}
 

@@ -110,10 +110,18 @@ def from_table(alphas, lengths) -> StarDomain:
 def from_csv(text: str) -> StarDomain:
     """Profile from CSV with header alpha,L."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty CSV, expected header alpha,L")
     if [h.strip().lower() for h in header] != ["alpha", "l"]:
         raise ValueError(f"expected header alpha,L, got {','.join(header)}")
-    rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    rows = []
+    for r in reader:
+        if not r:
+            continue
+        if len(r) != 2:
+            raise ValueError(f"CSV line {reader.line_num}: expected 2 fields alpha,L, got {len(r)}")
+        rows.append((float(r[0]), float(r[1])))
     if len(rows) < 2:
         raise ValueError("need at least 2 samples")
     rows.sort()

@@ -12,18 +12,17 @@ function of ell times a function of (alpha, beta).  Assembly evaluates the
 candle functions once per chord length and each family function once per
 angle pair, then fills the rows by broadcasting.
 
-The solver is column generation over the atom grid (Gilmore & Gomory 1961).
-HiGHS solves a restricted master program on a working set of columns;
-every column of the grid is then priced with one vectorized c - A^T y, and
-the most negative ones join the working set.  Phase 1 minimizes the summed
-row shortfall, so infeasibility is decided over the whole grid; phase 2
-minimizes the objective.  Pricing stops when no column outside the working
-set has a reduced cost below the solver's dual feasibility tolerance, a
-test stricter than the dual acceptance test.  The acceptance test (primal,
-dual, gap and complementary-slackness residuals) then runs on the full
-row matrix.  What is certified is the grid LP: every grid column is priced
-and checked, but chords off the grid are not.  The grid restricts the
-primal, so its optimum is evidence for the bound, not a lower bound.
+The solver is a dense two-phase revised simplex over every grid column.
+With at most a few rows, the basis is small enough to solve afresh at every
+pivot, and one vectorized c - A^T y prices all columns: the full pricing
+that Gilmore & Gomory's (1961) column generation performs, without a
+restricted master program.  Phase 1 puts artificials only on the rows that
+x = 0 violates, so infeasibility is decided over the whole grid.  The
+solution is a basic one, exact to rounding.  The acceptance test (primal,
+dual, gap and complementary-slackness residuals) then runs on the full row
+matrix.  What is certified is the grid LP: every grid column is priced and
+checked, but chords off the grid are not.  The grid restricts the primal,
+so its optimum is evidence for the bound, not a lower bound.
 """
 
 from __future__ import annotations
@@ -55,17 +54,6 @@ __all__ = [
     "product_family",
     "diagonal_profile_integral",
 ]
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first solve.
-
-    scipy is loaded only by the code paths that call it; `solve` looks this
-    name up at call time, so a rebinding of `lpcore.linprog` takes effect.
-    """
-    from scipy.optimize import linprog as highs_linprog
-
-    return highs_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -110,15 +98,125 @@ class LPSolution:
     dual_residual: float
     duality_gap: float
     cs_residual: float
-    pricing_rounds: int = 0  # full pricings of the column grid
 
 
-# columns that join the working set per pricing round; an LP with at most
-# twice as many columns is solved on all of them from the first round
-_BATCH = 64
+@dataclass(frozen=True)
+class _SimplexResult:
+    """What `linprog` returns: the result fields that `solve` and its tracers read."""
 
-# HiGHS statuses that describe the LP rather than the solve
-_HIGHS_STATUS = {2: "infeasible", 3: "unbounded"}
+    status: int  # 0 optimal, 1 pivot cap reached, 2 infeasible, 3 unbounded, 4 numerical trouble
+    nit: int  # pivots over both phases
+    x: np.ndarray | None = None
+    fun: float | None = None
+    marginals: np.ndarray | None = None  # d fun / d b_ub, <= 0 at an optimum
+
+
+# consecutive degenerate pivots after which Bland's rule prices and picks the
+# leaving row until the objective moves again; Bland's rule cannot cycle
+_DEGENERATE_RUN = 10
+
+# pivot cap per row of the LP; reaching it is a tolerance-failure
+_PIVOTS_PER_ROW = 100
+
+
+def _basis_matrix(A_ub: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Column j < n is structural, n + i the slack +e_i of row i, n + m + i its artificial -e_i."""
+    m, n = A_ub.shape
+    B = np.zeros((m, m))
+    structural = basis < n
+    B[:, structural] = A_ub[:, basis[structural]]
+    logical = basis[~structural] - n
+    B[logical % m, np.flatnonzero(~structural)] = np.where(logical < m, 1.0, -1.0)
+    return B
+
+
+def _pivot(A_ub, b_ub, cost, basis, tol, budget):
+    """Primal simplex from the feasible `basis`, updated in place; returns (status, pivots, x_B, duals).
+
+    Every pivot solves the basis afresh, so nothing drifts.  All n + m
+    structural and slack columns are priced with one c - A^T y; artificials
+    never enter.  Dantzig's rule picks the entering column, and the ratio
+    test takes the largest pivot among tied rows; after _DEGENERATE_RUN
+    degenerate pivots in a row, Bland's rule takes over for both choices.
+    """
+    m, n = A_ub.shape
+    pivots = degenerate = 0
+    while True:
+        B = _basis_matrix(A_ub, basis)
+        x_B = np.linalg.solve(B, b_ub)
+        y = np.linalg.solve(B.T, cost[basis])
+        reduced = cost[: n + m] - np.concatenate([y @ A_ub, y])
+        reduced[basis[basis < n + m]] = 0.0
+        bland = degenerate >= _DEGENERATE_RUN
+        q = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
+        if reduced[q] >= -tol:
+            return 0, pivots, x_B, y
+        if pivots == budget:
+            return 1, pivots, x_B, y
+        u = np.linalg.solve(B, A_ub[:, q] if q < n else np.eye(m)[q - n])
+        rows = np.flatnonzero(u > 1e-9 * np.max(np.abs(u)))
+        if rows.size == 0:
+            return 3, pivots, x_B, y
+        # basic values at rounding level count as zero, so degenerate ties are exact
+        level = np.where(x_B > 1e-12 * (1.0 + np.max(np.abs(x_B))), x_B, 0.0)
+        ratio = level[rows] / u[rows]
+        theta = float(np.min(ratio))
+        ties = rows[ratio <= theta * (1.0 + 1e-12)]
+        p = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(u[ties])]
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        basis[p] = q
+        pivots += 1
+
+
+def linprog(c, A_ub, b_ub, tol):
+    """min c . x subject to A_ub x <= b_ub, x >= 0: a dense two-phase revised simplex.
+
+    Keywords, result fields and status codes follow the usual `linprog`
+    convention (see _SimplexResult).  `solve` passes its rows A x >= b as
+    A_ub = -A, so a slack here is a surplus column -e_i of the >= form.  tol
+    is the pricing tolerance and, relative to the magnitude of the row
+    arithmetic, the phase-1 feasibility tolerance.  Phase 1 puts artificials
+    only on the rows that x = 0 violates; those left in the basis at zero
+    are pivoted out for slacks before phase 2.  `solve` looks this name up
+    at call time, so a rebinding of `lpcore.linprog` takes effect.
+    """
+    m, n = A_ub.shape
+    basis = n + np.arange(m)
+    violated = b_ub < 0.0
+    basis[violated] += m
+    budget = _PIVOTS_PER_ROW * (m + 1)
+    nit = 0
+    if violated.any():
+        cost = np.concatenate([np.zeros(n + m), np.ones(m)])
+        status, nit, x_B, _ = _pivot(A_ub, b_ub, cost, basis, tol, budget)
+        if status == 3:
+            status = 4  # phase 1 is bounded below by 0, so a ray is numerical trouble
+        if status != 0:
+            return _SimplexResult(status, nit)
+        used = basis < n
+        columns, values = A_ub[:, basis[used]], x_B[used]
+        scale = 1.0 + np.max(np.abs(b_ub)) + np.max(np.abs(columns) @ np.abs(values), initial=0.0)
+        if np.max(columns @ values - b_ub) > tol * scale:
+            return _SimplexResult(2, nit)
+        for p in np.flatnonzero(basis >= n + m):
+            # row p of the basis inverse; a slack with a nonzero entry there replaces the artificial
+            z = np.linalg.solve(_basis_matrix(A_ub, basis).T, np.eye(m)[p])
+            z[basis[(basis >= n) & (basis < n + m)] - n] = 0.0
+            basis[p] = n + int(np.argmax(np.abs(z)))
+            nit += 1
+    cost = np.concatenate([c, np.zeros(2 * m)])
+    status, pivots, x_B, y = _pivot(A_ub, b_ub, cost, basis, tol, budget - nit)
+    nit += pivots
+    if status != 0:
+        return _SimplexResult(status, nit)
+    x = np.zeros(n)
+    used = basis < n
+    x[basis[used]] = x_B[used]
+    return _SimplexResult(0, nit, x, float(c[basis[used]] @ x_B[used]), y)
+
+
+# linprog statuses that describe the LP rather than the solve
+_STATUS = {2: "infeasible", 3: "unbounded"}
 
 
 def _violation(*arrays) -> float:
@@ -137,122 +235,35 @@ def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
     return _violation(slack, x), _violation(reduced, y), gap, cs
 
 
-def _primal_tol(lp: LinearProgram, abs_matrix: np.ndarray, x: np.ndarray, tol: float) -> float:
-    """Accepted primal residual at x: tol times the magnitude of the row arithmetic."""
-    return tol * (
+def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
+    """Solve the LP; statuses: optimal, infeasible, unbounded, tolerance-failure.
+
+    The simplex `linprog` prices every column at tol and returns a basic
+    solution, exact to rounding.  tol also bounds the accepted feasibility/
+    stationarity residuals, each taken relative to the magnitude of the
+    arithmetic that produced it, and the acceptance test runs on the full
+    row matrix.
+    """
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
+    res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol)
+    if res.status != 0:
+        status = _STATUS.get(res.status, "tolerance-failure")
+        return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf)
+
+    x = res.x
+    # each surplus column is priced, so y >= -tol; the rounding-level
+    # negatives (and -0.0) are zeroed so the residuals describe the reported y
+    y = np.maximum(-res.marginals, 0.0)
+    abs_matrix = np.abs(lp.row_matrix)
+    primal_res, dual_res, gap, cs = _residuals(lp, x, y)
+    # each residual is judged against the magnitude of the arithmetic that
+    # produced it; the rhs alone undersells rows whose matrix entries are large
+    primal_tol = tol * (
         1.0
         + float(np.max(np.abs(lp.rhs), initial=0.0))
         + float(np.max(abs_matrix @ np.abs(x), initial=0.0))
     )
-
-
-def _feasible(lp: LinearProgram, abs_matrix: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """The primal half of the acceptance test."""
-    return _violation(lp.row_matrix @ x - lp.rhs, x) <= _primal_tol(lp, abs_matrix, x, tol)
-
-
-def _most_negative(values: np.ndarray, k: int) -> np.ndarray:
-    if values.size <= k:
-        return np.arange(values.size)
-    return np.argpartition(values, k)[:k]
-
-
-def _first_columns(lp: LinearProgram) -> np.ndarray:
-    """All columns of a small LP; else each phase's first pricing from an empty working set.
-
-    With no columns, phase 1 has dual 1 on the rows that x = 0 violates and
-    phase 2 has dual 0, so the two pricings are -A^T [rhs > 0] and the cost.
-    """
-    if lp.n_vars <= 2 * _BATCH:
-        return np.arange(lp.n_vars)
-    shortfall = (lp.rhs > 0.0).astype(float) @ lp.row_matrix
-    return np.union1d(_most_negative(-shortfall, _BATCH), _most_negative(lp.objective, _BATCH))
-
-
-def _full(values: np.ndarray, work: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[work] = values[: work.size]
-    return out
-
-
-def _generate(lp: LinearProgram, abs_matrix: np.ndarray, cost: np.ndarray, work: np.ndarray, tol: float, phase1: bool):
-    """Column generation for min cost . x; returns (last HiGHS result, working set, pricing rounds).
-
-    Phase 1 gives every row an artificial shortfall variable of cost 1 and
-    ends as soon as the working set holds a point that passes the primal
-    acceptance test.  After each restricted solve every column is priced
-    with one c - A^T y, and up to _BATCH of the most negative join the
-    working set if their reduced cost is below -solver_tol: outside columns
-    are held to the dual feasibility tolerance HiGHS meets inside.  As
-    solver_tol <= tol <= the dual acceptance threshold, pricing stops only
-    where the dual acceptance test passes on every outside column.
-    """
-    solver_tol = min(tol, 1e-7)
-    rounds = 0
-    while True:
-        columns = lp.row_matrix[:, work]
-        c = cost[work]
-        if phase1:
-            columns = np.hstack([columns, np.eye(lp.n_rows)])
-            c = np.concatenate([c, np.ones(lp.n_rows)])
-        res = linprog(
-            c=c,
-            A_ub=-columns,
-            b_ub=-lp.rhs,
-            bounds=(0.0, None),
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": solver_tol,
-                "dual_feasibility_tolerance": solver_tol,
-            },
-        )
-        if res.status != 0:
-            return res, work, rounds
-        if phase1 and _feasible(lp, abs_matrix, _full(res.x, work, lp.n_vars), tol):
-            return res, work, rounds
-        rounds += 1
-        y = -np.asarray(res.ineqlin.marginals, dtype=float)
-        reduced = cost - lp.row_matrix.T @ y
-        reduced[work] = np.inf
-        new = _most_negative(reduced, _BATCH)
-        new = new[reduced[new] < -solver_tol]
-        if new.size == 0:
-            return res, work, rounds
-        work = np.union1d(work, new)
-
-
-def _no_solution(status: str, rounds: int) -> LPSolution:
-    return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf, rounds)
-
-
-def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
-    """Solve the LP; statuses: optimal, infeasible, unbounded, tolerance-failure.
-
-    tol bounds the accepted feasibility/stationarity residuals, each taken
-    relative to the magnitude of the arithmetic that produced it.  The
-    default matches the solver's own accuracy contract; the solver is asked
-    for at least that accuracy.  Column generation works on a subset of the
-    columns, but the acceptance test runs on the full row matrix.
-    """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    n = lp.n_vars
-    abs_matrix = np.abs(lp.row_matrix)
-    res, work, rounds = _generate(lp, abs_matrix, np.zeros(n), _first_columns(lp), tol, phase1=True)
-    if res.status == 0:
-        if not _feasible(lp, abs_matrix, _full(res.x, work, n), tol):
-            return _no_solution("infeasible", rounds)
-        res, work, phase2_rounds = _generate(lp, abs_matrix, lp.objective, work, tol, phase1=False)
-        rounds += phase2_rounds
-    if res.status != 0:
-        return _no_solution(_HIGHS_STATUS.get(res.status, "tolerance-failure"), rounds)
-
-    x = _full(res.x, work, n)
-    y = -np.asarray(res.ineqlin.marginals, dtype=float)
-    primal_res, dual_res, gap, cs = _residuals(lp, x, y)
-    # each residual is judged against the magnitude of the arithmetic that
-    # produced it; the rhs alone undersells rows whose matrix entries are large
-    primal_tol = _primal_tol(lp, abs_matrix, x, tol)
     dual_tol = tol * (
         1.0
         + float(np.max(np.abs(lp.objective), initial=0.0))
@@ -265,17 +276,7 @@ def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
         and abs(gap) <= tol * gap_scale
         and cs <= max(primal_tol, dual_tol)
     )
-    return LPSolution(
-        "optimal" if ok else "tolerance-failure",
-        x,
-        y,
-        float(res.fun),
-        primal_res,
-        dual_res,
-        gap,
-        cs,
-        rounds,
-    )
+    return LPSolution("optimal" if ok else "tolerance-failure", x, y, res.fun, primal_res, dual_res, gap, cs)
 
 
 @dataclass(frozen=True)

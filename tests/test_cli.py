@@ -109,6 +109,14 @@ def test_certificate_without_solution_gives_no_coefficients(capsys, n, kappa, r)
     assert f"no (a, b, c, d) certificate of this form exists for (n, kappa) = ({n}, {kappa!r})" in fit["message"]
 
 
+def test_certificate_single_node_grid_exits_2(capsys):
+    # one node has only the diagonal, so the membership check would pass vacuously
+    code, out, err = run_cli(capsys, "certificate", "--dim", "4", "--kappa", "1", "--radius", "0.8", "--grid", "1")
+    assert code == 2
+    assert out == ""
+    assert "at least 2 angle nodes" in err
+
+
 def test_certificate_out_file(tmp_path, capsys):
     target = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -183,6 +191,42 @@ def test_lp_weak_duality_block_is_the_solution_residuals(capsys, monkeypatch):
         "dual_violation": sol.dual_residual,
     }
     assert entry["duality_gap"] == sol.duality_gap
+
+
+# the lp invocations of the benchmark's workloads, with their exit codes
+BENCHMARK_LPS = (
+    (0, "lp --dim 4 --kappa 1 --radius 0.8 --grid 80x40"),
+    (0, "lp --dim 2 --kappa 0 --radius 1.0 --grid 80x40"),
+    (0, "lp --dim 2 --kappa 0 --volume 3.141592653589793 --grid 40x20"),
+    (1, "lp --dim 4 --kappa -1 --radius 0.8"),
+    (0, "lp --table 2 --dim 4 --kappa 1 --m 3 --volume 0.4"),
+)
+
+
+@pytest.mark.parametrize("expected,argv", BENCHMARK_LPS, ids=[a for _, a in BENCHMARK_LPS])
+def test_lp_duals_print_nonnegative(capsys, expected, argv):
+    # a >= row has a dual >= 0; rounding must not print -6.9e-16 or -0.0
+    code, out, _ = run_cli(capsys, *shlex.split(argv))
+    assert code == expected
+    body = json.loads(out)["report"]
+    entry = body["table1"] if "table1" in body else body["table2_rescaled"]
+    assert entry["status"] == "optimal"
+    assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in entry["dual"].values()), entry["dual"]
+
+
+@pytest.mark.parametrize(
+    "argv,label",
+    [
+        ("lp --dim 4 --kappa 1 --radius 0.8 --grid 40x20", "table1"),
+        ("lp --table 2 --dim 4 --kappa 1 --m 3 --volume 0.4", "table2_rescaled"),
+    ],
+)
+def test_lp_optimum_is_exact_to_rounding_on_curve_aligned_grids(capsys, argv, label):
+    # the grid holds the ball's own chord measure, and the simplex returns a
+    # basic solution, so what is left is rounding, not a solver tolerance
+    code, out, _ = run_cli(capsys, *shlex.split(argv))
+    assert code == 0
+    assert json.loads(out)["report"][label]["relative_error"] <= 1e-12
 
 
 def test_lp_table2_quotient(capsys):
@@ -277,8 +321,8 @@ print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.mod
         (("relative", "--dim", "3", "--kappa", "1", "--m", "2", "--volume", "0.3", "--grid", "32"), False),
         (("profile", "--dim", "3", "--kappa", "-1", "--vmin", "0.5", "--vmax", "2", "--steps", "4"), False),
         (("lemma", "--case", "hyperbolic", "--grid", "20", "--starts", "20"), False),
-        # the two paths that need scipy: HiGHS for lp, adaptive quadrature for prince
-        (("lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5"), True),
+        (("lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5"), False),
+        # the one path that needs scipy: adaptive quadrature for prince
         (("prince", "--shape", "disk"), True),
     ],
     ids=lambda v: v[0].lstrip("-") if isinstance(v, tuple) else None,
@@ -462,6 +506,23 @@ def test_prince_unreadable_csv_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot read --csv {missing}")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("alpha,L\n0\n1\n", "CSV line 2: expected 2 fields alpha,L, got 1"),
+        ("", "empty CSV, expected header alpha,L"),
+    ],
+    ids=["one-field-row", "empty-file"],
+)
+def test_prince_malformed_csv_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "prince", "--shape", "csv", "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_relative_command(capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog
+from scipy.optimize import linprog as highs
 
-from isoplp import certificate
+from isoplp import certificate, lpcore
 from isoplp.lpcore import (
     GridSpec,
     LinearProgram,
@@ -231,10 +231,48 @@ def test_exact_pair_reports_zero_violation_with_positive_sign():
     assert math.copysign(1.0, sol.dual_residual) == 1.0
 
 
-def test_small_lp_is_solved_on_all_columns_in_one_round():
-    sol = solve(_tiny_lp())
+def _beale_lp():
+    """Beale's (1955) LP, on which Dantzig's rule with smallest-index ties cycles; optimum -1/20."""
+    return LinearProgram(
+        objective=np.array([-0.75, 150.0, -0.02, 6.0]),
+        row_matrix=-np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+        rhs=-np.array([0.0, 0.0, 1.0]),
+        row_labels=("first", "second", "cap"),
+    )
+
+
+@pytest.mark.parametrize("degenerate_run", [lpcore._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
+def test_beale_cycling_lp_reaches_its_optimum(monkeypatch, degenerate_run):
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", degenerate_run)
+    sol = solve(_beale_lp())
     assert sol.status == "optimal"
-    assert sol.pricing_rounds == 1
+    assert_allclose(sol.objective_value, -1.0 / 20.0, rtol=1e-14)
+    assert_allclose(sol.primal, [1.0 / 25.0, 0.0, 1.0, 0.0], atol=1e-15)
+
+
+def test_pivot_cap_is_a_tolerance_failure(monkeypatch):
+    monkeypatch.setattr(lpcore, "_PIVOTS_PER_ROW", 0)
+    sol = solve(_beale_lp())
+    assert sol.status == "tolerance-failure"
+    assert sol.primal is None and sol.dual is None
+
+
+@pytest.mark.parametrize("degenerate_run", [lpcore._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
+def test_degenerate_integer_lps_match_highs(monkeypatch, degenerate_run):
+    # small integer data with a feasible 0/1 point and many rows tight at it:
+    # ties in the ratio test and zero-length pivots are the rule, not the exception
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", degenerate_run)
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
+        matrix = rng.integers(-2, 3, (m, n)).astype(float)
+        rhs = matrix @ rng.integers(0, 2, n) - rng.integers(0, 2, m) * (rng.random(m) < 0.3)
+        cost = rng.integers(0, 4, n).astype(float)
+        lp = LinearProgram(cost, matrix, rhs, tuple(f"r{i}" for i in range(m)))
+        sol = solve(lp)
+        ref = highs(cost, A_ub=-matrix, b_ub=-rhs, bounds=(0.0, None), method="highs")
+        assert sol.status == "optimal" and ref.status == 0, seed
+        assert abs(sol.objective_value - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun)), seed
 
 
 N_DECOYS = 64
@@ -243,11 +281,11 @@ N_DECOYS = 64
 def _random_lp_with_decoys(n_rows, seed, n_vars=2000):
     """Feasible, bounded LP whose widest and cheapest columns are decoys.
 
-    Regular columns cost 1-2 times their coverage (column sum).  The first
-    pricing of an empty working set favours the widest columns (phase 1) and
+    Regular columns cost 1-2 times their coverage (column sum).  Dantzig
+    pricing from the first basis favours the widest columns (phase 1) and
     the cheapest ones (phase 2); here those are decoys that cost 100 times
-    their coverage or cover almost nothing, so no optimum uses them and the
-    solve has to price the grid more than once.
+    their coverage or cover almost nothing, so no optimum uses them and any
+    decoy the simplex brings into the basis has to leave it again.
     """
     rng = np.random.default_rng(seed)
     n_regular = n_vars - 2 * N_DECOYS
@@ -276,14 +314,13 @@ def _random_lp_with_decoys(n_rows, seed, n_vars=2000):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_column_generation_matches_all_column_solve(n_rows, seed):
+def test_simplex_matches_highs_on_decoy_lps(n_rows, seed):
     lp = _random_lp_with_decoys(n_rows, seed)
     sol = solve(lp)
     assert sol.status == "optimal"
-    ref = linprog(lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, bounds=(0.0, None), method="highs")
+    ref = highs(lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, bounds=(0.0, None), method="highs")
     assert ref.status == 0
     assert abs(sol.objective_value - ref.fun) <= 1e-9 * abs(ref.fun)
-    assert sol.pricing_rounds > 1
     assert _certifies(sol, 1e-7)
 
 
