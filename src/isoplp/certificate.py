@@ -242,6 +242,7 @@ def sup_integrand_dell(cert: DualCertificate, ell, alpha, beta):
 
 
 _SCAN_NODES = 512
+_SCAN_CHUNK = 1 << 18  # scan nodes x angle pairs evaluated per block
 _CAP_FACTOR = 40.0
 
 
@@ -256,11 +257,15 @@ def _sup_domain(cert: DualCertificate) -> tuple[float, bool]:
 def build_f(cert: DualCertificate, alpha, beta):
     """Numeric sup over chord lengths: returns (value, argmax) arrays.
 
-    Dense scan, then bisection on the analytic ell-derivative inside the
-    bracketing cell (golden-section fallback on plateaus).  For kappa < 0
-    the domain is capped at 40*max(1, sqrt(-kappa) r)/sqrt(-kappa), for
-    kappa = 0 at 40*max(1, r); a sup escaping to the cap raises
-    SupDomainError since the certificate then bounds nothing.
+    A scan over 512 chord lengths, in blocks of at most _SCAN_CHUNK
+    (length, pair) points, brackets each pair's maximum.  Where the analytic
+    ell-derivative changes sign across the bracket, bisection on it refines
+    the argmax until an iteration changes no bracket; the other pairs (a
+    maximum at ell = 0 or on a plateau) take a 60-step golden-section
+    search.  For kappa < 0 the domain is capped at
+    40*max(1, sqrt(-kappa) r)/sqrt(-kappa), for kappa = 0 at 40*max(1, r);
+    a sup escaping to the cap raises SupDomainError since the certificate
+    then bounds nothing.
     """
     a_arr = np.asarray(alpha, dtype=float)
     b_arr = np.asarray(beta, dtype=float)
@@ -269,8 +274,13 @@ def build_f(cert: DualCertificate, alpha, beta):
     B = np.broadcast_to(b_arr, shape).ravel()
     lmax, capped = _sup_domain(cert)
     nodes = np.linspace(0.0, lmax, _SCAN_NODES)
-    G = sup_integrand(cert, nodes[:, None], A[None, :], B[None, :])
-    k = np.argmax(G, axis=0)
+    k = np.empty(A.size, dtype=np.intp)
+    scan_max = np.empty(A.size)
+    step = max(1, _SCAN_CHUNK // _SCAN_NODES)
+    for i in range(0, A.size, step):
+        G = sup_integrand(cert, nodes[:, None], A[None, i : i + step], B[None, i : i + step])
+        k[i : i + step] = kb = np.argmax(G, axis=0)
+        scan_max[i : i + step] = G[kb, np.arange(kb.size)]
     if capped and np.any(k >= _SCAN_NODES - 1):
         raise SupDomainError(
             f"sup escaped past the domain cap ell={lmax:.3g} for "
@@ -283,29 +293,36 @@ def build_f(cert: DualCertificate, alpha, beta):
     dhi = sup_integrand_dell(cert, hi, A, B)
     cross = (dlo > 0.0) & (dhi < 0.0)
 
+    # once an iteration moves no bracket end, every later one is a fixed point
     blo, bhi = lo.copy(), hi.copy()
     for _ in range(70):
         mid = 0.5 * (blo + bhi)
         dm = sup_integrand_dell(cert, mid, A, B)
         take_hi = dm > 0.0
-        blo = np.where(cross & take_hi, mid, blo)
-        bhi = np.where(cross & ~take_hi, mid, bhi)
+        new_lo = np.where(cross & take_hi, mid, blo)
+        new_hi = np.where(cross & ~take_hi, mid, bhi)
+        if np.array_equal(new_lo, blo) and np.array_equal(new_hi, bhi):
+            break
+        blo, bhi = new_lo, new_hi
+    arg = 0.5 * (blo + bhi)
 
-    glo, ghi = lo.copy(), hi.copy()
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        x1 = ghi - inv * (ghi - glo)
-        x2 = glo + inv * (ghi - glo)
-        f1 = sup_integrand(cert, x1, A, B)
-        f2 = sup_integrand(cert, x2, A, B)
-        keep_right = f1 < f2
-        glo = np.where(keep_right, x1, glo)
-        ghi = np.where(keep_right, ghi, x2)
-    golden_arg = 0.5 * (glo + ghi)
+    flat = np.flatnonzero(~cross)
+    if flat.size:
+        glo, ghi = lo[flat], hi[flat]
+        Af, Bf = A[flat], B[flat]
+        inv = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(60):
+            x1 = ghi - inv * (ghi - glo)
+            x2 = glo + inv * (ghi - glo)
+            f1 = sup_integrand(cert, x1, Af, Bf)
+            f2 = sup_integrand(cert, x2, Af, Bf)
+            keep_right = f1 < f2
+            glo = np.where(keep_right, x1, glo)
+            ghi = np.where(keep_right, ghi, x2)
+        arg[flat] = 0.5 * (glo + ghi)
 
-    arg = np.where(cross, 0.5 * (blo + bhi), golden_arg)
     val = sup_integrand(cert, arg, A, B)
-    val = np.maximum(val, G[k, np.arange(A.size)])
+    val = np.maximum(val, scan_max)
     if shape == ():
         return float(val[0]), float(arg[0])
     return val.reshape(shape), arg.reshape(shape)

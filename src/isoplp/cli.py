@@ -214,12 +214,11 @@ def _cmd_lp(config: RunConfig):
     n_ell, n_alpha = config.get("grid")
     grid = lpcore.GridSpec(n_ell=n_ell, n_alpha=n_alpha)
     tol = config.get("tol")
-    solver_tol = 1e-9
 
     body = {"volume": V, "grid": {"n_ell": n_ell, "n_alpha": n_alpha}}
 
     def solve_one(lp, bound, label):
-        sol = lpcore.solve(lp, tol=solver_tol)
+        sol = lpcore.solve(lp, tol=lpcore.SOLVER_TOL)
         entry = {
             "status": sol.status,
             "optimum": sol.objective_value,
@@ -252,13 +251,13 @@ def _cmd_lp(config: RunConfig):
             lpcore.build_relative_lp(params, V, m, grid, fam, variant="rescaled"), bound, "table2_rescaled"
         )
         lp_printed = lpcore.build_relative_lp(params, V, m, grid, fam, variant="printed")
-        sol_printed = lpcore.solve(lp_printed, tol=solver_tol)
+        sol_printed = lpcore.solve(lp_printed, tol=lpcore.SOLVER_TOL)
         body["table2_printed_scaling"] = {
             "status": sol_printed.status,
             "optimum": sol_printed.objective_value,
             "bound": bound,
         }
-    return body, {"relative_error": tol, "solver": solver_tol}, passed
+    return body, {"relative_error": tol, "solver": lpcore.SOLVER_TOL}, passed
 
 
 def _cmd_measure_check(config: RunConfig):
@@ -298,6 +297,7 @@ def _cmd_measure_check(config: RunConfig):
             "santalo_exact": exact,
             "standard_error": se,
             "z_score": z,
+            "p_value": math.erfc(abs(z) / math.sqrt(2.0)),
         }
         passed = passed and abs(z) <= 3.0
     return body, {"relative": tol, "mc_z": 3.0}, passed

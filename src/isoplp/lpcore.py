@@ -45,6 +45,7 @@ from .spaceform import (
 )
 
 __all__ = [
+    "SOLVER_TOL",
     "LinearProgram",
     "LPSolution",
     "GridSpec",
@@ -117,6 +118,10 @@ _DEGENERATE_RUN = 10
 
 # pivot cap per row of the LP; reaching it is a tolerance-failure
 _PIVOTS_PER_ROW = 100
+
+# pricing and acceptance tolerance of solve, and the one `isoplp lp` reports;
+# at 1e-7 the simplex stopped early enough to move grid optima by up to 1.4e-7
+SOLVER_TOL = 1e-9
 
 
 def _basis_matrix(A_ub: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -235,7 +240,7 @@ def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
     return _violation(slack, x), _violation(reduced, y), gap, cs
 
 
-def solve(lp: LinearProgram, tol: float = 1e-7) -> LPSolution:
+def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
     """Solve the LP; statuses: optimal, infeasible, unbounded, tolerance-failure.
 
     The simplex `linprog` prices every column at tol and returns a basic

@@ -241,13 +241,25 @@ _GL_CHUNK = 1 << 18  # quadrature nodes evaluated per block
 
 
 @functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], as leggauss gives them.
+
+    Cached, as leggauss solves an n x n eigenproblem (0.7 ms at n = 24, 5-50 ms
+    at n = 200); the arrays are read-only because every caller shares them.
+    """
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@functools.lru_cache(maxsize=64)
 def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """_GL_ORDER-point Gauss-Legendre nodes and weights on each of `panels` equal panels of [0, 1].
 
-    Cached, as leggauss costs about 0.7 ms; the arrays are read-only because
-    every caller shares them.
+    Cached and read-only like _legendre_rule.
     """
-    x, w = leggauss(_GL_ORDER)
+    x, w = _legendre_rule(_GL_ORDER)
     nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
     rule = nodes.ravel(), np.tile(0.5 * w / panels, panels)
     for a in rule:

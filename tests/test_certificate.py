@@ -189,6 +189,39 @@ def test_build_f_interior_max_hyperbolic_domain():
     assert abs(d_at_arg) <= 1e-6 * max(1.0, abs(cert.d))
 
 
+def test_build_f_mixes_interior_and_zero_maxima():
+    # n = 2 flat: the integrand is (d - a sec a sec b) ell - b ell^2 (sec a + sec b)/4,
+    # so the sup sits at ell = 0 wherever cos a cos b <= a/d and inside otherwise;
+    # the first pairs take the golden-section fallback, the others the bisection
+    cert = DualCertificate(ModelParams(2, 0.0), 1.0, 0.5, 1.0, 0.0, 1.0)
+    a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 40)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    val, arg = build_f(cert, A, B)
+    at_zero = np.cos(A) * np.cos(B) <= 0.5
+    assert 0 < np.count_nonzero(at_zero) < at_zero.size
+    ell = np.linspace(0.0, 1.0, 100001)
+    dense = sup_integrand(cert, ell[:, None], A.ravel()[None, :], B.ravel()[None, :])
+    ref_val = dense.max(axis=0).reshape(A.shape)
+    ref_arg = ell[np.argmax(dense, axis=0)].reshape(A.shape)
+    # the dense scan's step is 1e-5; its value misses the sup by at most ~1e-10
+    assert np.all(val >= ref_val - 1e-15)
+    assert_allclose(val, ref_val, rtol=0, atol=1e-9)
+    assert_allclose(arg, ref_arg, rtol=0, atol=1e-5)
+    assert np.all(arg[at_zero] <= 1e-6)
+
+
+def test_build_f_blocked_scan_matches_one_block(monkeypatch):
+    # 6,400 pairs take 13 scan blocks of 512 pairs; one block holds them all
+    cert = paper_certificate(ModelParams(4, 1.0), 0.8)
+    a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 80)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    val, arg = build_f(cert, A, B)
+    monkeypatch.setattr("isoplp.certificate._SCAN_CHUNK", 512 * A.size)
+    one_val, one_arg = build_f(cert, A, B)
+    assert np.array_equal(val, one_val)
+    assert np.array_equal(arg, one_arg)
+
+
 def test_sup_domain_error_when_unbounded():
     # a certificate with all functional weights zero grows linearly in ell
     cert = DualCertificate(ModelParams(2, -1.0), 1.0, 0.0, 0.0, 0.0, 1.0)

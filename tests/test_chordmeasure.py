@@ -18,7 +18,7 @@ from isoplp.chordmeasure import (
     sample_chords,
     santalo_residual,
 )
-from isoplp.spaceform import ModelParams, ball_from_radius, sphere_volume
+from isoplp.spaceform import ModelParams, _legendre_rule, ball_from_radius, sphere_volume
 
 DISK = ball_from_radius(ModelParams(2, 0.0), 1.0)
 BALL4 = ball_from_radius(ModelParams(4, 0.0), 1.0)
@@ -29,6 +29,23 @@ def test_gauss_legendre_polynomial_exactness():
     # degree 11 is integrated exactly by 6 nodes
     assert_allclose(np.sum(w * x ** 11), 2.0 ** 12 / 12.0, rtol=1e-13)
     assert_allclose(np.sum(w), 2.0, rtol=1e-14)
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = _legendre_rule(200)
+    assert _legendre_rule(200)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    ref = np.polynomial.legendre.leggauss(200)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    # what gauss_legendre hands out is the caller's own copy
+    nodes, weights = gauss_legendre(0.0, 2.0, 200)
+    expect = nodes.copy(), weights.copy()
+    nodes[:] = 0.0
+    weights[:] = 0.0
+    again = gauss_legendre(0.0, 2.0, 200)
+    assert np.array_equal(again[0], expect[0]) and np.array_equal(again[1], expect[1])
 
 
 def test_measure_validation():

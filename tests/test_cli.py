@@ -322,13 +322,17 @@ print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.mod
         (("profile", "--dim", "3", "--kappa", "-1", "--vmin", "0.5", "--vmax", "2", "--steps", "4"), False),
         (("lemma", "--case", "hyperbolic", "--grid", "20", "--starts", "20"), False),
         (("lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "10x5"), False),
-        # the one path that needs scipy: adaptive quadrature for prince
-        (("prince", "--shape", "disk"), True),
+        # prince integrates the profile with its own numpy quadrature
+        (("prince", "--shape", "disk"), False),
+        pytest.param(("prince", "--shape", "square"), False, id="prince-square-False"),
+        pytest.param(("prince", "--shape", "csv", "--csv", "{csv}"), False, id="prince-csv-False"),
     ],
     ids=lambda v: v[0].lstrip("-") if isinstance(v, tuple) else None,
 )
-def test_scipy_loaded_only_where_used(argv, uses_scipy):
-    code, loaded = _run_probe(_SCIPY_PROBE, *argv)
+def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
+    table = tmp_path / "profile.csv"
+    table.write_text("alpha,L\n-1.5,0.1\n0,2\n1.5,0.1\n")
+    code, loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
     assert code == "0"
     assert loaded == str(uses_scipy)
 
@@ -365,7 +369,11 @@ def test_measure_check_deterministic_mc(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["passed"] is True
-    assert abs(report["report"]["monte_carlo"]["z_score"]) <= 3.0
+    mc = report["report"]["monte_carlo"]
+    assert abs(mc["z_score"]) <= 3.0
+    # two-sided normal tail of the z-score; the 3-sigma gate is p >= 0.0027
+    assert mc["p_value"] == math.erfc(abs(mc["z_score"]) / math.sqrt(2.0))
+    assert mc["p_value"] >= math.erfc(3.0 / math.sqrt(2.0))
 
 
 def test_measure_check_mc_needs_seed(capsys):
@@ -493,6 +501,27 @@ def test_prince_csv_shape(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["report"]["pp_margin"] > 0.0
+
+
+def test_prince_csv_table_of_2001_knots(tmp_path, capsys):
+    # a lopsided piecewise-linear profile; its integrals are exact segment by segment
+    x = [-math.pi / 2.0 + math.pi * i / 2000 for i in range(2001)]
+    y = [1.0 + math.cos(t) + 0.5 * math.sin(3.0 * t) for t in x]
+    path = tmp_path / "profile.csv"
+    path.write_text("alpha,L\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(x, y)))
+    code, out, _ = run_cli(capsys, "prince", "--shape", "csv", "--csv", str(path))
+    assert code == 0
+    report = json.loads(out)["report"]
+    segs = list(zip(x, x[1:], y, y[1:]))
+    area = math.fsum((x1 - x0) * (y0 * y0 + y0 * y1 + y1 * y1) / 6.0 for x0, x1, y0, y1 in segs)
+    # integral of the linear piece times cos, with cos x1 - cos x0 = -2 sin(m) sin(h/2)
+    pull = math.fsum(
+        y0 * (math.sin(x1) - math.sin(x0))
+        + (y1 - y0) / (x1 - x0) * ((x1 - x0) * math.sin(x1) - 2.0 * math.sin(0.5 * (x1 + x0)) * math.sin(0.5 * (x1 - x0)))
+        for x0, x1, y0, y1 in segs
+    )
+    assert report["area"] == pytest.approx(area, rel=1e-13)
+    assert report["gravity"] == pytest.approx(pull / (2.0 * math.pi), rel=1e-13)
 
 
 def test_prince_csv_requires_path(capsys):

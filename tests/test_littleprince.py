@@ -56,6 +56,28 @@ def test_ellipse_reduces_to_disk():
     assert abs(verify_pp(dom)) <= 1e-10
 
 
+@pytest.mark.parametrize("a,b", [(math.sqrt(10.0 ** e), 1.0 / math.sqrt(10.0 ** e)) for e in range(-6, 9)], ids=lambda v: f"{v:g}")
+def test_eccentric_ellipse_matches_closed_forms(a, b):
+    # area pi a b and gravity a b/(a + b) at aspect ratios a/b from 1e-6 to 1e8,
+    # (1000, 0.001) and (10000, 0.0001) among them
+    dom = ellipse(a, b)
+    assert gravity(dom) == pytest.approx(a * b / (a + b), rel=1e-14)
+    # for a < b the profile falls to 0 within a/b of alpha = +-pi/2, where the
+    # nodes themselves carry a rounding of ~2e-16 (one ulp of pi/2)
+    assert area(dom) == pytest.approx(math.pi * a * b, rel=1e-14 + 2e-16 * max(1.0, b / a))
+
+
+def test_profile_quadrature_converges_or_fails_loudly():
+    # a jump off the knots keeps one panel open per round until it settles; the
+    # panel holding it settles with an error of up to ~1e-12
+    step = StarDomain(lambda a: np.where(a > 0.3, 2.0, 1.0), tag="step")
+    assert area(step) == pytest.approx(0.5 * (math.pi / 2.0 + 0.3) + 2.0 * (math.pi / 2.0 - 0.3), rel=1e-11)
+    with pytest.raises(ValueError, match="not finite"):
+        area(StarDomain(lambda a: np.where(a > 0.3, np.nan, 1.0), tag="nan"))
+    with pytest.raises(ValueError, match="did not settle"):
+        gravity(StarDomain(lambda a: np.abs(np.sin(1e7 * a)), tag="rough"))
+
+
 def test_square_oracle_values():
     dom = square_side_midpoint()
     assert area(dom) == pytest.approx(1.0, rel=1e-10)
@@ -70,6 +92,10 @@ def test_shape_validation():
         ellipse(0.0, 1.0)
     with pytest.raises(ValueError):
         ellipse(1.0, -2.0)
+    # an a/b the angles cannot resolve, or one that is not a finite float
+    for a, b in ((1e-9, 1.0), (1e200, 1e-200), (1e-200, 1e200)):
+        with pytest.raises(ValueError, match="axis ratio"):
+            ellipse(a, b)
 
 
 def test_from_table_matches_disk():
