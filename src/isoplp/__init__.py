@@ -12,21 +12,4 @@ Modules:
     cli           command line front end
 """
 
-import os
-
 __version__ = "0.1.0"
-
-
-def _pin_blas_threads() -> None:
-    """Copy ISOPLP_THREADS to the BLAS thread variables the user left unset.
-
-    BLAS reads them once, when numpy loads; this package module runs before
-    any of its submodules imports numpy.
-    """
-    threads = os.environ.get("ISOPLP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-_pin_blas_threads()

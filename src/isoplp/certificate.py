@@ -11,6 +11,7 @@ pins the coefficients up to scale, and the induced admissible test function
 
     f(alpha, beta) = sup_ell [ d*ell - a*F1 - b*F2 - c*F3 ](ell, alpha, beta)
 
+(F1..F4 as in chordmeasure.chord_functional, which the LP rows also read)
 closes the duality argument.  This module reconstructs coefficients
 numerically (SVD of the collocated consistency system), writes the paper's
 certificates for n in {2, 4} at any curvature in closed form, computes f
@@ -26,14 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spaceform import (
-    ModelParams,
-    candle,
-    candle_anti,
-    candle_anti2,
-    candle_prime,
-    chord_T,
-)
+from .chordmeasure import chord_functional
+from .spaceform import ModelParams, chord_T
 
 __all__ = [
     "DualCertificate",
@@ -97,16 +92,10 @@ class ConsistencyFit(NamedTuple):
 
 
 def _consistency_columns(params: ModelParams, r: float, ell: np.ndarray) -> np.ndarray:
+    """(F1', F2', F3', -F4') on the chord curve, where cos(alpha) = cos(beta) = T."""
     T = np.asarray(chord_T(params.kappa, r, ell))
-    cols = np.column_stack(
-        [
-            np.asarray(candle_prime(params, ell)) / T ** 2,
-            np.asarray(candle(params, ell)) / T,
-            np.asarray(candle_anti(params, ell)),
-            -np.ones_like(T),
-        ]
-    )
-    return cols
+    cols = [chord_functional(params, k, ell, T, T, dell=True) for k in (1, 2, 3)]
+    return np.column_stack(cols + [-chord_functional(params, 4, ell, T, T, dell=True)])
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -173,7 +162,16 @@ def _atan_kappa(kappa: float, x):
     return x
 
 
-def _make_reference(params: ModelParams, r: float) -> DualCertificate | None:
+def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
+    """The paper's certificate for n in {2, 4} at any curvature, with T = tan_kappa(r).
+
+    n = 4: (a, b, c, d) = (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
+    n = 2: (0, 1, kappa T, 2 T) with the closed sup 2 T atan_kappa(2 T/(sec a + sec b)).
+    """
+    if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
+        raise ValueError("radius must be strictly inside the hemisphere")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
     n, kappa = params.n, params.kappa + 0.0  # kappa = -0.0 must not give b = -0.0
     t = _tan_kappa(kappa, r)
     if n == 4:
@@ -192,53 +190,31 @@ def _make_reference(params: ModelParams, r: float) -> DualCertificate | None:
             f_closed=lambda a, b: 2.0 * t * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
             argmax_closed=lambda a, b: 2.0 * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
         )
-    return None
+    raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {n}")
 
 
-def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
-    """The paper's certificate for n in {2, 4} at any curvature, with T = tan_kappa(r).
-
-    n = 4: (a, b, c, d) = (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
-    n = 2: (0, 1, kappa T, 2 T) with the closed sup 2 T atan_kappa(2 T/(sec a + sec b)).
-    """
-    if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
-        raise ValueError("radius must be strictly inside the hemisphere")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"radius must be positive and finite, got {r!r}")
-    cert = _make_reference(params, r)
-    if cert is None:
-        raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {params.n}")
-    return cert
-
-
-def sup_integrand(cert: DualCertificate, ell, alpha, beta):
-    """d*ell - a*F1 - b*F2 - c*F3 at one chord; f is its sup over ell.
+def _combined_row(cert: DualCertificate, ell, alpha, beta, dell: bool):
+    """d*F4 - a*F1 - b*F2 - c*F3, or its ell-derivative.
 
     Zero coefficients skip their term, so secant factors of unused rows
     cannot poison the arithmetic.
     """
-    params = cert.params
-    out = cert.d * np.asarray(ell, dtype=float)
-    if cert.a != 0.0:
-        out = out - cert.a * candle(params, ell) / (np.cos(alpha) * np.cos(beta))
-    if cert.b != 0.0:
-        out = out - cert.b * candle_anti(params, ell) / 2.0 * _sec_sum(alpha, beta)
-    if cert.c != 0.0:
-        out = out - cert.c * candle_anti2(params, ell)
+    cos_a, cos_b = np.cos(alpha), np.cos(beta)
+    out = cert.d * chord_functional(cert.params, 4, ell, cos_a, cos_b, dell)
+    for k, coef in ((1, cert.a), (2, cert.b), (3, cert.c)):
+        if coef != 0.0:
+            out = out - coef * chord_functional(cert.params, k, ell, cos_a, cos_b, dell)
     return out
+
+
+def sup_integrand(cert: DualCertificate, ell, alpha, beta):
+    """d*ell - a*F1 - b*F2 - c*F3 at one chord; f is its sup over ell."""
+    return _combined_row(cert, ell, alpha, beta, dell=False)
 
 
 def sup_integrand_dell(cert: DualCertificate, ell, alpha, beta):
     """Derivative of sup_integrand in the chord length."""
-    params = cert.params
-    out = np.full(np.broadcast(np.asarray(ell, float), alpha, beta).shape, cert.d, dtype=float)
-    if cert.a != 0.0:
-        out = out - cert.a * candle_prime(params, ell) / (np.cos(alpha) * np.cos(beta))
-    if cert.b != 0.0:
-        out = out - cert.b * candle(params, ell) / 2.0 * _sec_sum(alpha, beta)
-    if cert.c != 0.0:
-        out = out - cert.c * candle_anti(params, ell)
-    return out
+    return _combined_row(cert, ell, alpha, beta, dell=True)
 
 
 _SCAN_NODES = 512

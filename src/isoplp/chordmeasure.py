@@ -26,6 +26,7 @@ from .spaceform import (
     candle,
     candle_anti,
     candle_anti2,
+    candle_prime,
     chord_T,
     chord_T_inverse,
     chord_T_prime,
@@ -39,6 +40,7 @@ __all__ = [
     "ball_chord_density",
     "discretize_ball_measure",
     "sample_chords",
+    "chord_functional",
     "integrate",
     "santalo_residual",
     "croke_residual",
@@ -148,17 +150,38 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
     return DiscreteMeasure(ell, alpha, alpha, mass)
 
 
+def chord_functional(params: ModelParams, k: int, ell, cos_a, cos_b, dell: bool = False):
+    """F_k at chords (ell, alpha, beta) given cos(alpha), cos(beta); its ell-derivative if dell.
+
+    Each F_k is an ell factor times an angle factor:
+    F1 = candle(ell) / (cos a cos b), F2 = candle_anti(ell) (sec a + sec b)/2,
+    F3 = candle_anti2(ell), F4 = ell.  Arguments broadcast, so an ell column
+    against an angle grid evaluates each factor once.  These are the LP's
+    structural rows and the terms a certificate (a, b, c, d) weights.
+    """
+    if k == 4:
+        ell = np.asarray(ell, dtype=float)
+        return np.ones_like(ell) if dell else ell
+    if k not in (1, 2, 3):
+        raise ValueError(f"unknown functional F{k}; expected F1, F2, F3 or F4")
+    # each entry is the ell-derivative of the next, so F_k' steps its ell factor one
+    # down; the names are read at call time, so a rebinding of them takes effect
+    ladder = (candle_prime, candle, candle_anti, candle_anti2)
+    factor = np.asarray(ladder[k - dell](params, ell))
+    if k == 1:
+        return factor / (cos_a * cos_b)
+    if k == 2:
+        return factor / 2.0 * (1.0 / cos_a + 1.0 / cos_b)
+    return factor
+
+
 class SingularAtomError(ValueError):
     """An atom with positive mass sits where the integrand is infinite."""
 
 
-def _sec_sum_checked(measure: DiscreteMeasure, need_alpha: bool, need_beta: bool):
+def _sec_sum_checked(measure: DiscreteMeasure) -> None:
     margin = 1e-12
-    bad = np.zeros(measure.size, dtype=bool)
-    if need_alpha:
-        bad |= measure.alpha >= math.pi / 2 - margin
-    if need_beta:
-        bad |= measure.beta >= math.pi / 2 - margin
+    bad = (measure.alpha >= math.pi / 2 - margin) | (measure.beta >= math.pi / 2 - margin)
     bad &= measure.mass > 0
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -168,30 +191,16 @@ def _sec_sum_checked(measure: DiscreteMeasure, need_alpha: bool, need_beta: bool
         )
 
 
-def integrate(measure: DiscreteMeasure, functional, params: ModelParams) -> float:
-    """Integrate one of the canonical chord functionals, or a callable f(alpha, beta).
-
-    Canonical ids: F1 candle(ell)/(cos a cos b); F2 symmetrized
-    candle_anti(ell)/2 * (sec a + sec b); F3 candle_anti2(ell); F4 ell.
-    """
-    if callable(functional):
-        vals = functional(measure.alpha, measure.beta)
-        return float(np.dot(measure.mass, vals))
-    if functional == "F1":
-        _sec_sum_checked(measure, True, True)
-        vals = candle(params, measure.ell) / (np.cos(measure.alpha) * np.cos(measure.beta))
-    elif functional == "F2":
-        _sec_sum_checked(measure, True, True)
-        vals = candle_anti(params, measure.ell) / 2.0 * (
-            1.0 / np.cos(measure.alpha) + 1.0 / np.cos(measure.beta)
-        )
-    elif functional == "F3":
-        vals = candle_anti2(params, measure.ell)
-    elif functional == "F4":
-        vals = measure.ell
-    else:
-        raise ValueError(f"unknown functional {functional!r}; expected F1, F2, F3, F4 or a callable")
-    return float(np.dot(measure.mass, vals))
+def integrate(measure: DiscreteMeasure, functional: str, params: ModelParams) -> float:
+    """Integrate one of the chord functionals "F1".."F4" (see chord_functional)."""
+    if functional not in ("F1", "F2", "F3", "F4"):
+        raise ValueError(f"unknown functional {functional!r}; expected F1, F2, F3 or F4")
+    k = int(functional[1])
+    cosines = (None, None)  # F3 and F4 have no angle factor
+    if k <= 2:
+        _sec_sum_checked(measure)
+        cosines = (np.cos(measure.alpha), np.cos(measure.beta))
+    return float(np.dot(measure.mass, chord_functional(params, k, measure.ell, *cosines)))
 
 
 def santalo_residual(ball: BallGeometry, measure: DiscreteMeasure) -> float:

@@ -416,12 +416,13 @@ def _cmd_prince(config: RunConfig):
         dom = littleprince.from_csv(text)
     g = littleprince.gravity(dom)
     a = littleprince.area(dom)
-    margin = littleprince.verify_pp(dom)
+    disk_g = littleprince.disk_gravity(a)
+    margin = disk_g - g  # littleprince.verify_pp(dom), from the integrals already taken
     body = {
         "shape": dom.tag,
         "gravity": g,
         "area": a,
-        "disk_gravity_same_area": littleprince.disk_gravity(a),
+        "disk_gravity_same_area": disk_g,
         "pp_margin": margin,
         "dual_chain_bound": littleprince.dual_chain_bound(a),
         "weil_perimeter_bound": littleprince.weil_bound(a),

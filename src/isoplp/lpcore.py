@@ -32,17 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordmeasure import gauss_legendre
-from .spaceform import (
-    ModelParams,
-    ball_from_volume,
-    candle,
-    candle_anti,
-    candle_anti2,
-    chord_T_inverse,
-    delta_weight,
-    sphere_volume,
-)
+from .chordmeasure import chord_functional, gauss_legendre
+from .spaceform import ModelParams, ball_from_volume, chord_T_inverse, delta_weight, sphere_volume
 
 __all__ = [
     "SOLVER_TOL",
@@ -331,74 +322,21 @@ def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
     return alpha, np.unique(np.concatenate([chord_T_inverse(params.kappa, r_curve, np.cos(alpha)), fill]))
 
 
-def _assemble(
-    params: ModelParams,
-    area_coeff: float,
-    vol_coeff: float,
-    rhs_c: float,
-    rhs_d: float,
-    f_rhs_scale: float,
-    r_curve: float,
-    grid: GridSpec,
-    f_family,
-) -> LinearProgram:
-    """Rows over the atoms (ell, alpha, beta) in C order, after the area column.
-
-    Every atom row is a function of ell times a function of (alpha, beta),
-    so each factor is evaluated once and the rows are filled by broadcasting.
-    """
-    alpha, ell = _grid_nodes(params, r_curve, grid)
-    sec = 1.0 / np.cos(alpha)
-    sec_a, sec_b = sec[:, None], sec[None, :]
-    A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
-
-    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(
-        f"profile-{name}" for name, _ in f_family
-    )
-    row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
-    row_matrix[0, 0] = area_coeff
-    row_matrix[1, 0] = vol_coeff
-    # splitting the column axis keeps a view, so writes land in row_matrix
-    atoms = row_matrix[:, 1:].reshape(len(labels), ell.size, alpha.size, alpha.size)
-    atoms[0] = -(np.asarray(candle(params, ell))[:, None, None] * sec_a * sec_b)
-    atoms[1] = -(np.asarray(candle_anti(params, ell))[:, None, None] / 2.0 * (sec_a + sec_b))
-    atoms[2] = -np.asarray(candle_anti2(params, ell))[:, None, None]
-    atoms[3] = ell[:, None, None]
-    rhs = [0.0, 0.0, rhs_c, rhs_d]
-    for row, (_, f) in enumerate(f_family, start=4):
-        atoms[row] = -np.asarray(f(A_, B_), dtype=float)
-        rhs.append(-f_rhs_scale * diagonal_profile_integral(f, params.n))
-
-    objective = np.zeros(row_matrix.shape[1])
-    objective[0] = 1.0
-    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels)
-
-
 def build_isoperimetric_lp(
     params: ModelParams, V: float, grid: GridSpec, f_family
 ) -> LinearProgram:
     """LP whose optimum should match the area of the model ball of volume V.
 
-    Variables: A followed by one mass per atom.  Rows:
+    Variables: A followed by one mass per atom (ell, alpha, beta), in C
+    order.  Rows:
       A*area_B  >= integral F1      (boundary-boundary visibility)
       A*V       >= integral F2      (boundary-interior visibility)
       V^2       >= integral F3      (interior-interior visibility)
       integral ell >= omega_{n-1} V (total chord length)
       integral f <= area_B * diagonal profile of f, per admissible f
+    It is the relative LP at multiplicity 1, whose coefficients are exact there.
     """
-    ball = ball_from_volume(params, V)
-    omega = sphere_volume(params.n - 1)
-    return _assemble(
-        params,
-        area_coeff=ball.area,
-        vol_coeff=V,
-        rhs_c=-V * V,
-        rhs_d=omega * V,
-        f_rhs_scale=ball.area,
-        r_curve=ball.radius,
-        grid=grid,
-        f_family=f_family,
-    )
+    return build_relative_lp(params, V, 1, grid, f_family)
 
 
 def build_relative_lp(
@@ -418,6 +356,9 @@ def build_relative_lp(
     (rhs m*V^2 on the F3 row, omega_{n-1}*V on the length row);
     variant="printed" keeps the alternative printed scaling
     (omega_{n-1}*m*V^2 and bare V) for comparison.
+
+    Every atom row is a function of ell times a function of (alpha, beta),
+    so each factor is evaluated once and the rows are filled by broadcasting.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -427,19 +368,29 @@ def build_relative_lp(
     omega = sphere_volume(params.n - 1)
     a_rel = ball0.area / m
     if variant == "rescaled":
-        rhs_c = -m * V * V
-        rhs_d = omega * V
+        rhs = [0.0, 0.0, -m * V * V, omega * V]
     else:
-        rhs_c = -omega * m * V * V
-        rhs_d = V
-    return _assemble(
-        params,
-        area_coeff=m * a_rel,
-        vol_coeff=m * V,
-        rhs_c=rhs_c,
-        rhs_d=rhs_d,
-        f_rhs_scale=a_rel,
-        r_curve=ball0.radius,
-        grid=grid,
-        f_family=f_family,
+        rhs = [0.0, 0.0, -omega * m * V * V, V]
+
+    alpha, ell = _grid_nodes(params, ball0.radius, grid)
+    cos = np.cos(alpha)
+    A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(
+        f"profile-{name}" for name, _ in f_family
     )
+    row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
+    row_matrix[0, 0] = m * a_rel
+    row_matrix[1, 0] = m * V
+    # splitting the column axis keeps a view, so writes land in row_matrix
+    atoms = row_matrix[:, 1:].reshape(len(labels), ell.size, alpha.size, alpha.size)
+    # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below
+    for k in (1, 2, 3, 4):
+        Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
+        atoms[k - 1] = Fk if k == 4 else -Fk
+    for row, (_, f) in enumerate(f_family, start=4):
+        atoms[row] = -np.asarray(f(A_, B_), dtype=float)
+        rhs.append(-a_rel * diagonal_profile_integral(f, params.n))
+
+    objective = np.zeros(row_matrix.shape[1])
+    objective[0] = 1.0
+    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels)

@@ -131,35 +131,19 @@ def _cs(kappa: float, t: np.ndarray) -> np.ndarray:
 _SERIES_CUT = 0.25
 
 
-def _w_minus_sin(w: np.ndarray) -> np.ndarray:
-    """w - sin(w), stable near 0 (direct form loses all digits there)."""
+def _cubic_gap(w: np.ndarray, hyperbolic: bool) -> np.ndarray:
+    """w - sin(w), or sinh(w) - w when hyperbolic; stable near 0 (direct form loses all digits there)."""
     w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
     small = np.abs(w) < _SERIES_CUT
     ws = w[small]
-    w2 = ws * ws
+    v = ws * ws if hyperbolic else -(ws * ws)
     out[small] = (
         ws ** 3 / 6.0
-        * (1.0 - w2 / 20.0 * (1.0 - w2 / 42.0 * (1.0 - w2 / 72.0 * (1.0 - w2 / 110.0))))
+        * (1.0 + v / 20.0 * (1.0 + v / 42.0 * (1.0 + v / 72.0 * (1.0 + v / 110.0))))
     )
     wb = w[~small]
-    out[~small] = wb - np.sin(wb)
-    return out
-
-
-def _sinh_minus_w(w: np.ndarray) -> np.ndarray:
-    """sinh(w) - w, stable near 0."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < _SERIES_CUT
-    ws = w[small]
-    w2 = ws * ws
-    out[small] = (
-        ws ** 3 / 6.0
-        * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0 * (1.0 + w2 / 72.0 * (1.0 + w2 / 110.0))))
-    )
-    wb = w[~small]
-    out[~small] = np.sinh(wb) - wb
+    out[~small] = np.sinh(wb) - wb if hyperbolic else wb - np.sin(wb)
     return out
 
 
@@ -343,7 +327,7 @@ def candle_anti2(params: ModelParams, t) -> float | np.ndarray:
         cap = params.conjugate_radius
         u = rt * np.minimum(arr, cap)
         if n == 2:
-            base = _w_minus_sin(u) * kappa ** -1.5
+            base = _cubic_gap(u, hyperbolic=False) * kappa ** -1.5
             slope = 2.0 / kappa
         else:
             base = _psi4(u, hyperbolic=False) * kappa ** -2.5
@@ -354,7 +338,7 @@ def candle_anti2(params: ModelParams, t) -> float | np.ndarray:
     rt = math.sqrt(-kappa)
     u = rt * arr
     if n == 2:
-        val = _sinh_minus_w(u) * rt ** -3
+        val = _cubic_gap(u, hyperbolic=True) * rt ** -3
     else:
         val = _psi4(u, hyperbolic=True) * rt ** -5
     return _wrap(val, scalar)

@@ -125,12 +125,6 @@ def test_quadrature_refinement_converges():
     assert resid[2] <= resid[0] + 1e-12
 
 
-def test_integrate_callable_profile():
-    mu = discretize_ball_measure(DISK, 120)
-    # integrating f(alpha, beta) = 1 recovers the total mass
-    assert_allclose(integrate(mu, lambda a, b: np.ones_like(a), DISK.params), mu.total_mass, rtol=1e-13)
-
-
 def test_integrate_rejects_singular_secant():
     mu = DiscreteMeasure([1.0], [math.pi / 2.0], [0.0], [1.0])
     with pytest.raises(SingularAtomError):

@@ -279,26 +279,14 @@ def test_lp_rejects_zero_multiplicity(capsys):
     assert "--m" in err and "must be > 0" in err
 
 
-def _run_probe(probe, *argv, env_overrides=None):
+def _run_probe(probe, *argv):
     """stdout of a fresh interpreter running probe with this checkout's isoplp."""
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "ISOPLP_THREADS"}
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(isoplp.__file__)))
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_overrides or {})
     done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
-
-
-def _import_isoplp_with(env_overrides):
-    probe = "import os, sys, isoplp; print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
-    return _run_probe(probe, env_overrides=env_overrides)
-
-
-def test_isoplp_threads_applied_before_numpy_loads():
-    assert _import_isoplp_with({"ISOPLP_THREADS": "1"}) == ["1", "False"]
-    # an explicit BLAS setting wins
-    assert _import_isoplp_with({"ISOPLP_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}) == ["2", "False"]
 
 
 _SCIPY_PROBE = """

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog as highs
 
 from isoplp import certificate, lpcore
+from isoplp.chordmeasure import DiscreteMeasure, integrate
 from isoplp.lpcore import (
     GridSpec,
     LinearProgram,
@@ -195,6 +196,30 @@ def test_lp_monotone_under_refinement():
     assert errs[2] <= errs[0] + 1e-6
 
 
+@pytest.mark.parametrize("n,kappa,r", [(4, 1.0, 0.8), (2, 0.0, 1.0)])
+def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
+    # rows 0-2 hold -F1, -F2, -F3 and row 3 holds +F4, so at every atom the
+    # certificate's d*F4 - a*F1 - b*F2 - c*F3 is (a, b, c, d) . column; the
+    # pricing of LP columns by the certificate rests on this
+    params = ModelParams(n, kappa)
+    V = ball_from_radius(params, r).volume
+    grid = GridSpec(12, 6)
+    lp = build_isoperimetric_lp(params, V, grid, [])
+    alpha, ell = _grid_nodes(params, ball_from_volume(params, V).radius, grid)
+    L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
+    cols = lp.row_matrix[:4, 1:]
+    cert = certificate.paper_certificate(params, r)
+    coeffs = np.array(cert.coefficients)
+    eps = np.finfo(float).eps
+    gap = np.abs(certificate.sup_integrand(cert, L, A, B) - coeffs @ cols)
+    assert np.all(gap <= 8 * eps * (np.abs(coeffs) @ np.abs(cols)))
+    # a one-atom unit-mass measure integrates F_k to that atom's row entry
+    for atom in range(L.size):
+        mu = DiscreteMeasure([L[atom]], [A[atom]], [B[atom]], [1.0])
+        for k, sign in ((1, -1.0), (2, -1.0), (3, -1.0), (4, 1.0)):
+            assert_allclose(integrate(mu, f"F{k}", params), sign * cols[k - 1, atom], rtol=4 * eps, atol=0.0)
+
+
 def test_relative_lp_m1_reduces_to_table1():
     params = ModelParams(2, 0.0)
     ball = ball_from_radius(params, 1.0)
@@ -202,8 +227,10 @@ def test_relative_lp_m1_reduces_to_table1():
     grid = GridSpec(24, 12)
     lp1 = build_isoperimetric_lp(params, ball.volume, grid, fam)
     lp2 = build_relative_lp(params, ball.volume, 1, grid, fam)
-    assert_allclose(lp2.row_matrix, lp1.row_matrix, rtol=1e-12, atol=1e-14)
-    assert_allclose(lp2.rhs, lp1.rhs, rtol=1e-12)
+    # every m = 1 coefficient (1 * a, a / 1, -1 * V * V) is exact
+    np.testing.assert_array_equal(lp2.row_matrix, lp1.row_matrix)
+    np.testing.assert_array_equal(lp2.rhs, lp1.rhs)
+    np.testing.assert_array_equal(lp2.objective, lp1.objective)
 
 
 def test_relative_lp_flat_bound():
