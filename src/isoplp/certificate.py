@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chordmeasure import chord_functional
-from .spaceform import ModelParams, chord_T
+from .spaceform import ModelParams, _atn, _tn, chord_T
 
 __all__ = [
     "DualCertificate",
@@ -113,7 +113,7 @@ def solve_consistency(params: ModelParams, r: float) -> ConsistencyFit:
     max defect on a 10x denser grid.  Raises DegenerateConsistencyError when
     the kernel is not one dimensional.
     """
-    if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
+    if r >= params.hemisphere_radius:
         raise ValueError("radius must be strictly inside the hemisphere")
     lo, hi = 0.02 * 2.0 * r, 0.98 * 2.0 * r
     cols = _consistency_columns(params, r, _cheb_nodes(lo, hi, 64))
@@ -140,40 +140,18 @@ def _sec_sum(alpha, beta):
     return 1.0 / np.cos(alpha) + 1.0 / np.cos(beta)
 
 
-def _tan_kappa(kappa: float, r: float) -> float:
-    """tan(sqrt(k) r)/sqrt(k), r, or tanh(sqrt(-k) r)/sqrt(-k)."""
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        return math.tan(rt * r) / rt
-    if kappa < 0.0:
-        rt = math.sqrt(-kappa)
-        return math.tanh(rt * r) / rt
-    return r
-
-
-def _atan_kappa(kappa: float, x):
-    """Inverse of _tan_kappa in its length argument."""
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        return np.arctan(rt * x) / rt
-    if kappa < 0.0:
-        rt = math.sqrt(-kappa)
-        return np.arctanh(rt * x) / rt
-    return x
-
-
 def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
     """The paper's certificate for n in {2, 4} at any curvature, with T = tan_kappa(r).
 
     n = 4: (a, b, c, d) = (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
     n = 2: (0, 1, kappa T, 2 T) with the closed sup 2 T atan_kappa(2 T/(sec a + sec b)).
     """
-    if params.kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(params.kappa)):
+    if r >= params.hemisphere_radius:
         raise ValueError("radius must be strictly inside the hemisphere")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     n, kappa = params.n, params.kappa + 0.0  # kappa = -0.0 must not give b = -0.0
-    t = _tan_kappa(kappa, r)
+    t = _tn(kappa, r)
     if n == 4:
         closed = {}
         if kappa == 0.0:
@@ -187,8 +165,8 @@ def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
     if n == 2:
         return DualCertificate(
             params, r, 0.0, 1.0, kappa * t, 2.0 * t,
-            f_closed=lambda a, b: 2.0 * t * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
-            argmax_closed=lambda a, b: 2.0 * _atan_kappa(kappa, 2.0 * t / _sec_sum(a, b)),
+            f_closed=lambda a, b: 2.0 * t * _atn(kappa, 2.0 * t / _sec_sum(a, b)),
+            argmax_closed=lambda a, b: 2.0 * _atn(kappa, 2.0 * t / _sec_sum(a, b)),
         )
     raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {n}")
 
@@ -223,11 +201,16 @@ _CAP_FACTOR = 40.0
 
 
 def _sup_domain(cert: DualCertificate) -> tuple[float, bool]:
-    kappa = cert.params.kappa
-    if kappa > 0.0:
-        return math.pi / math.sqrt(kappa), False
-    rt = math.sqrt(-kappa) or 1.0  # kappa = 0 caps at 40 * max(1, r)
-    return _CAP_FACTOR * max(1.0, rt * cert.r) / rt, True
+    """Scan domain [0, lmax] of the sup and whether lmax is the artificial cap.
+
+    The cap is 40*max(1, s r)/s with s = max(1, sqrt|kappa|), so it stays at
+    the flat 40*max(1, r) for |kappa| <= 1; the conjugate radius replaces it
+    where it is shorter.
+    """
+    rt = max(1.0, math.sqrt(abs(cert.params.kappa)))
+    cap = _CAP_FACTOR * max(1.0, rt * cert.r) / rt
+    conj = cert.params.conjugate_radius
+    return (conj, False) if conj < cap else (cap, True)
 
 
 def build_f(cert: DualCertificate, alpha, beta):
@@ -238,10 +221,9 @@ def build_f(cert: DualCertificate, alpha, beta):
     ell-derivative changes sign across the bracket, bisection on it refines
     the argmax until an iteration changes no bracket; the other pairs (a
     maximum at ell = 0 or on a plateau) take a 60-step golden-section
-    search.  For kappa < 0 the domain is capped at
-    40*max(1, sqrt(-kappa) r)/sqrt(-kappa), for kappa = 0 at 40*max(1, r);
-    a sup escaping to the cap raises SupDomainError since the certificate
-    then bounds nothing.
+    search.  The domain ends at the conjugate radius or at the cap of
+    _sup_domain, whichever is shorter; a sup escaping to the cap raises
+    SupDomainError since the certificate then bounds nothing.
     """
     a_arr = np.asarray(alpha, dtype=float)
     b_arr = np.asarray(beta, dtype=float)

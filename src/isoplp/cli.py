@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +33,7 @@ from .spaceform import (
     sphere_volume,
 )
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed arguments for one CLI run."""
-
-    command: str
-    options: dict
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        """The command and every flag that has a value, except the report format and path."""
-        options = {
-            k: v for k, v in vars(args).items() if k not in ("command", "format", "out") and v is not None
-        }
-        return cls(args.command, options)
-
-    def get(self, key):
-        return self.options.get(key)
+__all__ = ["main", "build_parser"]
 
 
 class UsageError(ValueError):
@@ -78,12 +58,12 @@ def _sanitize(obj):
     return obj
 
 
-def _report_shell(config: RunConfig, tolerances: dict, body: dict, passed: bool) -> dict:
+def _report_shell(command: str, config: dict, tolerances: dict, body: dict, passed: bool) -> dict:
     return {
         "schema": 1,
         "tool": {"name": "isoplp", "version": __version__},
-        "command": config.command,
-        "config": _sanitize(config.options),
+        "command": command,
+        "config": _sanitize(config),
         "tolerances": _sanitize(tolerances),
         "passed": bool(passed),
         "report": _sanitize(body),
@@ -134,15 +114,15 @@ def _resolve_radius_volume(params: ModelParams, radius, volume):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the dict of flags that have a value
 
 
-def _cmd_profile(config: RunConfig):
+def _cmd_profile(config: dict):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     vmin, vmax, steps = config.get("vmin"), config.get("vmax"), config.get("steps")
     if vmin > vmax:
         raise UsageError("need vmin <= vmax")
-    if params.kappa > 0 and vmax > max_ball_volume(params):
+    if vmax > max_ball_volume(params):
         raise UsageError(f"vmax exceeds the hemisphere volume {max_ball_volume(params)}")
     vols = np.linspace(vmin, vmax, steps)
     rows = []
@@ -152,7 +132,7 @@ def _cmd_profile(config: RunConfig):
     return {"rows": rows}, {}, True
 
 
-def _cmd_certificate(config: RunConfig):
+def _cmd_certificate(config: dict):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     r = _resolve_radius_volume(params, config.get("radius"), config.get("volume")).radius
     tols = {"consistency": 1e-8, "reference_match": 1e-6, "membership_defect": 1e-9}
@@ -169,11 +149,10 @@ def _cmd_certificate(config: RunConfig):
         }
         return body, tols, False
     body["consistency_fit"] = {"a": fit.a, "b": fit.b, "c": fit.c, "d": fit.d, "residual": fit.residual}
-    try:
-        cert = certificate.paper_certificate(params, r)
-    except ValueError:
+    if params.n not in (2, 4):
         body["reference"] = None
         return body, tols, True
+    cert = certificate.paper_certificate(params, r)
     ref = dict(zip("abcd", cert.coefficients))
     coeff_scale = max(abs(v) for v in cert.coefficients)
     mismatch = max(abs(getattr(fit, k) - ref[k]) for k in "abcd") / coeff_scale
@@ -194,15 +173,13 @@ def _cmd_certificate(config: RunConfig):
 
 def _default_family(params: ModelParams, r: float):
     fam = list(lpcore.product_family())
-    try:
+    if params.n in (2, 4):
         cert = certificate.paper_certificate(params, r)
-    except ValueError:
-        return fam
-    fam.append(("certificate-sup", lambda a, b: certificate.evaluate_f(cert, a, b)[0]))
+        fam.append(("certificate-sup", lambda a, b: certificate.evaluate_f(cert, a, b)[0]))
     return fam
 
 
-def _cmd_lp(config: RunConfig):
+def _cmd_lp(config: dict):
     m = config.get("m")
     if config.get("table") == 2 and m is None:
         raise UsageError("--m is required with --table 2")
@@ -260,7 +237,7 @@ def _cmd_lp(config: RunConfig):
     return body, {"relative_error": tol, "solver": lpcore.SOLVER_TOL}, passed
 
 
-def _cmd_measure_check(config: RunConfig):
+def _cmd_measure_check(config: dict):
     mc_n, seed = config.get("mc_samples"), config.get("seed")
     if mc_n is not None and seed is None:
         raise UsageError("--seed is required with --mc-samples")
@@ -303,7 +280,7 @@ def _cmd_measure_check(config: RunConfig):
     return body, {"relative": tol, "mc_z": 3.0}, passed
 
 
-def _cmd_lemma(config: RunConfig):
+def _cmd_lemma(config: dict):
     case = config.get("case")
     grid = config.get("grid")
     starts = config.get("starts")
@@ -362,7 +339,7 @@ def _cmd_lemma(config: RunConfig):
     return body, tols, passed
 
 
-def _cmd_negbound(config: RunConfig):
+def _cmd_negbound(config: dict):
     r = config.get("radius")
     n_nodes = config.get("grid")
     tol = config.get("tol")
@@ -370,10 +347,14 @@ def _cmd_negbound(config: RunConfig):
     small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
     ball4 = ball_from_radius(ModelParams(4, -1.0), r)
     meas4 = chordmeasure.discretize_ball_measure(ball4, n_nodes)
-    conj = negbound.conjecture_residual(r, meas4) / negbound.conjecture_rhs(r)
     ball2 = ball_from_radius(ModelParams(2, -1.0), r)
     meas2 = chordmeasure.discretize_ball_measure(ball2, n_nodes)
+    rhs4 = negbound.conjecture_rhs(r)
     rhs2 = ball2.area * ball2.volume - math.tanh(r) * ball2.volume ** 2
+    for name, rhs in (("conjecture_rhs(r)", rhs4), ("A*V - tanh(r)*V^2 of the disk", rhs2)):
+        if rhs == 0.0:
+            raise UsageError(f"radius {r} is too small: the normalizer {name} underflows to 0")
+    conj = negbound.conjecture_residual(r, meas4) / rhs4
     hyp2 = negbound.hyp2_lemma_residual(r, meas2) / rhs2
     body = {
         "radius": r,
@@ -396,7 +377,7 @@ def _cmd_negbound(config: RunConfig):
     return body, {"relative": tol}, passed
 
 
-def _cmd_prince(config: RunConfig):
+def _cmd_prince(config: dict):
     shape = config.get("shape")
     if shape == "disk":
         dom = littleprince.disk(config.get("r"))
@@ -430,7 +411,7 @@ def _cmd_prince(config: RunConfig):
     return body, {"pp_margin": -1e-10}, margin >= -1e-10
 
 
-def _cmd_relative(config: RunConfig):
+def _cmd_relative(config: dict):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     V = config.get("volume")
     m = config.get("m")
@@ -464,21 +445,6 @@ _COMMANDS = {
     "prince": _cmd_prince,
     "relative": _cmd_relative,
 }
-
-
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one configured command; returns (exit code, report dict)."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    try:
-        body, tols, passed = handler(config)
-    except UsageError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report = _report_shell(config, tols, body, passed)
-    return (0 if passed else 1), report
 
 
 def _add_common(p, *, model=False, rv=False, grid=None, tol=None):
@@ -594,13 +560,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # the config echo: every flag that has a value, except the report format and path
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "format", "out") and v is not None}
     try:
-        code, report = run(RunConfig.from_args(args))
-    except UsageError as exc:
+        body, tols, passed = _COMMANDS[args.command](config)
+    except ValueError as exc:  # UsageError, or invalid input found by the library
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, args.format, args.out)
-    return code
+    _emit(_report_shell(args.command, config, tols, body, passed), args.format, args.out)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

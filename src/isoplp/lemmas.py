@@ -62,39 +62,40 @@ def _check_case(case: str) -> None:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
 
 
+def _curvature(case: str):
+    """Sign s of the curvature and the arc of the half-angle substitution:
+    (1, arctan) in the spherical case, (-1, arctanh) in the hyperbolic one.
+    Every formula below is written once in s; s t^2 enters where t^2 did,
+    with the signs of the spherical case."""
+    _check_case(case)
+    return (1.0, np.arctan) if case == "spherical" else (-1.0, np.arctanh)
+
+
 def S_table(case: str, t):
     """Rational/arc functions (S1, S0, Sm1, Sm2): derivative ladder of the
     n=4 candle under the half-angle substitution (S_i'(t) = S_{i+1} times
     the substitution factor)."""
-    _check_case(case)
+    s, arc = _curvature(case)
     t = np.asarray(t, dtype=float)
-    if case == "spherical":
-        den = (1.0 + t * t) ** 3
-        s1 = 12.0 * t ** 2 * (1.0 - t * t) / den
-        s0 = 8.0 * t ** 3 / den
-        sm1 = (4.0 / 3.0) * t ** 4 * (3.0 + t * t) / den
-        sm2 = (4.0 / 3.0) * np.arctan(t) - (8.0 / 9.0) * t ** 3 / den - (4.0 / 3.0) * t / (1.0 + t * t)
-    else:
-        if np.any(t >= 1.0) or np.any(t < 0.0):
-            raise ValueError("hyperbolic t must lie in [0, 1)")
-        den = (1.0 - t * t) ** 3
-        s1 = 12.0 * t ** 2 * (1.0 + t * t) / den
-        s0 = 8.0 * t ** 3 / den
-        sm1 = (4.0 / 3.0) * t ** 4 * (3.0 - t * t) / den
-        sm2 = (4.0 / 3.0) * np.arctanh(t) + (8.0 / 9.0) * t ** 3 / den - (4.0 / 3.0) * t / (1.0 - t * t)
+    if s < 0.0 and (np.any(t >= 1.0) or np.any(t < 0.0)):
+        raise ValueError("hyperbolic t must lie in [0, 1)")
+    st2 = s * t * t
+    den = (1.0 + st2) ** 3
+    s1 = 12.0 * t ** 2 * (1.0 - st2) / den
+    s0 = 8.0 * t ** 3 / den
+    sm1 = (4.0 / 3.0) * t ** 4 * (3.0 + st2) / den
+    sm2 = (4.0 / 3.0) * arc(t) - s * (8.0 / 9.0) * t ** 3 / den - (4.0 / 3.0) * t / (1.0 + st2)
     return s1, s0, sm1, sm2
 
 
 def G(case: str, t, p, q):
     """Substituted sup integrand (coefficients absorb the 9 tan^2 r scale)."""
-    _check_case(case)
+    s, arc = _curvature(case)
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     _, s0, sm1, sm2 = S_table(case, t)
-    if case == "spherical":
-        return (8.0 / 3.0) * np.arctan(t) - p * q * s0 - (p + q) * sm1 - sm2
-    return (8.0 / 3.0) * np.arctanh(t) - p * q * s0 + (p + q) * sm1 - sm2
+    return (8.0 / 3.0) * arc(t) - p * q * s0 - (p + q) * (s * sm1) - sm2
 
 
 def G_diag_peak(case: str, p):
@@ -106,11 +107,9 @@ def G_diag_peak(case: str, p):
     case, where the 1/(1-t^2)^3 pole meets a vanishing coefficient; the
     collapsed form is exact on the whole domain.
     """
+    s, arc = _curvature(case)
     p = np.asarray(p, dtype=float)
-    _check_case(case)
-    if case == "spherical":
-        return (4.0 / 3.0) * np.arctan(1.0 / (3.0 * p)) + (4.0 / 3.0) * p / (9.0 * p * p + 1.0)
-    return (4.0 / 3.0) * np.arctanh(1.0 / (3.0 * p)) + (4.0 / 3.0) * p / (9.0 * p * p - 1.0)
+    return (4.0 / 3.0) * arc(1.0 / (3.0 * p)) + (4.0 / 3.0) * p / (9.0 * p * p + s)
 
 
 def H(case: str, t, p, q):
@@ -120,13 +119,10 @@ def H(case: str, t, p, q):
 
 def dG_dt(case: str, t, p, q):
     """Closed-form t-derivative of G."""
-    _check_case(case)
+    s, _ = _curvature(case)
     t = np.asarray(t, dtype=float)
-    if case == "spherical":
-        num = 12.0 * p * q * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - 12.0 * p * q) * t ** 2 + 4.0 / 3.0
-        return 2.0 * num / (1.0 + t * t) ** 4
-    num = 9.0 * p * q * t ** 4 - 6.0 * (p + q) * t ** 3 + (3.0 + 9.0 * p * q) * t ** 2 - 1.0
-    return -(8.0 / 3.0) * num / (1.0 - t * t) ** 4
+    num = 12.0 * p * q * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * p * q) * t ** 2 + s * 4.0 / 3.0
+    return 2.0 * s * num / (1.0 + s * t * t) ** 4
 
 
 def check_factorization(p, t, relative: bool = False):

@@ -314,9 +314,7 @@ def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
     """Angle nodes and ell nodes (curve-aligned); the atoms are their product."""
     m = grid.n_alpha
     alpha = (np.arange(1, m + 1) / (m + 1)) * (math.pi / 2.0)
-    lmax = 2.0 * r_curve
-    if params.kappa > 0.0:
-        lmax = min(lmax, math.pi / math.sqrt(params.kappa))
+    lmax = min(2.0 * r_curve, params.conjugate_radius)
     n_fill = grid.n_ell - m
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
     return alpha, np.unique(np.concatenate([chord_T_inverse(params.kappa, r_curve, np.cos(alpha)), fill]))

@@ -19,6 +19,7 @@ from .chordmeasure import DiscreteMeasure, integrate
 from .spaceform import (
     CurvatureSpectrum,
     ModelParams,
+    _conjugate_radius,
     _panel_count,
     _panel_rule,
     ball_from_radius,
@@ -132,7 +133,7 @@ def _difference_kernels(spectrum: CurvatureSpectrum, ell: float, kappa_cmp: floa
     """
     params = ModelParams(spectrum.n, kappa_cmp)
     kappa_max = max(abs(k) for k in (*spectrum.curvatures, kappa_cmp))
-    caps = {math.pi / math.sqrt(k) for k in (max(spectrum.curvatures), kappa_cmp) if k > 0.0}
+    caps = {_conjugate_radius(k) for k in (max(spectrum.curvatures), kappa_cmp)}
     cuts = [0.0, *sorted(c for c in caps if c < ell), ell]
 
     def u(t):

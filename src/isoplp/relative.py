@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .chordmeasure import DiscreteMeasure, discretize_ball_measure, integrate
-from .negbound import SmallnessInput, smallness_ok
 from .spaceform import ModelParams, ball_from_volume, max_ball_volume
 
 __all__ = [
@@ -28,33 +27,25 @@ __all__ = [
 class RelativeCase:
     """Model parameters, multiplicity m >= 1, and per-sheet volume V.
 
-    For kappa > 0 the total volume m*V must fit in the hemisphere.  For
-    kappa < 0 the theory additionally needs a smallness condition involving
-    the max chord length L; it is enforced only when L is supplied.
+    The total volume m*V must fit in the hemisphere.  For kappa < 0 the
+    theory additionally needs a smallness condition on the max chord length
+    (negbound.smallness_ok), which this case does not carry.
     """
 
     params: ModelParams
     m: int
     V: float
-    L: float | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ValueError(f"multiplicity must be an integer >= 1, got {self.m!r}")
         if not (self.V > 0.0 and math.isfinite(self.V)):
             raise ValueError(f"volume must be positive and finite, got {self.V!r}")
-        if self.params.kappa > 0.0 and self.m * self.V > max_ball_volume(self.params) * (1 + 1e-12):
+        if self.m * self.V > max_ball_volume(self.params) * (1 + 1e-12):
             raise ValueError(
                 f"total volume m*V = {self.m * self.V} exceeds the hemisphere volume "
                 f"{max_ball_volume(self.params)}"
             )
-        if self.params.kappa < 0.0 and self.L is not None:
-            ball0 = ball_from_volume(self.params, self.m * self.V)
-            check = smallness_ok(SmallnessInput(self.params.kappa, self.L, ball0.radius))
-            if not check.ok:
-                raise ValueError(
-                    f"smallness condition violated: tanh product {check.product} > 1/2"
-                )
 
 
 def relative_bound(case: RelativeCase) -> float:

@@ -47,7 +47,12 @@ def sphere_volume(k: int) -> float:
     """k-dimensional volume of the unit k-sphere: 2, 2*pi, 4*pi, 2*pi^2, ..."""
     if k < 0:
         raise ValueError(f"sphere dimension must be >= 0, got {k}")
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"the volume of the unit {k}-sphere needs gamma({(k + 1) / 2.0:g}), which overflows a double"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,16 @@ class ModelParams:
     @property
     def conjugate_radius(self) -> float:
         """Distance to the first conjugate point (inf unless kappa > 0)."""
-        if self.kappa > 0:
-            return math.pi / math.sqrt(self.kappa)
-        return math.inf
+        return _conjugate_radius(self.kappa)
+
+    @property
+    def hemisphere_radius(self) -> float:
+        """Largest admissible ball radius, half the conjugate radius (inf unless kappa > 0)."""
+        return _conjugate_radius(self.kappa) / 2.0
+
+
+def _conjugate_radius(kappa: float) -> float:
+    return math.pi / math.sqrt(kappa) if kappa > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -128,54 +140,67 @@ def _cs(kappa: float, t: np.ndarray) -> np.ndarray:
     return np.cosh(math.sqrt(-kappa) * t)
 
 
+def _tn(kappa: float, x):
+    """kappa-tangent: tan(sqrt(k) x)/sqrt(k), x, or tanh(sqrt(-k) x)/sqrt(-k).
+
+    An array goes through numpy and a number through math; numpy's SIMD tan
+    and tanh can differ from the C library's in the last bit.
+    """
+    lib = np if isinstance(x, np.ndarray) else math
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        return lib.tan(rt * x) / rt
+    if kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        return lib.tanh(rt * x) / rt
+    return x
+
+
+def _atn(kappa: float, y):
+    """Inverse of _tn in its length argument: arctan(sqrt(k) y)/sqrt(k), y, or the arctanh form."""
+    if kappa > 0.0:
+        rt = math.sqrt(kappa)
+        return np.arctan(rt * y) / rt
+    if kappa < 0.0:
+        rt = math.sqrt(-kappa)
+        return np.arctanh(rt * y) / rt
+    return y
+
+
+# Second antiderivatives of the n = 2 and n = 4 candles,
+#   n = 2: (t - sn(t)) / kappa,
+#   n = 4: ((2/3) t - (3/4) sn(t) + sn(3t)/36) / kappa^2,
+# are O(t^3) and O(t^5): the lower terms cancel exactly, so the direct forms
+# lose all digits as sqrt|kappa| t -> 0.  Below the cuts they are series in
+# x = -kappa t^2, which carry no power of kappa and so hold down to
+# |kappa| = 1e-300.  n = 4 coefficients c_k = 3 (9^(k-1) - 1) / 4 / (2k+1)!
+# for k >= 2; ten terms keep the truncation below 4e-17 up to the cut.
 _SERIES_CUT = 0.25
-
-
-def _cubic_gap(w: np.ndarray, hyperbolic: bool) -> np.ndarray:
-    """w - sin(w), or sinh(w) - w when hyperbolic; stable near 0 (direct form loses all digits there)."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < _SERIES_CUT
-    ws = w[small]
-    v = ws * ws if hyperbolic else -(ws * ws)
-    out[small] = (
-        ws ** 3 / 6.0
-        * (1.0 + v / 20.0 * (1.0 + v / 42.0 * (1.0 + v / 72.0 * (1.0 + v / 110.0))))
-    )
-    wb = w[~small]
-    out[~small] = np.sinh(wb) - wb if hyperbolic else wb - np.sin(wb)
-    return out
-
-
-# Second antiderivative of sin^3 scaled into the n=4 combination
-#   psi(u)  = (2/3) u - (3/4) sin u + (1/36) sin 3u        (spherical)
-#   psi_(u) = (2/3) u - (3/4) sinh u + (1/36) sinh 3u      (hyperbolic)
-# Both are O(u^5): the u and u^3 terms cancel exactly, so evaluating the
-# sin/sinh combination directly loses ~2.5/u^2 relative digits for small u.
-# Series coefficients c_k = 3 (9^(k-1) - 1) / 4 / (2k+1)!  for k >= 2, with
-# alternating signs in the spherical case.  Ten terms keep the truncation
-# below 4e-17 up to the cut.
 _PSI4_CUT = 0.58
 _PSI4_COEFFS = tuple(
     (3 * (9 ** (k - 1) - 1) // 4) / math.factorial(2 * k + 1) for k in range(2, 12)
 )
 
 
-def _psi4(u: np.ndarray, hyperbolic: bool) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = np.abs(u) < _PSI4_CUT
-    us = u[small]
-    w = us * us if hyperbolic else -(us * us)
-    acc = np.zeros_like(us)
-    for c in reversed(_PSI4_COEFFS):
-        acc = acc * w + c
-    out[small] = us ** 5 * acc
-    ub = u[~small]
-    if hyperbolic:
-        out[~small] = (2.0 / 3.0) * ub - 0.75 * np.sinh(ub) + np.sinh(3.0 * ub) / 36.0
+def _anti2_closed(n: int, kappa: float, t: np.ndarray) -> np.ndarray:
+    """Second candle antiderivative for n in {2, 4} at lengths inside the conjugate radius."""
+    t = np.asarray(t)
+    out = np.empty_like(t)
+    small = math.sqrt(abs(kappa)) * np.abs(t) < (_SERIES_CUT if n == 2 else _PSI4_CUT)
+    ts = t[small]
+    x = -kappa * ts * ts
+    if n == 2:
+        out[small] = ts ** 3 / 6.0 * (1.0 + x / 20.0 * (1.0 + x / 42.0 * (1.0 + x / 72.0 * (1.0 + x / 110.0))))
     else:
-        out[~small] = (2.0 / 3.0) * ub - 0.75 * np.sin(ub) + np.sin(3.0 * ub) / 36.0
+        acc = np.zeros_like(ts)
+        for c in reversed(_PSI4_COEFFS):
+            acc = acc * x + c
+        out[small] = ts ** 5 * acc
+    tb = t[~small]
+    if n == 2:
+        out[~small] = (tb - _sn(kappa, tb)) / kappa
+    else:
+        out[~small] = ((2.0 / 3.0) * tb - 0.75 * _sn(kappa, tb) + _sn(kappa, 3.0 * tb) / 36.0) / (kappa * kappa)
     return out
 
 
@@ -188,28 +213,22 @@ def candle(params: ModelParams, t) -> float | np.ndarray:
     """Candle function s(t) = _sn(kappa, t)^(n-1), clamped to 0 past the conjugate point."""
     arr, scalar = _as_array(t)
     _validate_t(arr)
-    n, kappa = params.n, params.kappa
-    if kappa > 0.0:
-        cap = params.conjugate_radius
-        s1 = _sn(kappa, np.minimum(arr, cap))
+    cap = params.conjugate_radius
+    s1 = _sn(params.kappa, np.minimum(arr, cap))
+    if cap < math.inf:
+        # np.where turns a scalar into a 0-d array, whose power can differ from
+        # the scalar's in the last bit; an infinite cap clamps nothing
         s1 = np.where(arr >= cap, 0.0, s1)
-    else:
-        s1 = _sn(kappa, arr)
-    return _wrap(s1 ** (n - 1), scalar)
+    return _wrap(s1 ** (params.n - 1), scalar)
 
 
 def candle_prime(params: ModelParams, t) -> float | np.ndarray:
     """Derivative of the candle function, 0 past the conjugate point."""
     arr, scalar = _as_array(t)
     _validate_t(arr)
-    n, kappa = params.n, params.kappa
-    if kappa > 0.0:
-        cap = params.conjugate_radius
-        tc = np.minimum(arr, cap)
-        val = (n - 1) * _sn(kappa, tc) ** (n - 2) * _cs(kappa, tc)
-        val = np.where(arr >= cap, 0.0, val)
-    else:
-        val = (n - 1) * _sn(kappa, arr) ** (n - 2) * _cs(kappa, arr)
+    n, kappa, cap = params.n, params.kappa, params.conjugate_radius
+    tc = np.minimum(arr, cap)
+    val = np.where(arr >= cap, 0.0, (n - 1) * _sn(kappa, tc) ** (n - 2) * _cs(kappa, tc))
     return _wrap(val, scalar)
 
 
@@ -253,7 +272,7 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_count(length: float, n: int, kappa: float) -> int:
     """Panels of the candle rule for an interval of the given length."""
-    if kappa == 0.0 or not length > 0.0:
+    if not length > 0.0:
         return 1
     return max(1, math.ceil(length * (n - 1) * math.sqrt(abs(kappa)) / _GL_PANEL))
 
@@ -293,8 +312,7 @@ def candle_anti(params: ModelParams, t) -> float | np.ndarray:
     n, kappa = params.n, params.kappa
     if n not in (2, 4):
         return _wrap(_candle_integral(params, arr, second=False), scalar)
-    tc = np.minimum(arr, params.conjugate_radius) if kappa > 0.0 else arr
-    s2 = _sn(kappa, tc / 2.0)
+    s2 = _sn(kappa, np.minimum(arr, params.conjugate_radius) / 2.0)
     if n == 2:
         val = 2.0 * s2 * s2
     else:
@@ -306,41 +324,23 @@ def candle_anti(params: ModelParams, t) -> float | np.ndarray:
 def candle_anti2(params: ModelParams, t) -> float | np.ndarray:
     """Second antiderivative of the candle function (both derivatives vanish at 0).
 
-    For kappa > 0 the continuation past the conjugate radius is linear with
-    slope candle_anti at the cap.  Closed forms for n in {2, 4}, stable for
-    small |kappa|*t^2 via guarded series for w - sin(w) and sinh(w) - w;
-    other dimensions integrate (t - y) s(y) with the Gauss-Legendre rule of
-    candle_anti.
+    Past the conjugate radius the continuation is linear with slope
+    candle_anti at the cap.  Closed forms for n in {2, 4}, stable for small
+    |kappa|*t^2 via guarded series (see _anti2_closed); other dimensions
+    integrate (t - y) s(y) with the Gauss-Legendre rule of candle_anti.
     """
     arr, scalar = _as_array(t)
     _validate_t(arr)
     n, kappa = params.n, params.kappa
     if n not in (2, 4):
         return _wrap(_candle_integral(params, arr, second=True), scalar)
-
-    if kappa == 0.0:
-        val = arr ** 3 / 6.0 if n == 2 else arr ** 5 / 20.0
-        return _wrap(val, scalar)
-
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        cap = params.conjugate_radius
-        u = rt * np.minimum(arr, cap)
-        if n == 2:
-            base = _cubic_gap(u, hyperbolic=False) * kappa ** -1.5
-            slope = 2.0 / kappa
-        else:
-            base = _psi4(u, hyperbolic=False) * kappa ** -2.5
-            slope = (4.0 / 3.0) / kappa ** 2
-        val = base + slope * np.maximum(arr - cap, 0.0)
-        return _wrap(val, scalar)
-
-    rt = math.sqrt(-kappa)
-    u = rt * arr
-    if n == 2:
-        val = _cubic_gap(u, hyperbolic=True) * rt ** -3
-    else:
-        val = _psi4(u, hyperbolic=True) * rt ** -5
+    if kappa == 0.0:  # exact flat forms; the n = 4 series rounds t^5/20 as t^5 * 0.05
+        return _wrap(arr ** 3 / 6.0 if n == 2 else arr ** 5 / 20.0, scalar)
+    cap = params.conjugate_radius
+    val = _anti2_closed(n, kappa, np.minimum(arr, cap))
+    past = arr > cap
+    if np.any(past):
+        val = np.where(past, val + candle_anti(params, cap) * (arr - cap), val)
     return _wrap(val, scalar)
 
 
@@ -355,17 +355,20 @@ def ball_area(params: ModelParams, r) -> float | np.ndarray:
 
 
 def max_ball_volume(params: ModelParams) -> float:
-    """Volume of the hemisphere (kappa > 0); inf otherwise."""
-    if params.kappa <= 0.0:
+    """Volume of the hemisphere: inf for kappa <= 0 and where kappa^(-n/2) overflows."""
+    if params.hemisphere_radius == math.inf:
         return math.inf
-    return params.kappa ** (-params.n / 2.0) * sphere_volume(params.n) / 2.0
+    try:
+        return params.kappa ** (-params.n / 2.0) * sphere_volume(params.n) / 2.0
+    except OverflowError:
+        return math.inf
 
 
 def ball_from_radius(params: ModelParams, r: float) -> BallGeometry:
     """Ball geometry from its radius."""
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    if params.kappa > 0.0 and r > math.pi / (2.0 * math.sqrt(params.kappa)) * (1 + 1e-12):
+    if r > params.hemisphere_radius * (1 + 1e-12):
         raise ValueError("radius exceeds the hemisphere radius for this curvature")
     return BallGeometry(
         params=params,
@@ -376,35 +379,37 @@ def ball_from_radius(params: ModelParams, r: float) -> BallGeometry:
     )
 
 
+_BRACKET_SPAN = 40.0
+
+
 def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
     """Invert r -> |B(r)| by safeguarded Newton (relative accuracy ~1e-14).
 
-    For kappa > 0 the volume must not exceed the hemisphere volume.
+    The volume must not exceed the hemisphere volume (max_ball_volume).
     """
     if not (volume > 0.0 and math.isfinite(volume)):
         raise ValueError(f"volume must be positive and finite, got {volume!r}")
     omega = sphere_volume(params.n - 1)
     target = volume / omega
+    vmax, rmax = max_ball_volume(params), params.hemisphere_radius
+    if volume > vmax * (1.0 + 1e-12):
+        raise ValueError(f"volume {volume} exceeds the hemisphere volume {vmax} at curvature {params.kappa}")
+    if volume >= vmax:
+        return ball_from_radius(params, rmax)
 
-    lo = 0.0
-    if params.kappa > 0.0:
-        vmax = max_ball_volume(params)
-        if volume > vmax * (1.0 + 1e-12):
-            raise ValueError(
-                f"volume {volume} exceeds the hemisphere volume {vmax} at curvature {params.kappa}"
-            )
-        hi = math.pi / (2.0 * math.sqrt(params.kappa))
-        if volume >= vmax:
-            return ball_from_radius(params, hi)
+    # Bracket [0, hi]: the flat-space guess doubled until it brackets, capped
+    # at the hemisphere radius, which replaces it where it is at most
+    # _BRACKET_SPAN * max(1, guess).  A longer hemisphere radius (kappa -> 0+)
+    # would start Newton hundreds of steps from the root.
+    lo, hi = 0.0, min((params.n * target) ** (1.0 / params.n), rmax)
+    for _ in range(200):
+        if hi >= rmax or candle_anti(params, hi) >= target:
+            break
+        hi = min(2.0 * hi, rmax)
     else:
-        # flat-space guess, doubled until it brackets
-        hi = (params.n * target) ** (1.0 / params.n)
-        for _ in range(200):
-            if candle_anti(params, hi) >= target:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("failed to bracket the radius")
+        raise ValueError("failed to bracket the radius")
+    if rmax <= _BRACKET_SPAN * max(1.0, hi):
+        hi = rmax
 
     r = 0.5 * (lo + hi)
     for _ in range(200):
@@ -425,13 +430,15 @@ def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
             r = r_new
             break
         r = r_new
+    else:
+        raise ValueError(f"Newton did not converge on the radius of volume {volume}")
     return ball_from_radius(params, r)
 
 
 def _validate_chord_args(kappa: float, r: float) -> None:
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    if kappa > 0.0 and r >= math.pi / (2.0 * math.sqrt(kappa)):
+    if r >= _conjugate_radius(kappa) / 2.0:
         raise ValueError("chord function needs r strictly inside the hemisphere")
 
 
@@ -445,30 +452,14 @@ def chord_T(kappa: float, r: float, ell) -> float | np.ndarray:
     if np.any(arr < -1e-12 * r) or np.any(arr > 2.0 * r * (1 + 1e-12)):
         raise ValueError("chord length must lie in [0, 2r]")
     arr = np.clip(arr, 0.0, 2.0 * r)
-    if kappa == 0.0:
-        val = arr / (2.0 * r)
-    elif kappa > 0.0:
-        rt = math.sqrt(kappa)
-        val = np.tan(rt * arr / 2.0) / math.tan(rt * r)
-    else:
-        rt = math.sqrt(-kappa)
-        val = np.tanh(rt * arr / 2.0) / math.tanh(rt * r)
-    return _wrap(val, scalar)
+    return _wrap(_tn(kappa, arr / 2.0) / _tn(kappa, r), scalar)
 
 
 def chord_T_prime(kappa: float, r: float, ell) -> float | np.ndarray:
     """Derivative of chord_T with respect to the chord length."""
     _validate_chord_args(kappa, r)
     arr, scalar = _as_array(ell)
-    if kappa == 0.0:
-        val = np.full_like(arr, 1.0 / (2.0 * r))
-    elif kappa > 0.0:
-        rt = math.sqrt(kappa)
-        val = rt / (2.0 * math.tan(rt * r) * np.cos(rt * arr / 2.0) ** 2)
-    else:
-        rt = math.sqrt(-kappa)
-        val = rt / (2.0 * math.tanh(rt * r) * np.cosh(rt * arr / 2.0) ** 2)
-    return _wrap(val, scalar)
+    return _wrap((1.0 + kappa * _tn(kappa, arr / 2.0) ** 2) / (2.0 * _tn(kappa, r)), scalar)
 
 
 def chord_T_inverse(kappa: float, r: float, c) -> float | np.ndarray:
@@ -477,16 +468,7 @@ def chord_T_inverse(kappa: float, r: float, c) -> float | np.ndarray:
     arr, scalar = _as_array(c)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("chord_T value must lie in [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    if kappa == 0.0:
-        val = 2.0 * r * arr
-    elif kappa > 0.0:
-        rt = math.sqrt(kappa)
-        val = (2.0 / rt) * np.arctan(arr * math.tan(rt * r))
-    else:
-        rt = math.sqrt(-kappa)
-        val = (2.0 / rt) * np.arctanh(arr * math.tanh(rt * r))
-    return _wrap(val, scalar)
+    return _wrap(2.0 * _atn(kappa, np.clip(arr, 0.0, 1.0) * _tn(kappa, r)), scalar)
 
 
 def delta_weight(n: int, alpha) -> float | np.ndarray:
@@ -508,8 +490,7 @@ def candle_from_spectrum(spectrum: CurvatureSpectrum, t):
     """
     arr, scalar = _as_array(t)
     _validate_t(arr)
-    kmax = max(spectrum.curvatures)
-    cap = math.pi / math.sqrt(kmax) if kmax > 0.0 else math.inf
+    cap = _conjugate_radius(max(spectrum.curvatures))
     tc = np.minimum(arr, cap)
     val = np.ones_like(arr)
     for k in spectrum.curvatures:

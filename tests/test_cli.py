@@ -13,7 +13,7 @@ import pytest
 
 import isoplp
 from isoplp import __version__
-from isoplp.cli import RunConfig, UsageError, build_parser, main, run
+from isoplp.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -554,17 +554,86 @@ def test_relative_command(capsys):
     )
 
 
-def test_run_config_direct():
-    args = build_parser().parse_args(["certificate", "--dim", "4", "--kappa", "0", "--radius", "1"])
-    code, report = run(RunConfig.from_args(args))
-    assert code == 0
-    assert report["passed"] is True
-    assert report["command"] == "certificate"
+HEMISPHERE = repr(math.pi / 2.0)
 
 
-def test_run_rejects_unknown_command():
-    with pytest.raises(UsageError):
-        run(RunConfig("frobnicate", {}))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lp", "--dim", "2", "--kappa", "1", "--radius", HEMISPHERE),
+        ("lp", "--dim", "4", "--kappa", "1", "--radius", HEMISPHERE),
+        ("certificate", "--dim", "2", "--kappa", "1", "--radius", HEMISPHERE),
+        ("certificate", "--dim", "4", "--kappa", "1", "--radius", HEMISPHERE),
+        ("measure-check", "--dim", "2", "--kappa", "1", "--radius", HEMISPHERE),
+        ("measure-check", "--dim", "4", "--kappa", "1", "--radius", HEMISPHERE),
+        # the hemisphere of the unit 2-sphere has area 2 pi
+        ("relative", "--dim", "2", "--kappa", "1", "--m", "1", "--volume", repr(2.0 * math.pi)),
+    ],
+)
+def test_hemisphere_radius_exits_2(capsys, argv):
+    # the chord curve degenerates there; no command may drop a check and report on
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "strictly inside the hemisphere" in err
+
+
+FLAT_CORNER = [
+    ("lp", "--dim", "2", "--radius", "0.8"),
+    ("lp", "--dim", "4", "--radius", "0.8"),
+    ("certificate", "--dim", "2", "--radius", "0.8"),
+    ("certificate", "--dim", "4", "--radius", "0.8"),
+    ("measure-check", "--dim", "2", "--radius", "0.8"),
+    ("measure-check", "--dim", "4", "--radius", "0.8"),
+    ("relative", "--dim", "4", "--m", "2", "--volume", "1"),
+    ("profile", "--dim", "3", "--vmin", "0.5", "--vmax", "2", "--steps", "4"),
+]
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, obj
+
+
+@pytest.mark.parametrize("kappa", ["1e-300", "-1e-300"])
+@pytest.mark.parametrize("argv", FLAT_CORNER, ids=[" ".join(a[:3]) for a in FLAT_CORNER])
+def test_tiny_curvature_reports_match_flat(capsys, argv, kappa):
+    # kappa -> 0 is continuous: lengths, areas and bounds agree with kappa = 0
+    code0, out0, _ = run_cli(capsys, *argv, "--kappa", "0")
+    code, out, err = run_cli(capsys, *argv, "--kappa", kappa)
+    assert code == code0 == 0, err
+    tiny = dict(_leaves(json.loads(out)["report"]))
+    compared = 0
+    for path, value in _leaves(json.loads(out0)["report"]):
+        if path[-1] in ("area", "radius", "bound", "relative_bound", "volume", "optimum"):
+            assert tiny[path] == pytest.approx(value, rel=1e-12), path
+            compared += 1
+        elif path[-1] == "relative_error":
+            assert abs(tiny[path] - value) <= 1e-12, path
+    assert compared > 0
+    assert tiny.get(("verification", "curve_sup_deviation"), 0.0) <= 1e-12
+
+
+def test_profile_huge_dimension_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "profile", "--dim", "400", "--kappa", "0", "--vmin", "0.5", "--vmax", "2", "--steps", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "399-sphere" in err and "overflows" in err
+
+
+def test_negbound_underflowing_normalizer_exits_2(capsys):
+    code, out, err = run_cli(capsys, "negbound", "--radius", "1e-60")
+    assert code == 2
+    assert out == ""
+    assert "conjecture_rhs(r) underflows to 0" in err
 
 
 def test_parser_help_lists_subcommands():

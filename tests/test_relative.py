@@ -94,13 +94,3 @@ def test_multiplicity_validation():
         RelativeCase(ModelParams(2, 0.0), 2.0, 1.0)
     with pytest.raises(ValueError):
         RelativeCase(ModelParams(2, 0.0), 2, -1.0)
-
-
-def test_smallness_enforced_only_when_length_given():
-    params = ModelParams(4, -1.0)
-    # no L: accepted regardless
-    RelativeCase(params, 2, 50.0)
-    # small L passes, huge L trips the tanh product
-    RelativeCase(params, 2, 50.0, L=0.2)
-    with pytest.raises(ValueError):
-        RelativeCase(params, 2, 50.0, L=50.0)

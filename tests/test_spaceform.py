@@ -50,6 +50,27 @@ def test_model_params_validation():
         ModelParams(1, 0.0)
     assert math.isinf(ModelParams(3, -1.0).conjugate_radius)
     assert_allclose(ModelParams(3, 4.0).conjugate_radius, math.pi / 2.0)
+    assert math.isinf(ModelParams(3, 0.0).hemisphere_radius)
+    assert math.isinf(ModelParams(3, -1e-300).hemisphere_radius)
+    assert ModelParams(3, 4.0).hemisphere_radius == math.pi / 4.0
+
+
+@pytest.mark.parametrize("kappa", [1e-300, -1e-300, 1e-60])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tiny_curvature_matches_flat(n, kappa):
+    # kappa -> 0 is continuous: no power of kappa may overflow on the way
+    params, flat = ModelParams(n, kappa), ModelParams(n, 0.0)
+    t = np.linspace(0.0, 3.0, 13)
+    for fn in (candle, candle_prime, candle_anti, candle_anti2):
+        assert_allclose(fn(params, t), fn(flat, t), rtol=1e-13, atol=0.0)
+    ell = np.linspace(0.0, 1.6, 9)
+    assert_allclose(chord_T(kappa, 0.8, ell), chord_T(0.0, 0.8, ell), rtol=1e-14)
+    assert_allclose(chord_T_prime(kappa, 0.8, ell), chord_T_prime(0.0, 0.8, ell), rtol=1e-14)
+    assert_allclose(chord_T_inverse(kappa, 0.8, ell / 1.6), ell, rtol=1e-14)
+    assert max_ball_volume(params) > 1e60  # inf where kappa^(-n/2) overflows
+    ball = ball_from_volume(params, 1.0)
+    assert_allclose(ball.radius, ball_from_volume(flat, 1.0).radius, rtol=1e-13)
+    assert_allclose(ball.volume, 1.0, rtol=1e-13)
 
 
 def test_candle_closed_forms_flat():
