@@ -7,9 +7,10 @@ curve cos(alpha) = cos(beta) = chord_T(ell), with angle marginal
 area * delta_weight(n, alpha) d(alpha).
 
 Measures are discrete here: finitely many weighted atoms, produced either by
-Gauss-Legendre quadrature in the angle variable (which also regularizes the
-integrable n=2 endpoint singularity of the length density) or by seeded
-Monte Carlo sampling.
+quadrature in the angle variable (which also regularizes the integrable n=2
+endpoint singularity of the length density) or by seeded Monte Carlo
+sampling.  The quadrature is spaceform's angle rule, which the LP grid reads
+too: Gauss-Legendre graded toward the chord curve's boundary layer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .spaceform import (
     BallGeometry,
     ModelParams,
-    _legendre_rule,
+    _angle_rule,
     candle,
     candle_anti,
     candle_anti2,
@@ -36,7 +37,6 @@ from .spaceform import (
 
 __all__ = [
     "DiscreteMeasure",
-    "gauss_legendre",
     "ball_chord_density",
     "discretize_ball_measure",
     "sample_chords",
@@ -83,15 +83,6 @@ class DiscreteMeasure:
         return DiscreteMeasure(self.ell, self.alpha, self.beta, self.mass * factor)
 
 
-def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    x, w = _legendre_rule(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def ball_chord_density(ball: BallGeometry, ell) -> float | np.ndarray:
     """Length density of the chord measure of a round ball.
 
@@ -116,13 +107,13 @@ def ball_chord_density(ball: BallGeometry, ell) -> float | np.ndarray:
 def discretize_ball_measure(ball: BallGeometry, n_nodes: int) -> DiscreteMeasure:
     """Quadrature discretization of the ball's chord measure.
 
-    Gauss-Legendre in the boundary angle alpha on (0, pi/2) (the substituted
-    variable in which every curve integrand is smooth), with atom lengths on
-    the curve ell = chord_T_inverse(cos alpha) and masses
+    The ball's angle rule in the boundary angle alpha on (0, pi/2) (the
+    substituted variable in which every curve integrand is smooth), with atom
+    lengths on the curve ell = chord_T_inverse(cos alpha) and masses
     w * area * delta_weight(alpha).
     """
     params = ball.params
-    alpha, w = gauss_legendre(0.0, math.pi / 2.0, n_nodes)
+    alpha, w = _angle_rule(params.kappa, ball.radius, n_nodes)
     mass = w * ball.area * delta_weight(params.n, alpha)
     ell = chord_T_inverse(params.kappa, ball.radius, np.cos(alpha))
     order = np.argsort(ell)

@@ -187,32 +187,16 @@ def dGdp_identity(p: float) -> DGdpCheck:
 # ---------------------------------------------------------------------------
 # critical system: gradient numerators of H as monomial tables
 # A row (i, j, k, c) is the monomial c t^i p^j q^k.  A polynomial is summed in
-# row order; that order fixes its floating-point value bit for bit.
+# row order; that order fixes its floating-point value bit for bit.  Like the
+# formulas above, each table is written once in the curvature sign s.
 
-_ET_SPH = ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, -9.0), (0, 0, 0, 1.0))
-_EP_SPH = (
-    (6, 4, 0, 81.0),
-    (4, 4, 0, 243.0),
-    (3, 4, 1, 486.0),
-    (3, 2, 1, 108.0),
-    (3, 0, 1, 6.0),
-    (2, 2, 0, -54.0),
-    (2, 0, 0, -3.0),
-    (0, 2, 0, -18.0),
-    (0, 0, 0, -1.0),
-)
-_ET_HYP = ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, 9.0), (0, 0, 0, -1.0))
-_EP_HYP = (
-    (6, 4, 0, 81.0),
-    (4, 4, 0, -243.0),
-    (3, 4, 1, 486.0),
-    (3, 2, 1, -108.0),
-    (3, 0, 1, 6.0),
-    (2, 2, 0, 54.0),
-    (2, 0, 0, -3.0),
-    (0, 2, 0, -18.0),
-    (0, 0, 0, 1.0),
-)
+def _et(s: float) -> tuple:
+    return ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, -9.0 * s), (0, 0, 0, s))
+
+
+def _ep(s: float) -> tuple:
+    return ((6, 4, 0, 81.0), (4, 4, 0, 243.0 * s), (3, 4, 1, 486.0), (3, 2, 1, 108.0 * s), (3, 0, 1, 6.0),
+            (2, 2, 0, -54.0 * s), (2, 0, 0, -3.0), (0, 2, 0, -18.0), (0, 0, 0, -s))
 
 
 def _scalar_power(x: np.ndarray, e: int) -> np.ndarray:
@@ -325,8 +309,8 @@ class PolySystem:
 
 def critical_system(case: str) -> PolySystem:
     """Numerators of grad H; common positive factors and denominators cleared."""
-    _check_case(case)
-    et, ep = (_ET_SPH, _EP_SPH) if case == "spherical" else (_ET_HYP, _EP_HYP)
+    s, _ = _curvature(case)
+    et, ep = _et(s), _ep(s)
     eq = tuple((i, k, j, c) for i, j, k, c in ep)
     if case == "spherical":
         box = ((0.01, 5.0), (0.05, 10.0), (0.05, 10.0))

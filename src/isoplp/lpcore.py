@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordmeasure import chord_functional, gauss_legendre
-from .spaceform import ModelParams, ball_from_volume, chord_T_inverse, delta_weight, sphere_volume
+from .chordmeasure import chord_functional
+from .spaceform import ModelParams, _angle_rule, ball_from_volume, chord_T_inverse, delta_weight, sphere_volume
 
 __all__ = [
     "SOLVER_TOL",
@@ -44,7 +44,6 @@ __all__ = [
     "build_isoperimetric_lp",
     "build_relative_lp",
     "product_family",
-    "diagonal_profile_integral",
 ]
 
 
@@ -279,9 +278,9 @@ def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
 class GridSpec:
     """Atom grid: n_ell chord lengths x n_alpha x n_alpha boundary angles.
 
-    The ell list includes the image of each angle node under the ball's
-    chord curve (these atoms let the discrete program reproduce the ball
-    measure), padded by uniform nodes up to n_ell.
+    The angles are the nodes of the ball's angle rule; the ell list holds the
+    image of each under the ball's chord curve (these atoms let the discrete
+    program reproduce the ball measure), padded by uniform nodes up to n_ell.
     """
 
     n_ell: int = 40
@@ -304,16 +303,10 @@ def product_family():
     return fam
 
 
-def diagonal_profile_integral(f, n: int) -> float:
-    """integral over [0, pi/2] of f(alpha, alpha) * delta_weight(n, alpha), 200-node Gauss-Legendre."""
-    alpha, w = gauss_legendre(0.0, math.pi / 2.0, 200)
-    return float(np.dot(w, np.asarray(f(alpha, alpha)) * delta_weight(n, alpha)))
-
-
 def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
-    """Angle nodes and ell nodes (curve-aligned); the atoms are their product."""
+    """Angle nodes (the angle rule of radius r_curve) and curve-aligned ell nodes; the atoms are their product."""
     m = grid.n_alpha
-    alpha = (np.arange(1, m + 1) / (m + 1)) * (math.pi / 2.0)
+    alpha, _ = _angle_rule(params.kappa, r_curve, m)
     lmax = min(2.0 * r_curve, params.conjugate_radius)
     n_fill = grid.n_ell - m
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
@@ -357,6 +350,7 @@ def build_relative_lp(
 
     Every atom row is a function of ell times a function of (alpha, beta),
     so each factor is evaluated once and the rows are filled by broadcasting.
+    The profile rows' diagonal integral takes B0's 200-node angle rule.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -385,9 +379,11 @@ def build_relative_lp(
     for k in (1, 2, 3, 4):
         Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
         atoms[k - 1] = Fk if k == 4 else -Fk
+    diag_alpha, diag_w = _angle_rule(params.kappa, ball0.radius, 200)
+    diag_w = diag_w * delta_weight(params.n, diag_alpha)
     for row, (_, f) in enumerate(f_family, start=4):
         atoms[row] = -np.asarray(f(A_, B_), dtype=float)
-        rhs.append(-a_rel * diagonal_profile_integral(f, params.n))
+        rhs.append(-a_rel * float(np.dot(diag_w, f(diag_alpha, diag_alpha))))
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0

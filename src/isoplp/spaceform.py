@@ -426,7 +426,7 @@ def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
                 step_ok = True
         if not step_ok:
             r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= 1e-15 * max(1.0, abs(r_new)):
+        if abs(r_new - r) <= 1e-15 * abs(r_new):
             r = r_new
             break
         r = r_new
@@ -469,6 +469,32 @@ def chord_T_inverse(kappa: float, r: float, c) -> float | np.ndarray:
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("chord_T value must lie in [0, 1]")
     return _wrap(2.0 * _atn(kappa, np.clip(arr, 0.0, 1.0) * _tn(kappa, r)), scalar)
+
+
+def _angle_rule(kappa: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point rule on [0, pi/2] for integrands along the chord curve of the ball of radius r.
+
+    The curve ell = 2 atn(tn(r) cos alpha) turns in a layer of width about
+    1/tan(sqrt(k) r) next to pi/2 for kappa > 0, and about exp(-sqrt(-k) r)
+    next to 0 for kappa < 0.  Gauss-Legendre in u on (0, 1) is graded toward
+    it: alpha = pi/2 - (pi/2) expm1(L (1 - u)) / expm1(L) with
+    L = ln max(1, 100 tan(sqrt(k) r)), or alpha = (pi/2) expm1(L u) / expm1(L)
+    with L = max(0, sqrt(-k) r - 1.5 ln 2).  Where L = 0, kappa = 0 included,
+    it is plain Gauss-Legendre on [0, pi/2].  The nodes ascend.
+    """
+    x, w = _legendre_rule(n)
+    if kappa > 0.0:
+        grade = math.log(max(1.0, 100.0 * math.tan(math.sqrt(kappa) * r)))
+        v = 0.5 * (1.0 - x)  # 1 - u without cancellation next to u = 1
+    else:
+        grade = max(0.0, math.sqrt(-kappa) * r - 1.5 * math.log(2.0))
+        v = 0.5 * (1.0 + x)
+    if grade == 0.0:
+        return math.pi / 4.0 * (x + 1.0), math.pi / 4.0 * w
+    scale = (math.pi / 2.0) / math.expm1(grade)
+    offset = scale * np.expm1(grade * v)
+    # |d alpha/du| = scale L exp(L v) = L (scale + offset); du carries w/2
+    return (math.pi / 2.0 - offset if kappa > 0.0 else offset), 0.5 * w * grade * (scale + offset)
 
 
 def delta_weight(n: int, alpha) -> float | np.ndarray:

@@ -199,14 +199,16 @@ def test_build_f_mixes_interior_and_zero_maxima():
     val, arg = build_f(cert, A, B)
     at_zero = np.cos(A) * np.cos(B) <= 0.5
     assert 0 < np.count_nonzero(at_zero) < at_zero.size
-    ell = np.linspace(0.0, 1.0, 100001)
-    dense = sup_integrand(cert, ell[:, None], A.ravel()[None, :], B.ravel()[None, :])
-    ref_val = dense.max(axis=0).reshape(A.shape)
-    ref_arg = ell[np.argmax(dense, axis=0)].reshape(A.shape)
-    # the dense scan's step is 1e-5; its value misses the sup by at most ~1e-10
+    # exact reference: with k = d - a sec a sec b and s = sec a + sec b the
+    # integrand k ell - b s ell^2/4 peaks at ell = 2k/(b s) with value k^2/(b s)
+    # where k > 0, and at ell = 0 with value 0 elsewhere
+    k = 1.0 - 0.5 / (np.cos(A) * np.cos(B))
+    s = 1.0 / np.cos(A) + 1.0 / np.cos(B)
+    ref_val = np.where(k > 0.0, k * k / s, 0.0)
+    ref_arg = np.maximum(0.0, 2.0 * k / s)
     assert np.all(val >= ref_val - 1e-15)
-    assert_allclose(val, ref_val, rtol=0, atol=1e-9)
-    assert_allclose(arg, ref_arg, rtol=0, atol=1e-5)
+    assert_allclose(val, ref_val, rtol=0, atol=1e-12)
+    assert_allclose(arg, ref_arg, rtol=0, atol=1e-10)
     assert np.all(arg[at_zero] <= 1e-6)
 
 

@@ -13,22 +13,22 @@ from isoplp.chordmeasure import (
     ball_chord_density,
     croke_residual,
     discretize_ball_measure,
-    gauss_legendre,
     integrate,
     sample_chords,
     santalo_residual,
 )
-from isoplp.spaceform import ModelParams, _legendre_rule, ball_from_radius, sphere_volume
+from isoplp.spaceform import ModelParams, _angle_rule, _legendre_rule, ball_from_radius, sphere_volume
 
 DISK = ball_from_radius(ModelParams(2, 0.0), 1.0)
 BALL4 = ball_from_radius(ModelParams(4, 0.0), 1.0)
 
 
 def test_gauss_legendre_polynomial_exactness():
-    x, w = gauss_legendre(0.0, 2.0, 6)
-    # degree 11 is integrated exactly by 6 nodes
-    assert_allclose(np.sum(w * x ** 11), 2.0 ** 12 / 12.0, rtol=1e-13)
-    assert_allclose(np.sum(w), 2.0, rtol=1e-14)
+    # at kappa = 0 the angle rule is Gauss-Legendre on [0, pi/2]: 6 nodes
+    # integrate degree 11 exactly
+    x, w = _angle_rule(0.0, 1.0, 6)
+    assert_allclose(np.sum(w * x ** 11), (math.pi / 2.0) ** 12 / 12.0, rtol=1e-13)
+    assert_allclose(np.sum(w), math.pi / 2.0, rtol=1e-14)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
@@ -39,13 +39,14 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         x[0] = 0.0
     ref = np.polynomial.legendre.leggauss(200)
     assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
-    # what gauss_legendre hands out is the caller's own copy
-    nodes, weights = gauss_legendre(0.0, 2.0, 200)
-    expect = nodes.copy(), weights.copy()
-    nodes[:] = 0.0
-    weights[:] = 0.0
-    again = gauss_legendre(0.0, 2.0, 200)
-    assert np.array_equal(again[0], expect[0]) and np.array_equal(again[1], expect[1])
+    # what the angle rule hands out, plain or graded, is the caller's own copy
+    for kappa, r in ((0.0, 1.0), (1.0, 1.5), (-1.0, 7.0)):
+        nodes, weights = _angle_rule(kappa, r, 200)
+        expect = nodes.copy(), weights.copy()
+        nodes[:] = 0.0
+        weights[:] = 0.0
+        again = _angle_rule(kappa, r, 200)
+        assert np.array_equal(again[0], expect[0]) and np.array_equal(again[1], expect[1])
 
 
 def test_measure_validation():

@@ -229,6 +229,18 @@ def test_lp_optimum_is_exact_to_rounding_on_curve_aligned_grids(capsys, argv, la
     assert json.loads(out)["report"][label]["relative_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("grid", ["40x20", "80x40"])
+@pytest.mark.parametrize("radius", ["1.5", "1.56", "1.57"])
+def test_lp_near_the_hemisphere_meets_the_ball_area(capsys, radius, grid):
+    # the chord curve falls to 0 in a layer of width ~1/tan(r) next to pi/2,
+    # which the angle grid must resolve for the grid to hold the ball measure
+    code, out, _ = run_cli(capsys, "lp", "--dim", "4", "--kappa", "1", "--radius", radius, "--grid", grid)
+    entry = json.loads(out)["report"]["table1"]
+    assert code == 0
+    assert entry["status"] == "optimal"
+    assert abs(entry["optimum"] - entry["bound"]) <= 1e-8 * entry["bound"]
+
+
 def test_lp_table2_quotient(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -362,6 +374,20 @@ def test_measure_check_deterministic_mc(capsys):
     # two-sided normal tail of the z-score; the 3-sigma gate is p >= 0.0027
     assert mc["p_value"] == math.erfc(abs(mc["z_score"]) / math.sqrt(2.0))
     assert mc["p_value"] >= math.erfc(3.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("dim", ["2", "4"])
+@pytest.mark.parametrize(
+    "kappa,radius", [("1", "1.5"), ("1", "1.56"), ("1", "1.57"), ("-1", "7"), ("-1", "10")]
+)
+def test_measure_check_resolves_the_boundary_layer(capsys, dim, kappa, radius):
+    # near the hemisphere and at large hyperbolic radius the chord curve turns
+    # in a thin layer of angles, which the quadrature must resolve
+    code, out, _ = run_cli(capsys, "measure-check", "--dim", dim, "--kappa", kappa, "--radius", radius)
+    report = json.loads(out)["report"]
+    assert code == 0
+    residuals = [report["santalo_relative"], *report["croke_relative"].values()]
+    assert max(abs(v) for v in residuals) <= 1e-7
 
 
 def test_measure_check_mc_needs_seed(capsys):

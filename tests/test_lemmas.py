@@ -142,7 +142,7 @@ def gradient_of_H(system, t, p, q) -> tuple:
 
 
 def test_gradient_of_H_matches_finite_difference():
-    # the only check that the _ET_*/_EP_* tables are the gradient numerators of H
+    # the only check that the _et/_ep tables are the gradient numerators of H
     h = 1e-6
     for case, pts in (
         ("spherical", [(1.0, 1.0, 2.0), (0.5, 2.0, 0.3), (2.0, 0.7, 1.3)]),

@@ -17,7 +17,6 @@ from isoplp.lpcore import (
     _residuals,
     build_isoperimetric_lp,
     build_relative_lp,
-    diagonal_profile_integral,
     product_family,
     solve,
 )
@@ -137,14 +136,18 @@ def test_weak_duality_on_random_solvable_lps(n_vars, n_rows, seed):
 
 
 def test_product_family_diagonal_integral():
-    fam = dict(product_family())
-    f = fam["pow1"]
-    # profile row rhs uses the diagonal integral against the angle density
-    val = diagonal_profile_integral(f, 2)
+    # the profile row's rhs is -area * the diagonal integral of f against the
+    # angle density, taken by the ball's angle rule, plain or graded
     from scipy.integrate import quad
 
-    ref = quad(lambda a: f(a, a) * sphere_volume(0) * math.cos(a), 0.0, math.pi / 2.0)[0]
-    assert_allclose(val, ref, rtol=1e-10)
+    fam = [(name, f) for name, f in product_family() if name == "pow1"]
+    f = fam[0][1]
+    ref = quad(lambda a: f(a, a) * sphere_volume(0) * math.cos(a), 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-13)[0]
+    for kappa, r in ((0.0, 1.0), (1.0, 0.8), (1.0, 1.57), (-1.0, 7.0)):
+        params = ModelParams(2, kappa)
+        V = ball_from_radius(params, r).volume
+        lp = build_isoperimetric_lp(params, V, GridSpec(12, 6), fam)
+        assert_allclose(-lp.rhs[4] / ball_from_volume(params, V).area, ref, rtol=1e-12)
 
 
 def _reference_family(params, r):

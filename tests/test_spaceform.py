@@ -12,6 +12,8 @@ from isoplp.spaceform import (
     BallGeometry,
     CurvatureSpectrum,
     ModelParams,
+    _angle_rule,
+    _legendre_rule,
     ball_area,
     ball_from_radius,
     ball_from_volume,
@@ -269,6 +271,44 @@ def test_ball_round_trip(n, kappa, r):
     back = ball_from_volume(params, ball.volume)
     assert math.isclose(back.radius, r, rel_tol=1e-11, abs_tol=1e-13)
     assert math.isclose(back.area, ball.area, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("volume", [1e-6, 1e-12, 1e-20])
+def test_small_ball_from_volume_matches_flat_radius(n, volume):
+    # Newton stops on a step relative to r, so a tiny radius keeps its digits
+    params = ModelParams(n, 0.0)
+    exact = (n * volume / sphere_volume(n - 1)) ** (1.0 / n)
+    assert_allclose(ball_from_volume(params, volume).radius, exact, rtol=1e-14, atol=0.0)
+
+
+def test_angle_rule_is_gauss_legendre_where_ungraded():
+    x, w = _legendre_rule(128)
+    half = math.pi / 4.0
+    # kappa <= 0 grades only past sqrt(-kappa) r = 1.5 ln 2; kappa > 0 once 100 tan(sqrt(k) r) > 1
+    for kappa, r in ((0.0, 1.0), (0.0, 50.0), (-1.0, 1.0), (1e-300, 1.0), (-1e-300, 1.0), (1.0, 0.009)):
+        alpha, weights = _angle_rule(kappa, r, 128)
+        assert np.array_equal(alpha, half * (x + 1.0)) and np.array_equal(weights, half * w), (kappa, r)
+
+
+# gradings of the angle rule: toward pi/2 for kappa > 0, toward 0 for kappa < 0
+GRADED = [(1.0, 0.8), (1.0, 1.5), (1.0, 1.56), (1.0, 1.57), (4.0, 0.78), (-1.0, 2.0), (-1.0, 7.0), (-1.0, 10.0)]
+
+
+@pytest.mark.parametrize("kappa,r", GRADED)
+def test_graded_angle_rule_integrates_constants_and_cos(kappa, r):
+    # numpy's leggauss weights carry relative errors near 1e-14 (1e-11 at the
+    # end nodes); the plain rule's normalization to sum 2 hides them, and a
+    # graded rule shows them, so these sums are good to a few 1e-14
+    for n in (128, 200):  # measure-check's default count and the diagonal integral's
+        alpha, w = _angle_rule(kappa, r, n)
+        assert np.all(np.diff(alpha) > 0.0) and 0.0 < alpha[0] and alpha[-1] < math.pi / 2.0
+        assert np.all(w > 0.0)
+        assert abs(w.sum() - math.pi / 2.0) <= 1e-13
+        assert abs(np.dot(w, np.cos(alpha)) - 1.0) <= 1e-13
+        # the nodes crowd toward the chord curve's boundary layer
+        gap = math.pi / 2.0 - alpha[-1] if kappa > 0.0 else alpha[0]
+        assert gap < _angle_rule(0.0, r, n)[0][0]
 
 
 def test_ball_geometry_fields():
