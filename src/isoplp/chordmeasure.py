@@ -3,14 +3,17 @@
 A chord of a ball is an oriented geodesic segment with both endpoints on the
 boundary; it is described by its length ell and the two boundary angles
 alpha, beta in [0, pi/2).  For a round ball the measure concentrates on the
-curve cos(alpha) = cos(beta) = chord_T(ell), with angle marginal
-area * delta_weight(n, alpha) d(alpha).
+curve alpha = beta, ell = chord_length(alpha), with angle marginal
+area * delta_weight(n, alpha) d(alpha).  Against it, F1..F4 integrate to the
+ball's moments A^2, A V, V^2 and omega_{n-1} V (Croke's three identities and
+Santalo's formula); this module is the one owner of both.
 
 Measures are discrete here: finitely many weighted atoms, produced either by
 quadrature in the angle variable (which also regularizes the integrable n=2
 endpoint singularity of the length density) or by seeded Monte Carlo
-sampling.  The quadrature is spaceform's angle rule, which the LP grid reads
-too: Gauss-Legendre graded toward the chord curve's boundary layer.
+sampling.  The quadrature is spaceform's angle rule, Gauss-Legendre graded
+toward the chord curve's boundary layer; the LP's angle grid, its curve
+lengths and its diagonal integral are read off these atoms.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .spaceform import (
     candle_anti2,
     candle_prime,
     chord_T,
-    chord_T_inverse,
     chord_T_prime,
+    chord_length,
     delta_weight,
     sphere_volume,
 )
@@ -38,12 +41,11 @@ from .spaceform import (
 __all__ = [
     "DiscreteMeasure",
     "ball_chord_density",
+    "ball_moments",
     "discretize_ball_measure",
     "sample_chords",
     "chord_functional",
     "integrate",
-    "santalo_residual",
-    "croke_residual",
 ]
 
 @dataclass
@@ -79,9 +81,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return int(self.mass.size)
 
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.ell, self.alpha, self.beta, self.mass * factor)
-
 
 def ball_chord_density(ball: BallGeometry, ell) -> float | np.ndarray:
     """Length density of the chord measure of a round ball.
@@ -105,19 +104,30 @@ def ball_chord_density(ball: BallGeometry, ell) -> float | np.ndarray:
 
 
 def discretize_ball_measure(ball: BallGeometry, n_nodes: int) -> DiscreteMeasure:
-    """Quadrature discretization of the ball's chord measure.
+    """Quadrature discretization of the ball's chord measure; the atoms ascend in ell.
 
     The ball's angle rule in the boundary angle alpha on (0, pi/2) (the
     substituted variable in which every curve integrand is smooth), with atom
-    lengths on the curve ell = chord_T_inverse(cos alpha) and masses
-    w * area * delta_weight(alpha).
+    lengths ell = chord_length(alpha) and masses w * area * delta_weight(alpha).
+    This is the one place that turns the angle rule into atoms.
     """
     params = ball.params
     alpha, w = _angle_rule(params.kappa, ball.radius, n_nodes)
+    ell = chord_length(params.kappa, ball.radius, alpha)  # first, to reject a radius at the hemisphere
+    if alpha[-1] >= math.pi / 2.0:
+        raise ValueError(
+            f"radius {ball.radius!r} is too close to the hemisphere radius {params.hemisphere_radius!r}: "
+            f"the last of {n_nodes} angle nodes rounds to pi/2"
+        )
     mass = w * ball.area * delta_weight(params.n, alpha)
-    ell = chord_T_inverse(params.kappa, ball.radius, np.cos(alpha))
     order = np.argsort(ell)
     return DiscreteMeasure(ell[order], alpha[order], alpha[order], mass[order])
+
+
+def ball_moments(ball: BallGeometry) -> tuple[float, float, float, float]:
+    """(A^2, A V, V^2, omega_{n-1} V): the integrals of F1..F4 against the ball's own chord measure."""
+    area, volume = ball.area, ball.volume
+    return area ** 2, area * volume, volume ** 2, sphere_volume(ball.params.n - 1) * volume
 
 
 def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeasure:
@@ -135,7 +145,7 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(n_samples)
     alpha = np.arcsin(u ** (1.0 / (n - 1)))
-    ell = chord_T_inverse(params.kappa, ball.radius, np.cos(alpha))
+    ell = chord_length(params.kappa, ball.radius, alpha)
     total = ball.area * sphere_volume(n - 2) / (n - 1)
     mass = np.full(n_samples, total / n_samples)
     return DiscreteMeasure(ell, alpha, alpha, mass)
@@ -171,8 +181,8 @@ class SingularAtomError(ValueError):
 
 
 def _sec_sum_checked(measure: DiscreteMeasure) -> None:
-    margin = 1e-12
-    bad = (measure.alpha >= math.pi / 2 - margin) | (measure.beta >= math.pi / 2 - margin)
+    # only pi/2 itself, whose cosine is the rounding residue 6e-17; below it the secant is finite
+    bad = (measure.alpha >= math.pi / 2) | (measure.beta >= math.pi / 2)
     bad &= measure.mass > 0
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -192,26 +202,3 @@ def integrate(measure: DiscreteMeasure, functional: str, params: ModelParams) ->
         _sec_sum_checked(measure)
         cosines = (np.cos(measure.alpha), np.cos(measure.beta))
     return float(np.dot(measure.mass, chord_functional(params, k, measure.ell, *cosines)))
-
-
-def santalo_residual(ball: BallGeometry, measure: DiscreteMeasure) -> float:
-    """integrate(ell) - omega_{n-1} * volume (0 for the exact chord measure)."""
-    lhs = integrate(measure, "F4", ball.params)
-    return lhs - sphere_volume(ball.params.n - 1) * ball.volume
-
-
-def croke_residual(ball: BallGeometry, measure: DiscreteMeasure, which: int) -> float:
-    """Defect of the three equalities satisfied by the ball's chord measure.
-
-    which=1: integral F1 = area^2; which=2: integral F2 = area * volume;
-    which=3: integral F3 = volume^2.
-    """
-    if which not in (1, 2, 3):
-        raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    lhs = integrate(measure, f"F{which}", ball.params)
-    rhs = {
-        1: ball.area ** 2,
-        2: ball.area * ball.volume,
-        3: ball.volume ** 2,
-    }[which]
-    return lhs - rhs

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordmeasure import chord_functional
-from .spaceform import ModelParams, _angle_rule, ball_from_volume, chord_T_inverse, delta_weight, sphere_volume
+from .chordmeasure import chord_functional, discretize_ball_measure
+from .spaceform import BallGeometry, ModelParams, ball_from_volume, sphere_volume
 
 __all__ = [
     "SOLVER_TOL",
@@ -303,14 +303,13 @@ def product_family():
     return fam
 
 
-def _grid_nodes(params: ModelParams, r_curve: float, grid: GridSpec):
-    """Angle nodes (the angle rule of radius r_curve) and curve-aligned ell nodes; the atoms are their product."""
-    m = grid.n_alpha
-    alpha, _ = _angle_rule(params.kappa, r_curve, m)
-    lmax = min(2.0 * r_curve, params.conjugate_radius)
-    n_fill = grid.n_ell - m
+def _grid_nodes(ball: BallGeometry, grid: GridSpec):
+    """Angle nodes and curve-aligned ell nodes, read off the ball's n_alpha-atom measure; atoms are their product."""
+    atoms = discretize_ball_measure(ball, grid.n_alpha)
+    lmax = min(2.0 * ball.radius, ball.params.conjugate_radius)
+    n_fill = grid.n_ell - grid.n_alpha
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
-    return alpha, np.unique(np.concatenate([chord_T_inverse(params.kappa, r_curve, np.cos(alpha)), fill]))
+    return np.sort(atoms.alpha), np.unique(np.concatenate([atoms.ell, fill]))
 
 
 def build_isoperimetric_lp(
@@ -350,7 +349,7 @@ def build_relative_lp(
 
     Every atom row is a function of ell times a function of (alpha, beta),
     so each factor is evaluated once and the rows are filled by broadcasting.
-    The profile rows' diagonal integral takes B0's 200-node angle rule.
+    The profile rows' diagonal integral is over B0's 200-atom chord measure.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -364,7 +363,7 @@ def build_relative_lp(
     else:
         rhs = [0.0, 0.0, -omega * m * V * V, V]
 
-    alpha, ell = _grid_nodes(params, ball0.radius, grid)
+    alpha, ell = _grid_nodes(ball0, grid)
     cos = np.cos(alpha)
     A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
     labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(
@@ -379,11 +378,10 @@ def build_relative_lp(
     for k in (1, 2, 3, 4):
         Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
         atoms[k - 1] = Fk if k == 4 else -Fk
-    diag_alpha, diag_w = _angle_rule(params.kappa, ball0.radius, 200)
-    diag_w = diag_w * delta_weight(params.n, diag_alpha)
+    diag = discretize_ball_measure(ball0, 200)
     for row, (_, f) in enumerate(f_family, start=4):
         atoms[row] = -np.asarray(f(A_, B_), dtype=float)
-        rhs.append(-a_rel * float(np.dot(diag_w, f(diag_alpha, diag_alpha))))
+        rhs.append(-float(np.dot(diag.mass, f(diag.alpha, diag.alpha))) / m)
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0

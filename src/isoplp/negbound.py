@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordmeasure import DiscreteMeasure, integrate
+from .chordmeasure import DiscreteMeasure, ball_moments, integrate
 from .spaceform import (
     CurvatureSpectrum,
     ModelParams,
@@ -36,6 +36,7 @@ __all__ = [
     "conjecture_residual",
     "conjecture_rhs",
     "hyp2_lemma_residual",
+    "hyp2_rhs",
     "question1_margin",
     "ch2_counterexample_search",
 ]
@@ -79,9 +80,9 @@ def smallness_ok(inp: SmallnessInput) -> SmallnessCheck:
 
 def conjecture_rhs(r: float) -> float:
     """A^2 - 6 tanh(r) A V + 9 tanh(r)^2 V^2 for the hyperbolic 4-ball of radius r."""
-    ball = ball_from_radius(ModelParams(4, -1.0), r)
+    a2, av, v2, _ = ball_moments(ball_from_radius(ModelParams(4, -1.0), r))
     tr = math.tanh(r)
-    return ball.area ** 2 - 6.0 * tr * ball.area * ball.volume + 9.0 * tr * tr * ball.volume ** 2
+    return a2 - 6.0 * tr * av + 9.0 * tr * tr * v2
 
 
 def conjecture_residual(r: float, measure: DiscreteMeasure) -> float:
@@ -115,11 +116,15 @@ def hyp2_lemma_residual(r: float, measure: DiscreteMeasure) -> float:
     convention is adopted here and verified by the tests.
     """
     params = ModelParams(2, -1.0)
-    ball = ball_from_radius(params, r)
     tr = math.tanh(r)
     lhs = integrate(measure, "F2", params) - tr * integrate(measure, "F3", params)
-    rhs = ball.area * ball.volume - tr * ball.volume ** 2
-    return lhs - rhs
+    return lhs - hyp2_rhs(r)
+
+
+def hyp2_rhs(r: float) -> float:
+    """A V - tanh(r) V^2 for the hyperbolic disk of radius r."""
+    _, av, v2, _ = ball_moments(ball_from_radius(ModelParams(2, -1.0), r))
+    return av - math.tanh(r) * v2
 
 
 def _difference_kernels(spectrum: CurvatureSpectrum, ell: float, kappa_cmp: float):

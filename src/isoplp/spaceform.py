@@ -3,7 +3,7 @@
 Candle functions (Jacobians of the exponential map) of the simply connected
 space forms, their first and second antiderivatives, metric-ball volume and
 area, and the normalized chord function that maps a chord length to the
-cosine of its boundary angle.
+cosine of its boundary angle, with its inverse chord_length.
 
 Curvature is a continuous parameter.  Every evaluator accepts scalars or
 numpy arrays, and the trigonometric, flat and hyperbolic branches agree to
@@ -37,7 +37,7 @@ __all__ = [
     "max_ball_volume",
     "chord_T",
     "chord_T_prime",
-    "chord_T_inverse",
+    "chord_length",
     "delta_weight",
     "candle_from_spectrum",
 ]
@@ -462,13 +462,26 @@ def chord_T_prime(kappa: float, r: float, ell) -> float | np.ndarray:
     return _wrap((1.0 + kappa * _tn(kappa, arr / 2.0) ** 2) / (2.0 * _tn(kappa, r)), scalar)
 
 
-def chord_T_inverse(kappa: float, r: float, c) -> float | np.ndarray:
-    """Chord length whose boundary-angle cosine equals c (inverse of chord_T)."""
+def chord_length(kappa: float, r: float, alpha) -> float | np.ndarray:
+    """Length ell = 2 atn(tn(r) cos alpha) of the ball's chord with boundary angle alpha (inverse of chord_T).
+
+    For kappa < 0 it is 2 atanh(x)/sqrt(-k) = log1p(2x/(1 - x))/sqrt(-k) with
+    x = cos(alpha) tanh(rho), rho = sqrt(-k) r, and 1 - x written as the sum
+    2 sin^2(alpha/2) + cos(alpha) 2e^(-2 rho)/(1 + e^(-2 rho)) of positive
+    terms: it keeps its digits where x -> 1, and e^(-2 rho) underflows to 0
+    rather than tanh(rho) rounding to 1.
+    """
     _validate_chord_args(kappa, r)
-    arr, scalar = _as_array(c)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise ValueError("chord_T value must lie in [0, 1]")
-    return _wrap(2.0 * _atn(kappa, np.clip(arr, 0.0, 1.0) * _tn(kappa, r)), scalar)
+    arr, scalar = _as_array(alpha)
+    if np.any(arr < -1e-12) or np.any(arr > math.pi / 2.0 + 1e-12):
+        raise ValueError("angle must lie in [0, pi/2]")
+    c = np.clip(np.cos(arr), 0.0, 1.0)
+    if kappa >= 0.0:
+        return _wrap(2.0 * _atn(kappa, c * _tn(kappa, r)), scalar)
+    rt = math.sqrt(-kappa)
+    e = math.exp(-2.0 * rt * r)
+    one_minus_x = 2.0 * np.sin(arr / 2.0) ** 2 + c * (2.0 * e / (1.0 + e))
+    return _wrap(np.log1p(2.0 * c * math.tanh(rt * r) / one_minus_x) / rt, scalar)
 
 
 def _angle_rule(kappa: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:

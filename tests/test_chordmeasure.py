@@ -11,11 +11,10 @@ from isoplp.chordmeasure import (
     DiscreteMeasure,
     SingularAtomError,
     ball_chord_density,
-    croke_residual,
+    ball_moments,
     discretize_ball_measure,
     integrate,
     sample_chords,
-    santalo_residual,
 )
 from isoplp.spaceform import ModelParams, _angle_rule, _legendre_rule, ball_from_radius, sphere_volume
 
@@ -62,8 +61,21 @@ def test_measure_atoms_and_scaling():
     mu = DiscreteMeasure([0.5, 1.0], [0.1, 0.2], [0.1, 0.3], [2.0, 3.0])
     assert mu.size == 2
     assert_allclose(mu.total_mass, 5.0)
-    half = mu.scaled(0.5)
+    half = DiscreteMeasure(mu.ell, mu.alpha, mu.beta, 0.5 * mu.mass)
     assert_allclose(half.total_mass, 2.5)
+
+
+def residual(ball, mu, k):
+    """integral F_k d(mu) minus the ball's k-th moment (0 for the ball's own chord measure)."""
+    return integrate(mu, f"F{k}", ball.params) - ball_moments(ball)[k - 1]
+
+
+def test_ball_moments_closed_forms():
+    # the unit disk: A = 2 pi, V = pi, omega_1 = 2 pi
+    pi2 = math.pi ** 2
+    assert_allclose(ball_moments(DISK), (4 * pi2, 2 * pi2, pi2, 2 * pi2), rtol=1e-15)
+    area, volume = BALL4.area, BALL4.volume
+    assert ball_moments(BALL4) == (area ** 2, area * volume, volume ** 2, 2 * math.pi ** 2 * volume)
 
 
 def test_chord_density_normalizes_to_F_identities():
@@ -97,7 +109,7 @@ DISK_CROKE = {1: 4.0 * math.pi ** 2, 2: 2.0 * math.pi ** 2, 3: math.pi ** 2}
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_croke_equalities_disk_closed_values(which):
     mu = discretize_ball_measure(DISK, 160)
-    resid = croke_residual(DISK, mu, which)
+    resid = residual(DISK, mu, which)
     assert abs(resid) <= 1e-10 * DISK_CROKE[which]
     val = integrate(mu, f"F{which}", DISK.params)
     assert_allclose(val, DISK_CROKE[which], rtol=1e-12)
@@ -112,15 +124,15 @@ def test_santalo_and_croke_all_model_cases(n, kappa, r):
     ball = ball_from_radius(params, r)
     mu = discretize_ball_measure(ball, 160)
     omega = sphere_volume(n - 1)
-    assert abs(santalo_residual(ball, mu)) <= 1e-9 * omega * ball.volume
+    assert abs(residual(ball, mu, 4)) <= 1e-9 * omega * ball.volume
     rhs = {1: ball.area ** 2, 2: ball.area * ball.volume, 3: ball.volume ** 2}
     for which in (1, 2, 3):
-        assert abs(croke_residual(ball, mu, which)) <= 1e-9 * rhs[which]
+        assert abs(residual(ball, mu, which)) <= 1e-9 * rhs[which]
 
 
 def test_quadrature_refinement_converges():
     resid = [
-        abs(croke_residual(BALL4, discretize_ball_measure(BALL4, n), 1))
+        abs(residual(BALL4, discretize_ball_measure(BALL4, n), 1))
         for n in (16, 32, 64)
     ]
     assert resid[2] <= resid[0] + 1e-12
@@ -133,6 +145,24 @@ def test_integrate_rejects_singular_secant():
     # zero-mass atoms at the wall are fine
     mu0 = DiscreteMeasure([1.0, 0.5], [math.pi / 2.0, 0.1], [0.0, 0.1], [0.0, 1.0])
     assert math.isfinite(integrate(mu0, "F1", DISK.params))
+
+
+def test_atoms_next_to_the_hemisphere_are_finite():
+    # below pi/2 the secant is finite, however large: only pi/2 itself is rejected
+    mu = DiscreteMeasure([1.0], [math.pi / 2.0 - 1e-13], [0.0], [1.0])
+    assert math.isfinite(integrate(mu, "F1", DISK.params))
+    # 5e-9 inside the hemisphere the last graded node sits within 1e-12 of pi/2
+    ball = ball_from_radius(ModelParams(2, 1.0), 1.57079632)
+    mu = discretize_ball_measure(ball, 128)
+    assert math.pi / 2.0 - mu.alpha.max() < 1e-12
+    assert abs(residual(ball, mu, 1)) <= 1e-8 * ball.area ** 2
+
+
+def test_last_angle_node_at_pi_half_names_the_hemisphere_radius():
+    # here the angle rule's last node rounds to pi/2, where the secant is infinite
+    ball = ball_from_radius(ModelParams(4, 1.0), 1.5707963267948)
+    with pytest.raises(ValueError, match="hemisphere radius 1.5707963267948966"):
+        discretize_ball_measure(ball, 128)
 
 
 def test_monte_carlo_reproducible_and_unbiased():

@@ -378,16 +378,50 @@ def test_measure_check_deterministic_mc(capsys):
 
 @pytest.mark.parametrize("dim", ["2", "4"])
 @pytest.mark.parametrize(
-    "kappa,radius", [("1", "1.5"), ("1", "1.56"), ("1", "1.57"), ("-1", "7"), ("-1", "10")]
+    "kappa,radius",
+    [
+        ("1", "1.5"), ("1", "1.56"), ("1", "1.57"), ("-1", "7"), ("-1", "10"),
+        ("-1", "12"), ("-1", "15"), ("-1", "19"), ("-1", "25"),
+    ],
 )
 def test_measure_check_resolves_the_boundary_layer(capsys, dim, kappa, radius):
     # near the hemisphere and at large hyperbolic radius the chord curve turns
-    # in a thin layer of angles, which the quadrature must resolve
+    # in a thin layer of angles, which the quadrature must resolve; from
+    # sqrt(-kappa) r = 12 on, 1 - tanh cancels (and rounds to 0 past 19), so
+    # these radii also check that the chord lengths keep their digits
     code, out, _ = run_cli(capsys, "measure-check", "--dim", dim, "--kappa", kappa, "--radius", radius)
     report = json.loads(out)["report"]
     assert code == 0
     residuals = [report["santalo_relative"], *report["croke_relative"].values()]
-    assert max(abs(v) for v in residuals) <= 1e-7
+    assert max(abs(v) for v in residuals) <= (1e-12 if float(radius) >= 12.0 else 1e-7)
+
+
+def test_measure_check_single_mc_sample_exits_2(capsys, recwarn):
+    # a standard error needs two samples; one used to report nan with exit 1
+    code, out, err = run_cli(
+        capsys, "measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--mc-samples", "1", "--seed", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--mc-samples must be at least 2" in err
+    assert len(recwarn) == 0
+    code, out, _ = run_cli(
+        capsys, "measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--mc-samples", "2", "--seed", "0"
+    )
+    assert code in (0, 1)
+    assert "nan" not in out
+
+
+def test_relative_residuals_are_the_balls(capsys):
+    # the quotient divides both sides of each identity by m, so its relative
+    # residuals are those of B0, the ball of volume m V = 1 (exact in binary)
+    code, out, _ = run_cli(capsys, "relative", "--dim", "2", "--kappa", "-1", "--m", "2", "--volume", "0.5")
+    assert code == 0
+    relative = json.loads(out)["report"]["equality_residuals"]
+    code, out, _ = run_cli(capsys, "measure-check", "--dim", "2", "--kappa", "-1", "--volume", "1.0")
+    assert code == 0
+    croke = json.loads(out)["report"]["croke_relative"]
+    assert [relative[f"F{k}"] for k in (1, 2, 3)] == [croke[f"croke{k}"] for k in (1, 2, 3)]
 
 
 def test_measure_check_mc_needs_seed(capsys):

@@ -208,7 +208,7 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
     V = ball_from_radius(params, r).volume
     grid = GridSpec(12, 6)
     lp = build_isoperimetric_lp(params, V, grid, [])
-    alpha, ell = _grid_nodes(params, ball_from_volume(params, V).radius, grid)
+    alpha, ell = _grid_nodes(ball_from_volume(params, V), grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     cols = lp.row_matrix[:4, 1:]
     cert = certificate.paper_certificate(params, r)
@@ -380,9 +380,9 @@ def test_large_unbounded_lp_detected():
     assert solve(lp).status == "unbounded"
 
 
-def _meshgrid_rows(params, r_curve, grid, family):
+def _meshgrid_rows(params, ball_curve, grid, family):
     """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh."""
-    alpha, ell = _grid_nodes(params, r_curve, grid)
+    alpha, ell = _grid_nodes(ball_curve, grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
     rows = [
@@ -403,9 +403,9 @@ def test_separable_assembly_matches_meshgrid(n, kappa, r):
     grid = GridSpec(24, 12)
     lp = build_isoperimetric_lp(params, ball.volume, grid, fam)
     # the LP places its curve nodes on the ball it recovers from the volume
-    r_curve = ball_from_volume(params, ball.volume).radius
-    assert lp.n_vars == 1 + _grid_nodes(params, r_curve, grid)[1].size * 12 * 12
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, r_curve, grid, fam), rtol=1e-12, atol=0.0)
+    ball_curve = ball_from_volume(params, ball.volume)
+    assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[1].size * 12 * 12
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball_curve, grid, fam), rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
 
 
@@ -415,5 +415,5 @@ def test_separable_assembly_matches_meshgrid_relative():
     fam = _reference_family(params, ball0.radius)
     grid = GridSpec(24, 12)
     lp = build_relative_lp(params, V, m, grid, fam)
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball0.radius, grid, fam), rtol=1e-12, atol=0.0)
+    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball0, grid, fam), rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (lp.n_rows - 2), rtol=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoplp.chordmeasure import discretize_ball_measure
+from isoplp.chordmeasure import DiscreteMeasure, discretize_ball_measure
 from isoplp.negbound import (
     CH2_SPECTRUM,
     CounterexampleResult,
@@ -18,6 +18,7 @@ from isoplp.negbound import (
     conjecture_residual,
     conjecture_rhs,
     hyp2_lemma_residual,
+    hyp2_rhs,
     question1_margin,
     smallness_ok,
 )
@@ -61,11 +62,22 @@ def test_smallness_scale_invariant(kappa, L, r, lam):
     assert scaled.product == pytest.approx(base.product, rel=1e-12, abs=1e-15)
 
 
+def scaled(measure, factor):
+    return DiscreteMeasure(measure.ell, measure.alpha, measure.beta, factor * measure.mass)
+
+
 def test_conjecture_rhs_is_square():
     for r in (0.5, 1.0, 2.0):
         ball = ball_from_radius(ModelParams(4, -1.0), r)
         square = (ball.area - 3.0 * math.tanh(r) * ball.volume) ** 2
         assert conjecture_rhs(r) == pytest.approx(square, rel=1e-12)
+
+
+def test_hyp2_rhs_closed_form():
+    # the hyperbolic disk: A = 2 pi sinh r, V = 2 pi (cosh r - 1)
+    for r in (0.5, 1.0, 2.0):
+        area, volume = 2.0 * math.pi * math.sinh(r), 2.0 * math.pi * (math.cosh(r) - 1.0)
+        assert hyp2_rhs(r) == pytest.approx(area * volume - math.tanh(r) * volume ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.7, 1.2, 1.5])
@@ -75,7 +87,7 @@ def test_conjecture_tight_on_model_ball(r):
     residual = conjecture_residual(r, measure)
     assert abs(residual) <= 1e-12 * (1.0 + abs(conjecture_rhs(r)))
     # removing mass can only lose: the inequality goes strict
-    assert conjecture_residual(r, measure.scaled(0.9)) < 0.0
+    assert conjecture_residual(r, scaled(measure, 0.9)) < 0.0
 
 
 @pytest.mark.parametrize("r", [0.5, 0.7, 1.2, 1.5])
@@ -83,7 +95,7 @@ def test_hyp2_lemma_tight_on_model_disk(r):
     ball = ball_from_radius(ModelParams(2, -1.0), r)
     measure = discretize_ball_measure(ball, 160)
     assert abs(hyp2_lemma_residual(r, measure)) <= 1e-12
-    assert hyp2_lemma_residual(r, measure.scaled(0.9)) < 0.0
+    assert hyp2_lemma_residual(r, scaled(measure, 0.9)) < 0.0
 
 
 def test_question1_margin_zero_for_model_spectrum():

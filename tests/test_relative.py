@@ -1,16 +1,14 @@
 """Multiplicity-m ball bound: quotient measures and their equality cases."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoplp.relative import (
-    RelativeCase,
-    orbifold_measure,
-    relative_bound,
-    verify_relative_equality,
-)
+from isoplp.chordmeasure import ball_moments, discretize_ball_measure, integrate
+from isoplp.cli import main
+from isoplp.relative import RelativeCase, relative_bound
 from isoplp.spaceform import ModelParams, ball_from_volume, max_ball_volume
 
 
@@ -41,23 +39,25 @@ def test_m1_reduces_to_plain_ball():
     ],
 )
 def test_equality_residuals_small(params, m, V):
-    report = verify_relative_equality(RelativeCase(params, m, V), 160)
-    assert report.max_abs <= 1e-12
-    assert report.passed()
-    assert report.passed(tol=1e-10)
+    # the quotient measure is B0's scaled by 1/m, and its identities are B0's
+    # divided by m: integral F1 = m A_R^2, F2 = m A_R V, F3 = m V^2 with A_R = area(B0)/m
+    ball0 = ball_from_volume(params, m * V)
+    a_r = relative_bound(RelativeCase(params, m, V))
+    assert a_r == ball0.area / m
+    measure = discretize_ball_measure(ball0, 160)
+    rhs = (m * a_r * a_r, m * a_r * V, m * V * V)
+    for k, (moment, quotient_rhs) in enumerate(zip(ball_moments(ball0), rhs), start=1):
+        assert moment / m == pytest.approx(quotient_rhs, rel=1e-13)
+        integral = integrate(measure, f"F{k}", params) / m
+        assert abs(integral - quotient_rhs) <= 1e-12 * quotient_rhs, k
 
 
-def test_equality_report_fails_at_absurd_tolerance():
-    report = verify_relative_equality(RelativeCase(ModelParams(2, 0.0), 2, 1.0), 160)
-    assert not report.passed(tol=0.0)
-
-
-def test_orbifold_measure_mass_scales_inversely_in_m():
-    params = ModelParams(2, 0.0)
-    base = orbifold_measure(RelativeCase(params, 1, 2.0), 80)
-    # same total volume split over two sheets: same ball B0, half the mass
-    half = orbifold_measure(RelativeCase(params, 2, 1.0), 80)
-    assert half.total_mass == pytest.approx(base.total_mass / 2.0, rel=1e-14)
+def test_equality_report_fails_at_absurd_tolerance(capsys):
+    argv = ["relative", "--dim", "2", "--kappa", "0", "--m", "2", "--volume", "1.0"]
+    assert main(argv + ["--tol", "1e-10"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol", "1e-300"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_bound_monotone_in_multiplicity():

@@ -24,8 +24,8 @@ from isoplp.spaceform import (
     candle_from_spectrum,
     candle_prime,
     chord_T,
-    chord_T_inverse,
     chord_T_prime,
+    chord_length,
     delta_weight,
     max_ball_volume,
     sphere_volume,
@@ -68,7 +68,8 @@ def test_tiny_curvature_matches_flat(n, kappa):
     ell = np.linspace(0.0, 1.6, 9)
     assert_allclose(chord_T(kappa, 0.8, ell), chord_T(0.0, 0.8, ell), rtol=1e-14)
     assert_allclose(chord_T_prime(kappa, 0.8, ell), chord_T_prime(0.0, 0.8, ell), rtol=1e-14)
-    assert_allclose(chord_T_inverse(kappa, 0.8, ell / 1.6), ell, rtol=1e-14)
+    alpha = np.linspace(0.0, math.pi / 2.0, 9)
+    assert_allclose(chord_length(kappa, 0.8, alpha), chord_length(0.0, 0.8, alpha), rtol=1e-14)
     assert max_ball_volume(params) > 1e60  # inf where kappa^(-n/2) overflows
     ball = ball_from_volume(params, 1.0)
     assert_allclose(ball.radius, ball_from_volume(flat, 1.0).radius, rtol=1e-13)
@@ -323,7 +324,7 @@ def test_chord_function_flat():
     ell = np.array([0.2, 1.0, 1.9])
     assert_allclose(chord_T(0.0, r, ell), ell / 2.0, rtol=1e-15)
     assert_allclose(chord_T_prime(0.0, r, ell), 0.5, rtol=1e-15)
-    assert_allclose(chord_T_inverse(0.0, r, ell / 2.0), ell, rtol=1e-14)
+    assert_allclose(chord_length(0.0, r, np.arccos(ell / 2.0)), ell, rtol=1e-14)
 
 
 @pytest.mark.parametrize("kappa,r", [(1.0, 0.7), (-1.0, 1.3), (0.0, 1.0), (2.5, 0.4)])
@@ -333,7 +334,7 @@ def test_chord_function_round_trip_and_range(kappa, r):
     # T maps (0, 2r) onto (0, 1) monotonically
     assert np.all(np.diff(c) > 0)
     assert c[0] > 0.0 and c[-1] < 1.0
-    assert_allclose(chord_T_inverse(kappa, r, c), ell, rtol=1e-11, atol=1e-12)
+    assert_allclose(chord_length(kappa, r, np.arccos(c)), ell, rtol=1e-11, atol=1e-12)
     # endpoints: T(0) = 0, T(2r) = 1
     assert_allclose(chord_T(kappa, r, 2.0 * r), 1.0, rtol=1e-12)
     h = 1e-7
@@ -346,6 +347,32 @@ def test_chord_function_rejects_hemisphere_radius():
         chord_T(1.0, math.pi / 2.0, 0.5)
     with pytest.raises(ValueError):
         chord_T(0.0, 1.0, 2.5)
+    with pytest.raises(ValueError):
+        chord_length(1.0, math.pi / 2.0, 0.5)
+    with pytest.raises(ValueError, match="angle"):
+        chord_length(0.0, 1.0, 1.6)
+
+
+def _chord_length_mp(kappa, r, alpha):
+    """2 atanh(cos(alpha) tanh(sqrt(-k) r)) / sqrt(-k) in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        rt = mpmath.sqrt(-mpmath.mpf(kappa))
+        x = mpmath.cos(mpmath.mpf(alpha)) * mpmath.tanh(rt * mpmath.mpf(r))
+        return 2 * mpmath.atanh(x) / rt
+
+
+@pytest.mark.parametrize(
+    "kappa,r", [(-1.0, 0.8), (-1.0, 7.0), (-1.0, 12.0), (-1.0, 25.0), (-4.0, 25.0), (-1e-300, 1.0)]
+)
+def test_hyperbolic_chord_length_keeps_its_digits(kappa, r):
+    # at large radius 1 - cos(alpha) tanh(rho) cancels, and tanh rounds to 1
+    # past rho = 19; the chord length is written so that neither loses digits
+    alpha = np.concatenate([[0.0], _angle_rule(kappa, r, 128)[0]])
+    got = chord_length(kappa, r, alpha)
+    assert np.all(np.isfinite(got))
+    for a, g in zip(alpha, got):
+        ref = _chord_length_mp(kappa, r, a)
+        assert abs(g - ref) <= 1e-15 * ref, (a, g)
 
 
 def test_delta_weight_normalization():
