@@ -48,12 +48,12 @@ __all__ = [
 ]
 
 
-class DegenerateConsistencyError(RuntimeError):
+class DegenerateConsistencyError(ValueError):
     """Consistency system has a kernel of dimension != 1."""
 
 
-class SupDomainError(RuntimeError):
-    """The sup over chord lengths escaped to the artificial domain cap."""
+class SupDomainError(ValueError):
+    """The sup over chord lengths escaped to the artificial domain cap, or its integrand overflows there."""
 
 
 @dataclass(frozen=True)
@@ -91,32 +91,37 @@ class ConsistencyFit(NamedTuple):
     residual: float
 
 
-def _consistency_columns(params: ModelParams, r: float, ell: np.ndarray) -> np.ndarray:
-    """(F1', F2', F3', -F4') on the chord curve, where cos(alpha) = cos(beta) = T."""
+def _consistency_columns(params: ModelParams, r: float, n_nodes: int) -> np.ndarray:
+    """(F1', F2', F3', -F4') where cos alpha = cos beta = T, at n_nodes Chebyshev chord lengths in [0.04 r, 1.96 r]."""
+    lo, hi = 0.02 * 2.0 * r, 0.98 * 2.0 * r
+    k = np.arange(1, n_nodes + 1)
+    x = np.cos((2 * k - 1) / (2 * n_nodes) * math.pi)
+    ell = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[::-1]
     T = np.asarray(chord_T(params.kappa, r, ell))
     cols = [chord_functional(params, k, ell, T, T, dell=True) for k in (1, 2, 3)]
     return np.column_stack(cols + [-chord_functional(params, 4, ell, T, T, dell=True)])
 
 
-def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    k = np.arange(1, n + 1)
-    x = np.cos((2 * k - 1) / (2 * n) * math.pi)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[::-1]
+def _consistency_residual(params: ModelParams, r: float, coefficients, n_nodes: int) -> float:
+    """max over n_nodes lengths of |sum v_k col_k| / sum |v_k col_k|, fair to columns growing like e^((n-1) ell)."""
+    cols = _consistency_columns(params, r, n_nodes)
+    v = np.asarray(coefficients, dtype=float)
+    size = np.abs(cols) @ np.abs(v)
+    return float(np.max(np.abs(cols @ v) / np.where(size > 0.0, size, 1.0)))
 
 
 def solve_consistency(params: ModelParams, r: float) -> ConsistencyFit:
     """Recover certificate coefficients from the stationarity equation on the curve.
 
-    Collocates the 4-column linear system at 64 Chebyshev chord lengths, takes
-    the SVD kernel (columns scaled to unit norm first), and normalizes the
-    gauge to a=1 when a is non-negligible, else b=1.  The residual is the
-    max defect on a 10x denser grid.  Raises DegenerateConsistencyError when
-    the kernel is not one dimensional.
+    Collocates the 4-column system at 64 Chebyshev chord lengths, divides
+    each equation by its norm and each column to unit norm, and takes the
+    SVD kernel, which must be one dimensional (else DegenerateConsistencyError),
+    in the gauge a=1, else b=1.  The residual is _consistency_residual at 640 lengths.
     """
     if r >= params.hemisphere_radius:
         raise ValueError("radius must be strictly inside the hemisphere")
-    lo, hi = 0.02 * 2.0 * r, 0.98 * 2.0 * r
-    cols = _consistency_columns(params, r, _cheb_nodes(lo, hi, 64))
+    cols = _consistency_columns(params, r, 64)
+    cols = cols / np.linalg.norm(cols, axis=1)[:, None]
     scale = np.linalg.norm(cols, axis=0)
     scale[scale == 0.0] = 1.0
     _, sing, vt = np.linalg.svd(cols / scale, full_matrices=False)
@@ -125,15 +130,9 @@ def solve_consistency(params: ModelParams, r: float) -> ConsistencyFit:
             f"consistency kernel has dimension > 1; singular values {sing.tolist()}"
         )
     v = vt[-1] / scale
-    if abs(v[0]) > 1e-8 * np.max(np.abs(v)):
-        v = v / v[0]
-    elif abs(v[1]) > 1e-8 * np.max(np.abs(v)):
-        v = v / v[1]
-    else:
-        v = v / v[np.argmax(np.abs(v))]
-    dense = _consistency_columns(params, r, _cheb_nodes(lo, hi, 640))
-    residual = float(np.max(np.abs(dense @ v)))
-    return ConsistencyFit(float(v[0]), float(v[1]), float(v[2]), float(v[3]), residual)
+    gauge = np.abs(v[:2]) > 1e-8 * np.max(np.abs(v))  # a, else b, else the largest
+    v = v / v[int(np.argmax(gauge)) if gauge.any() else np.argmax(np.abs(v))]
+    return ConsistencyFit(*map(float, v), _consistency_residual(params, r, v, 640))
 
 
 def _sec_sum(alpha, beta):
@@ -223,7 +222,8 @@ def build_f(cert: DualCertificate, alpha, beta):
     maximum at ell = 0 or on a plateau) take a 60-step golden-section
     search.  The domain ends at the conjugate radius or at the cap of
     _sup_domain, whichever is shorter; a sup escaping to the cap raises
-    SupDomainError since the certificate then bounds nothing.
+    SupDomainError since the certificate then bounds nothing, and so does
+    an integrand that overflows on the scan.
     """
     a_arr = np.asarray(alpha, dtype=float)
     b_arr = np.asarray(beta, dtype=float)
@@ -235,10 +235,15 @@ def build_f(cert: DualCertificate, alpha, beta):
     k = np.empty(A.size, dtype=np.intp)
     scan_max = np.empty(A.size)
     step = max(1, _SCAN_CHUNK // _SCAN_NODES)
-    for i in range(0, A.size, step):
-        G = sup_integrand(cert, nodes[:, None], A[None, i : i + step], B[None, i : i + step])
-        k[i : i + step] = kb = np.argmax(G, axis=0)
-        scan_max[i : i + step] = G[kb, np.arange(kb.size)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for i in range(0, A.size, step):
+            G = sup_integrand(cert, nodes[:, None], A[None, i : i + step], B[None, i : i + step])
+            k[i : i + step] = kb = np.argmax(G, axis=0)
+            scan_max[i : i + step] = G[kb, np.arange(kb.size)]
+    if not np.all(np.isfinite(scan_max)):  # argmax takes a pair's first nan
+        raise SupDomainError(
+            f"the sup integrand is not finite on the chord lengths [0, {lmax:.3g}] of radius {cert.r!r}"
+        )
     if capped and np.any(k >= _SCAN_NODES - 1):
         raise SupDomainError(
             f"sup escaped past the domain cap ell={lmax:.3g} for "
@@ -364,15 +369,13 @@ def verify_certificate(
 ) -> CertificateReport:
     """Full certificate check: consistency, sup location on the curve, membership, signs.
 
-    The consistency residual is taken at 200 Chebyshev chord lengths.  The
+    The consistency residual is _consistency_residual at 200 chord lengths.  The
     sup check takes 60 chord lengths ell0 on the curve, sets both angles to
     arccos(chord_T(ell0)), and requires the numeric argmax of the sup to
     return to ell0 (tolerance 1e-8 absolute + relative).
     """
     params, r = cert.params, cert.r
-    cols = _consistency_columns(params, r, _cheb_nodes(0.02 * 2 * r, 0.98 * 2 * r, 200))
-    coeff_scale = max(abs(v) for v in cert.coefficients)
-    consistency_residual = float(np.max(np.abs(cols @ np.array(cert.coefficients)))) / max(coeff_scale, 1e-300)
+    consistency_residual = _consistency_residual(params, r, cert.coefficients, 200)
     consistency_ok = consistency_residual <= 1e-8
 
     ell0 = np.linspace(0.05 * 2 * r, 0.95 * 2 * r, 60)

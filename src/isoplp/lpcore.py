@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import evaluate_f, paper_certificate
 from .chordmeasure import chord_functional, discretize_ball_measure
 from .spaceform import BallGeometry, ModelParams, ball_from_volume, sphere_volume
 
@@ -41,9 +42,7 @@ __all__ = [
     "LPSolution",
     "GridSpec",
     "solve",
-    "build_isoperimetric_lp",
     "build_relative_lp",
-    "product_family",
 ]
 
 
@@ -71,10 +70,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.row_matrix.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_matrix.shape[0]
 
 
 @dataclass
@@ -293,13 +288,12 @@ class GridSpec:
             raise ValueError("n_ell must cover at least the curve nodes")
 
 
-def product_family():
-    """Test functions f(alpha, beta) = (cos a cos b)^gamma, gamma in {0.5, 1, 1.5, 2}; all are admissible."""
-    fam = []
-    for g in (0.5, 1.0, 1.5, 2.0):
-        def f(alpha, beta, _g=g):
-            return (np.cos(alpha) * np.cos(beta)) ** _g
-        fam.append((f"pow{g:g}", f))
+def _profile_family(params: ModelParams, radius: float):
+    """(row label, f): (cos a cos b)^gamma, gamma in {0.5, 1, 1.5, 2}, and for n in {2, 4} the ball's certificate f."""
+    fam = [(f"profile-pow{g:g}", lambda a, b, _g=g: (np.cos(a) * np.cos(b)) ** _g) for g in (0.5, 1.0, 1.5, 2.0)]
+    if params.n in (2, 4):
+        cert = paper_certificate(params, radius)
+        fam.append(("profile-certificate-sup", lambda a, b: evaluate_f(cert, a, b)[0]))
     return fam
 
 
@@ -312,44 +306,24 @@ def _grid_nodes(ball: BallGeometry, grid: GridSpec):
     return np.sort(atoms.alpha), np.unique(np.concatenate([atoms.ell, fill]))
 
 
-def build_isoperimetric_lp(
-    params: ModelParams, V: float, grid: GridSpec, f_family
-) -> LinearProgram:
-    """LP whose optimum should match the area of the model ball of volume V.
-
-    Variables: A followed by one mass per atom (ell, alpha, beta), in C
-    order.  Rows:
-      A*area_B  >= integral F1      (boundary-boundary visibility)
-      A*V       >= integral F2      (boundary-interior visibility)
-      V^2       >= integral F3      (interior-interior visibility)
-      integral ell >= omega_{n-1} V (total chord length)
-      integral f <= area_B * diagonal profile of f, per admissible f
-    It is the relative LP at multiplicity 1, whose coefficients are exact there.
-    """
-    return build_relative_lp(params, V, 1, grid, f_family)
-
-
 def build_relative_lp(
     params: ModelParams,
     V: float,
     m: int,
     grid: GridSpec,
-    f_family,
     variant: str = "rescaled",
 ) -> LinearProgram:
-    """Quotient (multiplicity m) version of the isoperimetric LP.
+    """The chord LP of the ball B0 of volume m*V divided by a free m-fold symmetry.
 
-    The reference object is the ball B0 of volume m*V divided by a free
-    m-fold symmetry; its boundary-area share is area(B0)/m and its chord
-    measure is the ball's scaled by 1/m.  variant="rescaled" uses the row
-    scaling under which that object is feasible with equality everywhere
-    (rhs m*V^2 on the F3 row, omega_{n-1}*V on the length row);
-    variant="printed" keeps the alternative printed scaling
-    (omega_{n-1}*m*V^2 and bare V) for comparison.
-
-    Every atom row is a function of ell times a function of (alpha, beta),
-    so each factor is evaluated once and the rows are filled by broadcasting.
-    The profile rows' diagonal integral is over B0's 200-atom chord measure.
+    Its optimum should match area(B0)/m; at m = 1 it is the isoperimetric LP
+    of the ball of volume V, with every coefficient exact.  Variables: A,
+    then one mass per atom (ell, alpha, beta) in C order.  Rows 0-2 cap the
+    integrals of F1..F3, row 3 bounds the total length below, and the
+    profile rows cap the integral of each f of the family by its diagonal
+    integral over B0's 200-atom chord measure.  Every row reads B0 alone.
+    variant="printed" swaps the rescaled rhs m*V^2 (F3) and omega_{n-1}*V
+    (length), under which the quotient is feasible with equality, for the
+    printed omega_{n-1}*m*V^2 and bare V.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -363,12 +337,11 @@ def build_relative_lp(
     else:
         rhs = [0.0, 0.0, -omega * m * V * V, V]
 
+    family = _profile_family(params, ball0.radius)
     alpha, ell = _grid_nodes(ball0, grid)
     cos = np.cos(alpha)
     A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
-    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(
-        f"profile-{name}" for name, _ in f_family
-    )
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _ in family)
     row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
     row_matrix[0, 0] = m * a_rel
     row_matrix[1, 0] = m * V
@@ -379,7 +352,7 @@ def build_relative_lp(
         Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
         atoms[k - 1] = Fk if k == 4 else -Fk
     diag = discretize_ball_measure(ball0, 200)
-    for row, (_, f) in enumerate(f_family, start=4):
+    for row, (_, f) in enumerate(family, start=4):
         atoms[row] = -np.asarray(f(A_, B_), dtype=float)
         rhs.append(-float(np.dot(diag.mass, f(diag.alpha, diag.alpha))) / m)
 

@@ -37,6 +37,7 @@ __all__ = [
     "conjecture_rhs",
     "hyp2_lemma_residual",
     "hyp2_rhs",
+    "normalizers",
     "question1_margin",
     "ch2_counterexample_search",
 ]
@@ -78,11 +79,16 @@ def smallness_ok(inp: SmallnessInput) -> SmallnessCheck:
     return SmallnessCheck(ok=product <= 0.5, margin=0.5 - product, product=product)
 
 
+def _rhs_terms(n: int, r: float) -> tuple[float, ...]:
+    """The terms of conjecture_rhs (n = 4) or hyp2_rhs (n = 2) for the hyperbolic n-ball of radius r."""
+    a2, av, v2, _ = ball_moments(ball_from_radius(ModelParams(n, -1.0), r))
+    tr = math.tanh(r)
+    return (a2, -6.0 * tr * av, 9.0 * tr * tr * v2) if n == 4 else (av, -tr * v2)
+
+
 def conjecture_rhs(r: float) -> float:
     """A^2 - 6 tanh(r) A V + 9 tanh(r)^2 V^2 for the hyperbolic 4-ball of radius r."""
-    a2, av, v2, _ = ball_moments(ball_from_radius(ModelParams(4, -1.0), r))
-    tr = math.tanh(r)
-    return a2 - 6.0 * tr * av + 9.0 * tr * tr * v2
+    return sum(_rhs_terms(4, r))
 
 
 def conjecture_residual(r: float, measure: DiscreteMeasure) -> float:
@@ -123,8 +129,31 @@ def hyp2_lemma_residual(r: float, measure: DiscreteMeasure) -> float:
 
 def hyp2_rhs(r: float) -> float:
     """A V - tanh(r) V^2 for the hyperbolic disk of radius r."""
-    _, av, v2, _ = ball_moments(ball_from_radius(ModelParams(2, -1.0), r))
-    return av - math.tanh(r) * v2
+    return sum(_rhs_terms(2, r))
+
+
+def normalizers(r: float, tol: float) -> tuple[float, float]:
+    """(conjecture_rhs(r), hyp2_rhs(r)), or ValueError where either cannot resolve a relative residual of tol.
+
+    At large r each sums terms about e^(6r) larger than itself, so its
+    rounding, like that of the integrals divided by it, is about eps*c with
+    c = sum |terms| / |sum|.  Past eps*c > tol the radius is too large;
+    where every term underflows to 0 it is too small.
+    """
+    out = []
+    for n, name in ((4, "conjecture_rhs(r)"), (2, "A*V - tanh(r)*V^2 of the disk")):
+        terms = _rhs_terms(n, r)
+        rhs, size = sum(terms), sum(map(abs, terms))
+        if size == 0.0:
+            raise ValueError(f"radius {r} is too small: the normalizer {name} underflows to 0")
+        c = size / abs(rhs) if rhs else math.inf
+        if np.finfo(float).eps * c > tol:
+            raise ValueError(
+                f"radius {r} is too large: the normalizer {name} cancels its terms by a factor {c:.3g}, "
+                f"so its relative rounding error exceeds the tolerance {tol:g}"
+            )
+        out.append(rhs)
+    return out[0], out[1]
 
 
 def _difference_kernels(spectrum: CurvatureSpectrum, ell: float, kappa_cmp: float):

@@ -86,24 +86,14 @@ def test_criterion_3_integral_identities_and_monte_carlo():
     assert time.perf_counter() - t0 < 30.0
 
 
-def _certificate_family(params, r):
-    fam = list(lpcore.product_family())
-    cert = certificate.paper_certificate(params, r)
-    fam.append(("certificate-sup", lambda a, b: certificate.evaluate_f(cert, a, b)[0]))
-    return fam
-
-
 def test_criterion_4_lp_optimum_tracks_ball_area_under_refinement():
     t0 = time.perf_counter()
     for n, kappa, r in ((2, 0.0, 1.0), (4, 0.0, 1.0), (2, 1.0, 0.8), (4, 1.0, 0.8)):
         params = ModelParams(n, kappa)
         ball = ball_from_radius(params, r)
-        fam = _certificate_family(params, r)
         errors = []
         for n_alpha in (20, 28, 40):
-            lp = lpcore.build_isoperimetric_lp(
-                params, ball.volume, lpcore.GridSpec(n_ell=2 * n_alpha, n_alpha=n_alpha), fam
-            )
+            lp = lpcore.build_relative_lp(params, ball.volume, 1, lpcore.GridSpec(n_ell=2 * n_alpha, n_alpha=n_alpha))
             sol = lpcore.solve(lp)
             assert sol.status == "optimal", (n, kappa, n_alpha, sol.status)
             errors.append(abs(sol.objective_value - ball.area) / ball.area)

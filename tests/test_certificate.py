@@ -72,7 +72,7 @@ def test_consistency_gauge_convention():
 def test_consistency_residual_small_any_radius(r):
     for n, kappa in ((2, 0.0), (4, 0.0), (2, -1.0), (4, -1.0)):
         fit = solve_consistency(ModelParams(n, kappa), r)
-        assert fit.residual <= 1e-8 * max(1.0, abs(fit.d))
+        assert fit.residual <= 1e-8
 
 
 @pytest.mark.parametrize("case,r", CASES)
@@ -222,6 +222,25 @@ def test_build_f_blocked_scan_matches_one_block(monkeypatch):
     one_val, one_arg = build_f(cert, A, B)
     assert np.array_equal(val, one_val)
     assert np.array_equal(arg, one_arg)
+
+
+@pytest.mark.parametrize("n, r", [(4, 3.5), (4, 4.0), (4, 5.0), (2, 10.0), (2, 12.0), (2, 13.0)])
+def test_consistency_fit_at_large_hyperbolic_radius(n, r):
+    # the columns grow like e^((n-1) ell), so only equations scaled to their
+    # norm let the short chords count in the fit and in the residual
+    params = ModelParams(n, -1.0)
+    fit = solve_consistency(params, r)
+    ref = paper_certificate(params, r).coefficients
+    assert fit.residual <= 1e-8
+    assert max(abs(g - e) for g, e in zip(fit[:4], ref)) <= 1e-12 * max(map(abs, ref))
+    assert verify_certificate(paper_certificate(params, r), grid=4).consistency_residual <= 1e-8
+
+
+def test_build_f_overflow_names_the_radius():
+    # at r = 6 the scan reaches ell = 240, where the n = 4 candles overflow
+    cert = paper_certificate(ModelParams(4, -1.0), 6.0)
+    with pytest.raises(SupDomainError, match=r"not finite .* radius 6\.0"):
+        build_f(cert, 0.1, 0.1)
 
 
 def test_sup_domain_error_when_unbounded():

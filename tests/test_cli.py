@@ -109,6 +109,31 @@ def test_certificate_without_solution_gives_no_coefficients(capsys, n, kappa, r)
     assert f"no (a, b, c, d) certificate of this form exists for (n, kappa) = ({n}, {kappa!r})" in fit["message"]
 
 
+@pytest.mark.parametrize("n, r", [(4, "3.5"), (4, "5"), (2, "10"), (2, "13")])
+def test_certificate_fits_at_large_hyperbolic_radius(capsys, n, r):
+    code, out, _ = run_cli(capsys, "certificate", "--dim", str(n), "--kappa", "-1", "--radius", r, "--grid", "20")
+    assert code in (0, 1)
+    body = json.loads(out)["report"]
+    assert "message" not in body["consistency_fit"]
+    assert body["reference_mismatch"] <= 1e-12
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--dim", "4", "--kappa", "-1", "--radius", "6"), "not finite on the chord lengths [0, 240] of radius 6.0"),
+        (("--dim", "2", "--kappa", "-1", "--radius", "20"), "not finite on the chord lengths [0, 800] of radius 20.0"),
+        (("--dim", "2", "--kappa", "0", "--radius", "1e-300"), "consistency kernel has dimension > 1"),
+    ],
+)
+def test_certificate_numerical_limits_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "certificate", *argv, "--grid", "20")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_certificate_single_node_grid_exits_2(capsys):
     # one node has only the diagonal, so the membership check would pass vacuously
     code, out, err = run_cli(capsys, "certificate", "--dim", "4", "--kappa", "1", "--radius", "0.8", "--grid", "1")
@@ -635,7 +660,9 @@ def test_hemisphere_radius_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "strictly inside the hemisphere" in err
+    # lp builds everything from the ball of its volume, whose radius may round
+    # one ulp below pi/2; then the angle rule's hemisphere check stops it
+    assert "strictly inside the hemisphere" in err or "too close to the hemisphere radius" in err
 
 
 FLAT_CORNER = [
@@ -694,6 +721,23 @@ def test_negbound_underflowing_normalizer_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "conjecture_rhs(r) underflows to 0" in err
+
+
+@pytest.mark.parametrize("r", ["6", "8", "12", "20", "30", "40"])
+def test_negbound_cancelling_normalizer_exits_2(capsys, r):
+    # the normalizers cancel terms about e^(6r) times their size; at r = 30
+    # conjecture_rhs(r) rounds to 0 through cancellation, not underflow
+    code, out, err = run_cli(capsys, "negbound", "--radius", r)
+    assert code == 2
+    assert out == ""
+    assert f"radius {float(r)!r} is too large: the normalizer conjecture_rhs(r) cancels" in err
+
+
+def test_negbound_passes_below_the_cancellation_limit(capsys):
+    code, out, _ = run_cli(capsys, "negbound", "--radius", "5")
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert abs(body["conjecture_relative_residual"]) <= 1e-7
 
 
 def test_parser_help_lists_subcommands():

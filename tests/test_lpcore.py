@@ -15,9 +15,7 @@ from isoplp.lpcore import (
     LinearProgram,
     _grid_nodes,
     _residuals,
-    build_isoperimetric_lp,
     build_relative_lp,
-    product_family,
     solve,
 )
 from isoplp.spaceform import (
@@ -135,38 +133,33 @@ def test_weak_duality_on_random_solvable_lps(n_vars, n_rows, seed):
     assert dual_objective <= primal_objective + 1e-7 * (1 + abs(primal_objective))
 
 
-def test_product_family_diagonal_integral():
+def test_power_profile_diagonal_integral():
     # the profile row's rhs is -area * the diagonal integral of f against the
     # angle density, taken by the ball's angle rule, plain or graded
     from scipy.integrate import quad
 
-    fam = [(name, f) for name, f in product_family() if name == "pow1"]
-    f = fam[0][1]
-    ref = quad(lambda a: f(a, a) * sphere_volume(0) * math.cos(a), 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-13)[0]
+    def f_diag(a):  # pow1 on the diagonal, against the angle density
+        return math.cos(a) ** 2 * sphere_volume(0) * math.cos(a)
+
+    ref = quad(f_diag, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-13)[0]
     for kappa, r in ((0.0, 1.0), (1.0, 0.8), (1.0, 1.57), (-1.0, 7.0)):
         params = ModelParams(2, kappa)
         V = ball_from_radius(params, r).volume
-        lp = build_isoperimetric_lp(params, V, GridSpec(12, 6), fam)
-        assert_allclose(-lp.rhs[4] / ball_from_volume(params, V).area, ref, rtol=1e-12)
-
-
-def _reference_family(params, r):
-    fam = list(product_family())
-    cert = certificate.paper_certificate(params, r)
-    fam.append(("certificate-sup", lambda a, b: certificate.evaluate_f(cert, a, b)[0]))
-    return fam
+        lp = build_relative_lp(params, V, 1, GridSpec(12, 6))
+        pow1 = lp.rhs[lp.row_labels.index("profile-pow1")]
+        assert_allclose(-pow1 / ball_from_volume(params, V).area, ref, rtol=1e-12)
 
 
 def test_isoperimetric_lp_rows_and_bound_flat_disk():
     params = ModelParams(2, 0.0)
     ball = ball_from_radius(params, 1.0)
-    lp = build_isoperimetric_lp(params, ball.volume, GridSpec(30, 14), _reference_family(params, 1.0))
-    labels = list(lp.row_labels)
-    assert labels[0] == "area-vs-F1"
-    assert labels[1] == "volume-vs-F2"
-    assert labels[2] == "F3-cap"
-    assert labels[3] == "total-length"
-    assert any(lab.startswith("profile-certificate-sup") for lab in labels)
+    lp = build_relative_lp(params, ball.volume, 1, GridSpec(30, 14))
+    assert lp.row_labels == (
+        "area-vs-F1", "volume-vs-F2", "F3-cap", "total-length",
+        "profile-pow0.5", "profile-pow1", "profile-pow1.5", "profile-pow2", "profile-certificate-sup",
+    )
+    # no paper certificate in dimension 3, so no certificate row
+    assert build_relative_lp(ModelParams(3, 0.0), 1.0, 1, GridSpec(12, 6)).row_labels[4:] == lp.row_labels[4:8]
     # variable 0 is the boundary area; a feasible point must reach the ball area
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -180,7 +173,7 @@ def test_isoperimetric_lp_dual_value_flat_cases():
     for (n, r), expect in (((2, 1.0), 2 * math.pi), ((4, 1.0), 2 * math.pi ** 2)):
         params = ModelParams(n, 0.0)
         ball = ball_from_radius(params, r)
-        lp = build_isoperimetric_lp(params, ball.volume, GridSpec(30, 14), _reference_family(params, r))
+        lp = build_relative_lp(params, ball.volume, 1, GridSpec(30, 14))
         sol = solve(lp)
         assert_allclose(sol.objective_value, expect, rtol=1e-9)
         assert _certifies(sol, 1e-7)
@@ -189,10 +182,9 @@ def test_isoperimetric_lp_dual_value_flat_cases():
 def test_lp_monotone_under_refinement():
     params = ModelParams(4, 1.0)
     ball = ball_from_radius(params, 0.8)
-    fam = _reference_family(params, 0.8)
     errs = []
     for na in (10, 14, 20):
-        lp = build_isoperimetric_lp(params, ball.volume, GridSpec(2 * na, na), fam)
+        lp = build_relative_lp(params, ball.volume, 1, GridSpec(2 * na, na))
         sol = solve(lp)
         assert sol.status == "optimal"
         errs.append(abs(sol.objective_value - ball.area) / ball.area)
@@ -207,7 +199,7 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
     params = ModelParams(n, kappa)
     V = ball_from_radius(params, r).volume
     grid = GridSpec(12, 6)
-    lp = build_isoperimetric_lp(params, V, grid, [])
+    lp = build_relative_lp(params, V, 1, grid)
     alpha, ell = _grid_nodes(ball_from_volume(params, V), grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     cols = lp.row_matrix[:4, 1:]
@@ -223,19 +215,6 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
             assert_allclose(integrate(mu, f"F{k}", params), sign * cols[k - 1, atom], rtol=4 * eps, atol=0.0)
 
 
-def test_relative_lp_m1_reduces_to_table1():
-    params = ModelParams(2, 0.0)
-    ball = ball_from_radius(params, 1.0)
-    fam = _reference_family(params, 1.0)
-    grid = GridSpec(24, 12)
-    lp1 = build_isoperimetric_lp(params, ball.volume, grid, fam)
-    lp2 = build_relative_lp(params, ball.volume, 1, grid, fam)
-    # every m = 1 coefficient (1 * a, a / 1, -1 * V * V) is exact
-    np.testing.assert_array_equal(lp2.row_matrix, lp1.row_matrix)
-    np.testing.assert_array_equal(lp2.rhs, lp1.rhs)
-    np.testing.assert_array_equal(lp2.objective, lp1.objective)
-
-
 def test_relative_lp_flat_bound():
     # m = 2 flat disk: optimum approaches area(B(2V))/2
     params = ModelParams(2, 0.0)
@@ -243,8 +222,7 @@ def test_relative_lp_flat_bound():
     from isoplp.spaceform import ball_from_volume
 
     ball0 = ball_from_volume(params, 2.0 * V)
-    fam = _reference_family(params, ball0.radius)
-    lp = build_relative_lp(params, V, 2, GridSpec(30, 14), fam)
+    lp = build_relative_lp(params, V, 2, GridSpec(30, 14))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, ball0.area / 2.0, rtol=1e-8)
@@ -380,8 +358,8 @@ def test_large_unbounded_lp_detected():
     assert solve(lp).status == "unbounded"
 
 
-def _meshgrid_rows(params, ball_curve, grid, family):
-    """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh."""
+def _meshgrid_rows(params, ball_curve, grid, labels):
+    """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh, but the certificate's."""
     alpha, ell = _grid_nodes(ball_curve, grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
@@ -391,7 +369,8 @@ def _meshgrid_rows(params, ball_curve, grid, family):
         -candle_anti2(params, L),
         L,
     ]
-    rows += [-np.asarray(f(A, B), dtype=float) for _, f in family]
+    # the power rows carry their exponent in their label
+    rows += [-(np.cos(A) * np.cos(B)) ** float(lab[len("profile-pow"):]) for lab in labels if "-pow" in lab]
     return np.vstack(rows)
 
 
@@ -399,21 +378,43 @@ def _meshgrid_rows(params, ball_curve, grid, family):
 def test_separable_assembly_matches_meshgrid(n, kappa, r):
     params = ModelParams(n, kappa)
     ball = ball_from_radius(params, r)
-    fam = _reference_family(params, r)
     grid = GridSpec(24, 12)
-    lp = build_isoperimetric_lp(params, ball.volume, grid, fam)
+    lp = build_relative_lp(params, ball.volume, 1, grid)
     # the LP places its curve nodes on the ball it recovers from the volume
     ball_curve = ball_from_volume(params, ball.volume)
     assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[1].size * 12 * 12
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball_curve, grid, fam), rtol=1e-12, atol=0.0)
-    assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
+    rows = _meshgrid_rows(params, ball_curve, grid, lp.row_labels)
+    assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
+    assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
 
 
 def test_separable_assembly_matches_meshgrid_relative():
     params, V, m = ModelParams(4, 1.0), 0.4, 3
     ball0 = ball_from_volume(params, m * V)
-    fam = _reference_family(params, ball0.radius)
     grid = GridSpec(24, 12)
-    lp = build_relative_lp(params, V, m, grid, fam)
-    assert_allclose(lp.row_matrix[:, 1:], _meshgrid_rows(params, ball0, grid, fam), rtol=1e-12, atol=0.0)
-    assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (lp.n_rows - 2), rtol=1e-12)
+    lp = build_relative_lp(params, V, m, grid)
+    rows = _meshgrid_rows(params, ball0, grid, lp.row_labels)
+    assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
+    assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, kappa, m, V",
+    [
+        (4, 1.0, 1, ball_from_radius(ModelParams(4, 1.0), 0.8).volume),
+        (2, 0.0, 1, ball_from_radius(ModelParams(2, 0.0), 1.0).volume),
+        (4, 1.0, 3, 0.4),
+    ],
+)
+def test_certificate_profile_row_is_the_ball_certificate_f(n, kappa, m, V):
+    # the LP pairs its profile rows with the paper's certificate of B0 itself,
+    # the ball of volume m V whose angle nodes and curve lengths it reads
+    params = ModelParams(n, kappa)
+    grid = GridSpec(12, 6)
+    lp = build_relative_lp(params, V, m, grid)
+    ball0 = ball_from_volume(params, m * V)
+    alpha, ell = _grid_nodes(ball0, grid)
+    A, B = np.meshgrid(alpha, alpha, indexing="ij")
+    f, _ = certificate.evaluate_f(certificate.paper_certificate(params, ball0.radius), A, B)
+    row = lp.row_matrix[lp.row_labels.index("profile-certificate-sup"), 1:].reshape(ell.size, *A.shape)
+    assert np.array_equal(row, np.broadcast_to(-f, row.shape))

@@ -19,6 +19,7 @@ from isoplp.negbound import (
     conjecture_rhs,
     hyp2_lemma_residual,
     hyp2_rhs,
+    normalizers,
     question1_margin,
     smallness_ok,
 )
@@ -78,6 +79,18 @@ def test_hyp2_rhs_closed_form():
     for r in (0.5, 1.0, 2.0):
         area, volume = 2.0 * math.pi * math.sinh(r), 2.0 * math.pi * (math.cosh(r) - 1.0)
         assert hyp2_rhs(r) == pytest.approx(area * volume - math.tanh(r) * volume ** 2, rel=1e-12)
+
+
+def test_normalizers_reject_cancellation_past_the_tolerance():
+    # their terms grow like e^(6r) while the sums stay near e^(3r) and e^(2r):
+    # eps * (sum |terms| / |sum|) is about 7e-9 at r = 5 and 4e-7 at r = 6
+    assert normalizers(1.2, 1e-7) == (conjecture_rhs(1.2), hyp2_rhs(1.2))
+    assert normalizers(5.0, 1e-7) == (conjecture_rhs(5.0), hyp2_rhs(5.0))
+    with pytest.raises(ValueError, match="too large"):
+        normalizers(6.0, 1e-7)
+    assert normalizers(6.0, 1e-6) == (conjecture_rhs(6.0), hyp2_rhs(6.0))
+    with pytest.raises(ValueError, match="too small"):
+        normalizers(1e-60, 1e-7)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.7, 1.2, 1.5])
