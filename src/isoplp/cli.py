@@ -163,6 +163,7 @@ def _cmd_certificate(config: dict):
         "curve_sup_deviation": report.curve_sup_deviation,
         "membership_min_f": report.membership.min_f,
         "membership_min_defect": report.membership.min_defect,
+        "membership_equality_on_diagonal": report.membership.equality_on_diagonal,
         "negative_coefficients": list(report.negative_coefficients),
         "nonneg_required": report.nonneg_required,
         "passed": report.passed,

@@ -18,13 +18,16 @@ The gradient numerators are stored as exponent tables with coefficient
 vectors; their Jacobian and scale tables are derived from them once, and a
 table evaluates at many points in one pass.  The multistart iterates all
 starts in lockstep as one (n_starts, 3) array: each iteration makes one
-batched convergence test and one batched linear solve, and every start
-runs its own backtracking line search.  Per start it is the same damped
-Newton iteration, so its roots and counts do not depend on the batching.
+batched convergence test, one batched linear solve and a backtracking line
+search in two table passes, the full steps of all starts and then every
+shorter step of the starts the full step did not improve.  Per start it is
+the same damped Newton iteration, so its roots and counts do not depend on
+the batching.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -200,12 +203,16 @@ def _ep(s: float) -> tuple:
 
 
 def _scalar_power(x: np.ndarray, e: int) -> np.ndarray:
-    # x ** e element by element as numpy scalars compute it, with the C
-    # library's pow.  On SIMD builds the array power can differ from it in the
+    # x ** e element by element with the C library's pow, as numpy scalars
+    # compute it.  On SIMD builds the array power can differ from it in the
     # last bit.  The scale is defined with this pow, and the 1e-13 test and the
     # line search compare against the scale, so one changed bit can change
-    # which starts converge.
-    return np.array([v ** e for v in x])
+    # which starts converge.  math.pow calls the same pow but raises where the
+    # result overflows; there the numpy scalars give inf.
+    try:
+        return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(e)), float, len(x))
+    except OverflowError:
+        return np.array([v ** e for v in x])
 
 
 class _Table:
@@ -248,16 +255,18 @@ class _Table:
         return _Table(exps.reshape(3 * n_polys, width, 3), coef.reshape(3 * n_polys, width), self.power)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        pw = np.ones((len(x), 3, int(self.exps.max()) + 1))
+        # pw[v, e] is power(variable v, e) over the N points, so each monomial
+        # factor is one row gather and the terms come out as (K, M, N)
+        pw = np.ones((3, int(self.exps.max()) + 1, len(x)))
         for v, used in enumerate(self.used):
             for e in used:
-                pw[:, v, e] = self.power(x[:, v], e)
+                pw[v, e] = self.power(x[:, v], e)
         e = self.exps
-        terms = self.coef * pw[:, 0, e[..., 0]] * pw[:, 1, e[..., 1]] * pw[:, 2, e[..., 2]]
-        out = np.zeros(terms.shape[:2])
-        for m in range(terms.shape[2]):
-            out = out + terms[:, :, m]
-        return out
+        terms = self.coef[..., None] * pw[0][e[..., 0]] * pw[1][e[..., 1]] * pw[2][e[..., 2]]
+        out = np.zeros((terms.shape[0], len(x)))
+        for m in range(terms.shape[1]):
+            out = out + terms[:, m]
+        return out.T
 
 
 def _points(t, p, q) -> tuple[np.ndarray, tuple]:
@@ -358,6 +367,8 @@ class CriticalSearchResult:
 
 
 _CONVERGED, _SINGULAR, _STALLED = 0, 1, 2
+# the line search's shorter step lengths 1/2, 1/4, ..., 1/4096
+_HALVINGS = 0.5 ** np.arange(1, 13)
 
 
 def _norms(r: np.ndarray) -> np.ndarray:
@@ -398,10 +409,15 @@ def _lockstep_newton(system: PolySystem, x: np.ndarray) -> tuple[np.ndarray, np.
 
     Each start follows its own path: at most 120 iterations, each of which
     either ends the start as converged (max |F|/scale < 1e-13) or takes the
-    Newton step with a backtracking line search, halving the step from 1 down
-    to 1/4096 until the scaled residual norm drops.  A start whose search
-    fails, or that runs out of iterations, has stalled.  Returns the final
-    points and each start's outcome.
+    Newton step with a backtracking line search: the longest of the step
+    lengths 1, 1/2, ..., 1/4096 at which the scaled residual norm drops.  A
+    start with no such length, or that runs out of iterations, has stalled.
+    Returns the final points and each start's outcome.
+
+    The search evaluates the full steps of all live starts in one table
+    pass, and the twelve shorter steps of the starts it did not improve in a
+    second.  Every row is evaluated on its own, so a start's path is the one
+    a halving loop gives, bit for bit.
     """
     x = x.copy()
     outcome = np.full(len(x), _STALLED)
@@ -419,21 +435,23 @@ def _lockstep_newton(system: PolySystem, x: np.ndarray) -> tuple[np.ndarray, np.
         ok = ~singular
         live, F, scale, step = live[ok], F[ok], scale[ok], step[ok]
         norm = _norms(F / scale)
-        lam = np.ones(live.size)
-        accepted = np.zeros(live.size, dtype=bool)
-        trial = np.arange(live.size)
-        while trial.size:
-            xn = x[live[trial]] + lam[trial, None] * step[trial]
-            Fn, sn = system._values(xn), system._scale(xn)
-            better = _norms(Fn / sn) < norm[trial]
-            won = trial[better]
-            x[live[won]] = xn[better]
-            F[won], scale[won] = Fn[better], sn[better]
-            accepted[won] = True
-            trial = trial[~better]
-            lam[trial] *= 0.5
-            trial = trial[lam[trial] >= 1.0 / 4096.0]
-        live, F, scale = live[accepted], F[accepted], scale[accepted]
+        # the full step for every start, then every shorter step at once for
+        # the starts it did not improve: row k m + i of the stack is start i
+        # at lambda = 2^-(k+1), and each start takes its first improving row
+        xn = x[live] + step
+        Fn, sn = system._values(xn), system._scale(xn)
+        accepted = _norms(Fn / sn) < norm
+        rest = np.flatnonzero(~accepted)
+        stack = (x[live[rest]] + _HALVINGS[:, None, None] * step[rest]).reshape(-1, 3)
+        Fs, ss = system._values(stack), system._scale(stack)
+        won = _norms(Fs / ss).reshape(_HALVINGS.size, rest.size) < norm[rest]
+        found = won.any(axis=0)
+        row = np.argmax(won, axis=0)[found] * rest.size + np.flatnonzero(found)
+        rest = rest[found]
+        xn[rest], Fn[rest], sn[rest] = stack[row], Fs[row], ss[row]
+        accepted[rest] = True
+        x[live[accepted]] = xn[accepted]
+        live, F, scale = live[accepted], Fn[accepted], sn[accepted]
     return x, outcome
 
 
@@ -578,6 +596,9 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     argmin is annotated with its distance to the vanishing curve.
     """
     _check_case(case)
+    if grid < 2:
+        # one node per axis is a single point, not a grid over the ranges
+        raise ValueError(f"the H grid needs at least 2 nodes per axis, got {grid}")
     (t0, t1), (p0, p1), (q0, q1) = default_grid_ranges(case)
     ts = np.linspace(t0, t1, grid)
     ps = np.linspace(p0, p1, grid)

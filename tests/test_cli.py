@@ -142,6 +142,22 @@ def test_certificate_single_node_grid_exits_2(capsys):
     assert "at least 2 angle nodes" in err
 
 
+@pytest.mark.parametrize(
+    "radius, kappa, on_diagonal",
+    [
+        # f ~ r^3 is so small here that every defect falls below the 1e-9 tolerance
+        ("0.01", "0", False),
+        ("0.8", "1", True),
+    ],
+)
+def test_certificate_reports_equality_on_diagonal(capsys, radius, kappa, on_diagonal):
+    code, out, _ = run_cli(capsys, "certificate", "--dim", "4", "--kappa", kappa, "--radius", radius)
+    assert code == (0 if on_diagonal else 1)
+    verification = json.loads(out)["report"]["verification"]
+    assert verification["membership_equality_on_diagonal"] is on_diagonal
+    assert verification["passed"] is on_diagonal
+
+
 def test_certificate_out_file(tmp_path, capsys):
     target = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -477,6 +493,14 @@ def test_lemma_hyperbolic(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["report"]["slope_sign_matches"] is True
+
+
+def test_lemma_single_node_grid_exits_2(capsys):
+    # one node per axis is the single point (0.02, 0.05, 0.05), not a grid
+    code, out, err = run_cli(capsys, "lemma", "--case", "spherical", "--grid", "1", "--starts", "5")
+    assert code == 2
+    assert out == ""
+    assert "at least 2 nodes" in err
 
 
 @pytest.mark.parametrize(

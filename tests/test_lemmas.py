@@ -9,12 +9,15 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from isoplp.lemmas import (
+    _CONVERGED,
     CASES,
     G,
     G_diag_peak,
     H,
     PolySystem,
     S_table,
+    _lockstep_newton,
+    _scalar_power,
     check_factorization,
     critical_system,
     curve_distance,
@@ -326,13 +329,19 @@ def test_critical_search_bookkeeping():
 
 
 @pytest.mark.parametrize(
-    "case,expected",
-    [("spherical", (126, 127, 873, 0, 1, 0)), ("hyperbolic", (172, 204, 796, 0, 18, 14))],
+    "case,seed,n_starts,expected",
+    [
+        ("spherical", 0, 1000, (126, 127, 873, 0, 1, 0)),
+        ("hyperbolic", 0, 1000, (172, 204, 796, 0, 18, 14)),
+        ("spherical", 1, 250, (36, 36, 214, 0, 0, 0)),
+        ("hyperbolic", 1, 250, (45, 55, 195, 0, 4, 6)),
+    ],
+    ids=["spherical-expected0", "hyperbolic-expected1", "spherical-seed1-250", "hyperbolic-seed1-250"],
 )
-def test_multistart_counts_pinned(case, expected):
-    # (roots, converged, stalled, singular, out of domain, degenerate) at
-    # seed 0, 1000 starts, as the per-start loop produced them
-    result = solve_critical_points(critical_system(case), n_starts=1000, seed=0)
+def test_multistart_counts_pinned(case, seed, n_starts, expected):
+    # (roots, converged, stalled, singular, out of domain, degenerate) as the
+    # per-start loop produced them; seed 1 at 250 starts is the benchmark's run
+    result = solve_critical_points(critical_system(case), n_starts=n_starts, seed=seed)
     got = (
         len(result.roots),
         result.n_converged,
@@ -431,6 +440,56 @@ def test_multistart_singular_jacobian_takes_levenberg_steps():
     for r in result.roots:
         assert abs(r.t + r.p - 1.0) <= 1e-12
         assert abs(r.q - 1.0) <= 1e-12
+
+
+def _first_improving_depth(system, x):
+    """The first k with |F/scale| below its value at x at x + 2^-k step, k <= 20."""
+    F, scale = system.eval(*x), system.scale(*x)
+    step = np.linalg.solve(system.jacobian(*x), -F)
+    norm = np.linalg.norm(F / scale)
+    for k in range(21):
+        xn = x + 0.5 ** k * step
+        if np.linalg.norm(system.eval(*xn) / system.scale(*xn)) < norm:
+            return k
+    return None
+
+
+def test_multistart_line_search_takes_every_depth():
+    # t^9 = 1 with p = q = 1 fixed: from t < 1 the Newton step overshoots, and
+    # the first step length that lowers the residual shrinks like t^8, so the
+    # starts in t in (0.2, 1.2) take every depth from lambda = 1 to 1/4096, and
+    # those needing 1/8192 or less stall at once
+    ninth = ((9, 0, 0, 1.0), (0, 0, 0, -1.0))
+    p_one, q_one = ((0, 1, 0, 1.0), (0, 0, 0, -1.0)), ((0, 0, 1, 1.0), (0, 0, 0, -1.0))
+    system = PolySystem("spherical", (ninth, p_one, q_one), ((0.2, 1.2), (1.0, 1.0), (1.0, 1.0)))
+    lows, highs = np.array(system.box).T
+    starts = lows + np.random.Generator(np.random.Philox(key=0)).random((60, 3)) * (highs - lows)
+    depths = [_first_improving_depth(system, x) for x in starts]
+    assert {0, 5, 11, 12, 13} <= set(depths)
+
+    result = solve_critical_points(system, n_starts=60, seed=0)
+    converged, n_singular, n_stalled = _per_start_multistart(system, 60, seed=0)
+    assert (result.n_converged, result.n_singular, result.n_stalled) == (len(converged), n_singular, n_stalled)
+    assert result.n_stalled == sum(d > 12 for d in depths)
+    assert result.roots and all((r.t, r.p, r.q) in converged for r in result.roots)
+    points, outcome = _lockstep_newton(system, starts)
+    assert [tuple(float(v) for v in x) for x in points[outcome == _CONVERGED]] == converged
+
+
+def test_scalar_power_is_the_numpy_scalar_power():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    x = np.concatenate([
+        rng.random(500) * 20.0,
+        np.exp(rng.normal(0.0, 40.0, 500)),
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e51, 1e60, 1e300],
+    ])
+    for e in range(1, 10):
+        with np.errstate(over="ignore"):
+            got = _scalar_power(x, e)
+            ref = np.array([v ** e for v in x])
+        assert got.tobytes() == ref.tobytes()
+    with np.errstate(over="ignore"):
+        assert _scalar_power(np.array([2.0, 1e60]), 6).tolist() == [64.0, math.inf]
 
 
 def test_polysystem_broadcasts_arrays():
