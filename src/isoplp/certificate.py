@@ -45,6 +45,7 @@ __all__ = [
     "evaluate_f",
     "check_family_membership",
     "verify_certificate",
+    "CONSISTENCY_TOL", "CURVE_SUP_TOL", "DEFECT_TOL",
 ]
 
 
@@ -313,7 +314,10 @@ class MembershipReport:
         return self.f_nonneg_ok and self.defect_ok and self.equality_on_diagonal
 
 
-_DEFECT_TOL = 1e-9
+# the thresholds of verify_certificate: the consistency residual, the sup's
+# deviation from the curve, and f, defect >= -DEFECT_TOL (defect <= DEFECT_TOL
+# counts as equality)
+CONSISTENCY_TOL, CURVE_SUP_TOL, DEFECT_TOL = 1e-8, 1e-8, 1e-9
 
 
 def check_family_membership(cert: DualCertificate, grid: int = 80) -> MembershipReport:
@@ -330,14 +334,14 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
     fvals, _ = evaluate_f(cert, A, B)
     fdiag = np.diag(fvals)
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
-    eq_i, eq_j = np.nonzero(defect <= _DEFECT_TOL)
+    eq_i, eq_j = np.nonzero(defect <= DEFECT_TOL)
     max_gap = float(np.max(np.abs(angles[eq_i] - angles[eq_j]), initial=0.0))
     step = float(np.max(np.diff(angles)))
     return MembershipReport(
         min_f=float(fvals.min()),
         min_defect=float(defect.min()),
-        f_nonneg_ok=bool(fvals.min() >= -_DEFECT_TOL),
-        defect_ok=bool(defect.min() >= -_DEFECT_TOL),
+        f_nonneg_ok=bool(fvals.min() >= -DEFECT_TOL),
+        defect_ok=bool(defect.min() >= -DEFECT_TOL),
         equality_on_diagonal=bool(max_gap <= step * (1 + 1e-9)),
     )
 
@@ -372,17 +376,17 @@ def verify_certificate(
     The consistency residual is _consistency_residual at 200 chord lengths.  The
     sup check takes 60 chord lengths ell0 on the curve, sets both angles to
     arccos(chord_T(ell0)), and requires the numeric argmax of the sup to
-    return to ell0 (tolerance 1e-8 absolute + relative).
+    return to ell0 (tolerance CURVE_SUP_TOL absolute + relative).
     """
     params, r = cert.params, cert.r
     consistency_residual = _consistency_residual(params, r, cert.coefficients, 200)
-    consistency_ok = consistency_residual <= 1e-8
+    consistency_ok = consistency_residual <= CONSISTENCY_TOL
 
     ell0 = np.linspace(0.05 * 2 * r, 0.95 * 2 * r, 60)
     alpha0 = np.arccos(np.asarray(chord_T(params.kappa, r, ell0)))
     _, argmax = build_f(cert, alpha0, alpha0)
     curve_dev = float(np.max(np.abs(argmax - ell0) / (1.0 + np.abs(ell0))))
-    curve_sup_ok = curve_dev <= 1e-8
+    curve_sup_ok = curve_dev <= CURVE_SUP_TOL
 
     membership = check_family_membership(cert, grid)
     return CertificateReport(

@@ -134,7 +134,8 @@ def _cmd_profile(config: dict):
 def _cmd_certificate(config: dict):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     r = _resolve_radius_volume(params, config.get("radius"), config.get("volume")).radius
-    tols = {"consistency": 1e-8, "reference_match": 1e-6, "membership_defect": 1e-9}
+    tols = {"consistency": certificate.CONSISTENCY_TOL, "reference_match": 1e-6,
+            "membership_defect": certificate.DEFECT_TOL, "curve_sup": certificate.CURVE_SUP_TOL}
 
     fit = certificate.solve_consistency(params, r)
     body = {"radius": r}
@@ -242,10 +243,10 @@ def _cmd_measure_check(config: dict):
     params = ModelParams(config.get("dim"), config.get("kappa"))
     ball = _resolve_radius_volume(params, config.get("radius"), config.get("volume"))
     n_nodes = config.get("grid")
-    tol = config.get("tol")
+    tols = {"relative": config.get("tol"), "mc_z": 3.0}
     *croke, santalo_rel = _moment_residuals(ball, n_nodes)
     croke_rel = {f"croke{which}": v for which, v in enumerate(croke, start=1)}
-    passed = abs(santalo_rel) <= tol and all(abs(v) <= tol for v in croke)
+    passed = all(abs(v) <= tols["relative"] for v in (*croke, santalo_rel))
     body = {
         "ball": {"radius": ball.radius, "volume": ball.volume, "area": ball.area},
         "quadrature_nodes": n_nodes,
@@ -267,8 +268,8 @@ def _cmd_measure_check(config: dict):
             "z_score": z,
             "p_value": math.erfc(abs(z) / math.sqrt(2.0)),
         }
-        passed = passed and abs(z) <= 3.0
-    return body, {"relative": tol, "mc_z": 3.0}, passed
+        passed = passed and abs(z) <= tols["mc_z"]
+    return body, tols, passed
 
 
 def _cmd_lemma(config: dict):
@@ -282,22 +283,9 @@ def _cmd_lemma(config: dict):
     max_curve_dist = max((r.curve_distance for r in roots), default=0.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = rng.random((10000, 2)) * 5.0
-    if case == "spherical":
-        fact = lemmas.check_factorization(pts[:, 0], pts[:, 1], relative=True)
-        fact_ok = bool(np.max(np.abs(fact)) <= 1e-10)
-        extra = {"factorization_max_residual": float(np.max(np.abs(fact)))}
-        dgdp = [lemmas.dGdp_identity(p) for p in (1.0, 2.0)]
-        extra["dGdp"] = [
-            {"p": c.p, "closed": c.closed, "fd": c.fd, "residual": c.residual} for c in dgdp
-        ]
-        dgdp_ok = all(abs(c.residual) <= 1e-5 * (1 + abs(c.closed)) for c in dgdp)
-    else:
-        t = pts[:, 0] % 0.98 + 0.01
-        p = 1.0 / 3.0 + pts[:, 1]
-        match = lemmas.hyperbolic_slope_sign_matches(t, p)
-        fact_ok = bool(np.all(match))
-        extra = {"slope_sign_matches": fact_ok}
-        dgdp_ok = True
+    fact = float(np.max(np.abs(lemmas.check_factorization(case, pts[:, 0], pts[:, 1]))))
+    dgdp = [lemmas.dGdp_identity(case, p) for p in (1.0, 2.0)]
+    tols = {"min_H": lemmas.H_FLOOR, "root_curve_distance": 1e-6, "factorization": 1e-10, "dGdp": 1e-5}
     body = {
         "case": case,
         "min_H": report.min_value,
@@ -323,10 +311,12 @@ def _cmd_lemma(config: dict):
             "n_degenerate": search.n_degenerate,
         },
         "max_root_curve_distance": max_curve_dist,
+        "factorization_max_residual": fact,
+        "dGdp": [{"p": c.p, "closed": c.closed, "fd": c.fd, "residual": c.residual} for c in dgdp],
     }
-    body.update(extra)
-    passed = report.passed and max_curve_dist <= 1e-6 and fact_ok and dgdp_ok and len(roots) > 0
-    tols = {"min_H": -1e-9, "root_curve_distance": 1e-6, "factorization": 1e-10, "dGdp": 1e-5}
+    fact_ok = fact <= tols["factorization"]
+    dgdp_ok = all(abs(c.residual) <= tols["dGdp"] * (1 + abs(c.closed)) for c in dgdp)
+    passed = report.passed and len(roots) > 0 and max_curve_dist <= tols["root_curve_distance"] and fact_ok and dgdp_ok
     return body, tols, passed
 
 
@@ -334,7 +324,7 @@ def _cmd_negbound(config: dict):
     r = config.get("radius")
     n_nodes = config.get("grid")
     tol = config.get("tol")
-
+    tols = {"relative": tol, "model_spectrum_margin": 1e-9}
     small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
     meas4 = chordmeasure.discretize_ball_measure(ball_from_radius(ModelParams(4, -1.0), r), n_nodes)
     meas2 = chordmeasure.discretize_ball_measure(ball_from_radius(ModelParams(2, -1.0), r), n_nodes)
@@ -358,8 +348,8 @@ def _cmd_negbound(config: dict):
             "r": res.r, "ell": res.ell, "margin": res.margin, "violated": res.violated,
         }
         body["model_spectrum_margin"] = zero
-        passed = passed and res.violated and abs(zero) <= 1e-9
-    return body, {"relative": tol}, passed
+        passed = passed and res.violated and abs(zero) <= tols["model_spectrum_margin"]
+    return body, tols, passed
 
 
 def _cmd_prince(config: dict):
@@ -393,7 +383,8 @@ def _cmd_prince(config: dict):
         "dual_chain_bound": littleprince.dual_chain_bound(a),
         "weil_perimeter_bound": littleprince.weil_bound(a),
     }
-    return body, {"pp_margin": -1e-10}, margin >= -1e-10
+    tols = {"pp_margin": -1e-10}
+    return body, tols, margin >= tols["pp_margin"]
 
 
 def _cmd_relative(config: dict):

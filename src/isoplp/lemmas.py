@@ -9,10 +9,11 @@ admissibility of the induced f reduces to global nonnegativity of
     H(t, p, q) = G(1/(3p), p, p) + G(1/(3q), q, q) - 2 G(t, p, q),
 
 which vanishes exactly on the curve {p = q, 3pt = 1}.  This module holds
-the S table, G and H, the quartic factorization used by the
-positive-curvature argument, closed-form gradient numerators of H (a
-3-polynomial critical system), a seeded multistart Newton search for its
-roots, and a dense grid plus escape-ray verification that H >= 0.
+the S table, G and H, the two identities both curvature signs' arguments
+turn on (the quartic factorization of dG/dt on the diagonal, and dG/dp of
+the diagonal peak), gradient numerators of H (a 3-polynomial critical
+system), a seeded multistart Newton search for its roots, and a dense grid
+plus escape-ray verification that H >= 0.
 
 The gradient numerators are stored as exponent tables with coefficient
 vectors; their Jacobian and scale tables are derived from them once, and a
@@ -47,7 +48,6 @@ __all__ = [
     "H",
     "dG_dt",
     "check_factorization",
-    "hyperbolic_slope_sign_matches",
     "dGdp_identity",
     "DGdpCheck",
     "critical_system",
@@ -55,6 +55,7 @@ __all__ = [
     "verify_H_nonneg",
     "curve_distance",
     "default_grid_ranges",
+    "H_FLOOR",
 ]
 
 CASES = ("spherical", "hyperbolic")
@@ -66,19 +67,20 @@ def _check_case(case: str) -> None:
 
 
 def _curvature(case: str):
-    """Sign s of the curvature and the arc of the half-angle substitution:
-    (1, arctan) in the spherical case, (-1, arctanh) in the hyperbolic one.
+    """Sign s of the curvature, the arc of the half-angle substitution and
+    the case's open domain t < t_hi, p, q > p_lo: (1, arctan, (inf, 0)) in
+    the spherical case, (-1, arctanh, (1, 1/3)) in the hyperbolic one.
     Every formula below is written once in s; s t^2 enters where t^2 did,
     with the signs of the spherical case."""
     _check_case(case)
-    return (1.0, np.arctan) if case == "spherical" else (-1.0, np.arctanh)
+    return (1.0, np.arctan, (math.inf, 0.0)) if case == "spherical" else (-1.0, np.arctanh, (1.0, 1.0 / 3.0))
 
 
 def S_table(case: str, t):
     """Rational/arc functions (S1, S0, Sm1, Sm2): derivative ladder of the
     n=4 candle under the half-angle substitution (S_i'(t) = S_{i+1} times
     the substitution factor)."""
-    s, arc = _curvature(case)
+    s, arc, _ = _curvature(case)
     t = np.asarray(t, dtype=float)
     if s < 0.0 and (np.any(t >= 1.0) or np.any(t < 0.0)):
         raise ValueError("hyperbolic t must lie in [0, 1)")
@@ -93,7 +95,7 @@ def S_table(case: str, t):
 
 def G(case: str, t, p, q):
     """Substituted sup integrand (coefficients absorb the 9 tan^2 r scale)."""
-    s, arc = _curvature(case)
+    s, arc, _ = _curvature(case)
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -110,7 +112,7 @@ def G_diag_peak(case: str, p):
     case, where the 1/(1-t^2)^3 pole meets a vanishing coefficient; the
     collapsed form is exact on the whole domain.
     """
-    s, arc = _curvature(case)
+    s, arc, _ = _curvature(case)
     p = np.asarray(p, dtype=float)
     return (4.0 / 3.0) * arc(1.0 / (3.0 * p)) + (4.0 / 3.0) * p / (9.0 * p * p + s)
 
@@ -122,38 +124,28 @@ def H(case: str, t, p, q):
 
 def dG_dt(case: str, t, p, q):
     """Closed-form t-derivative of G."""
-    s, _ = _curvature(case)
+    s, _, _ = _curvature(case)
     t = np.asarray(t, dtype=float)
     num = 12.0 * p * q * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * p * q) * t ** 2 + s * 4.0 / 3.0
     return 2.0 * s * num / (1.0 + s * t * t) ** 4
 
 
-def check_factorization(p, t, relative: bool = False):
-    """Residual of the quartic factorization used in the positive-curvature case:
+def check_factorization(case: str, p, t):
+    """Relative residual of the factorization of dG/dt's numerator on the diagonal:
 
-    12 p^2 t^4 - 16 p t^3 + (4 - 12 p^2) t^2 + 4/3
-        = 4 (3 p t - 1) (p t^3 - t^2 - p t - 1/3).
+    12 p^2 t^4 - 16 p t^3 + (4 - 12 s p^2) t^2 + 4 s/3
+        = 4 (3 p t - 1) (p t^3 - t^2 - s p t - s/3).
 
-    With relative=True the residual is divided by 1 + |rhs|, so rounding
-    noise stays bounded independently of how large the quartic grows.
+    The left side is dG_dt's num at q = p, so dG/dt(t, p, p) has the sign of
+    s times the right side.  Divided by 1 + |rhs|, rounding noise stays
+    bounded however large the quartic grows; on 3pt = 1 it is the absolute one.
     """
+    s, _, _ = _curvature(case)
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    lhs = 12.0 * p ** 2 * t ** 4 - 16.0 * p * t ** 3 + (4.0 - 12.0 * p ** 2) * t ** 2 + 4.0 / 3.0
-    rhs = 4.0 * (3.0 * p * t - 1.0) * (p * t ** 3 - t ** 2 - p * t - 1.0 / 3.0)
-    resid = lhs - rhs
-    if relative:
-        return resid / (1.0 + np.abs(rhs))
-    return resid
-
-
-def hyperbolic_slope_sign_matches(t, p) -> np.ndarray:
-    """True where sign dG/dt(t,p,p) == sign (1 - 3pt) * (p t^3 - t^2 + p t + 1/3)."""
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lhs = dG_dt("hyperbolic", t, p, p)
-    rhs = (1.0 - 3.0 * p * t) * (p * t ** 3 - t ** 2 + p * t + 1.0 / 3.0)
-    return np.sign(lhs) == np.sign(rhs)
+    lhs = 12.0 * p ** 2 * t ** 4 - 16.0 * p * t ** 3 + (4.0 - s * 12.0 * p ** 2) * t ** 2 + s * 4.0 / 3.0
+    rhs = 4.0 * (3.0 * p * t - 1.0) * (p * t ** 3 - t ** 2 - s * p * t - s / 3.0)
+    return (lhs - rhs) / (1.0 + np.abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -169,20 +161,22 @@ class DGdpCheck:
         return self.fd - self.closed
 
 
-def dGdp_identity(p: float) -> DGdpCheck:
-    """d/dp of [G(1/(3p), p, p) + (8/3) p - 2 pi/3] (spherical case).
+def dGdp_identity(case: str, p: float) -> DGdpCheck:
+    """d/dp of [G(1/(3p), p, p) + (8/3) p].
 
-    Closed form 216 p^4 / (9 p^2 + 1)^2, cross-checked by a central
-    difference of the defining expression.
+    Closed form (216 p^4 + 48 (s - 1) p^2 + 8 (1 - s)/3) / (9 p^2 + s)^2,
+    cross-checked by a central difference of the defining expression, whose
+    nodes p +- h must lie in the case's domain p > p_lo.
     """
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    closed = 216.0 * p ** 4 / (9.0 * p ** 2 + 1.0) ** 2
+    s, _, (_, p_lo) = _curvature(case)
+    h = 1e-5 * max(1.0, p)
+    if not p - h > p_lo:
+        raise ValueError(f"{case} p must exceed {p_lo:.6g} by more than the difference step {h:g}, got {p}")
+    closed = (216.0 * p ** 4 + 48.0 * (s - 1.0) * p ** 2 + 8.0 * (1.0 - s) / 3.0) / (9.0 * p ** 2 + s) ** 2
 
     def psi(x: float) -> float:
-        return float(G_diag_peak("spherical", x)) + (8.0 / 3.0) * x - 2.0 * math.pi / 3.0
+        return float(G_diag_peak(case, x)) + (8.0 / 3.0) * x
 
-    h = 1e-5 * max(1.0, p)
     fd = (psi(p + h) - psi(p - h)) / (2.0 * h)
     return DGdpCheck(p=p, closed=closed, fd=fd)
 
@@ -318,7 +312,7 @@ class PolySystem:
 
 def critical_system(case: str) -> PolySystem:
     """Numerators of grad H; common positive factors and denominators cleared."""
-    s, _ = _curvature(case)
+    s, _, _ = _curvature(case)
     et, ep = _et(s), _ep(s)
     eq = tuple((i, k, j, c) for i, j, k, c in ep)
     if case == "spherical":
@@ -461,7 +455,7 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
     Starts are Philox(seed) uniform in the system's box and iterate in
     lockstep as one (n_starts, 3) array.  Singular Jacobians fall back to a
     Levenberg step; starts that still fail are discarded and counted.
-    Converged roots are filtered to the case domain, clustered with radius
+    Converged roots are filtered to the case's open domain, clustered with radius
     1e-6, and annotated with their distance to the curve {p=q, 3pt=1}.
     """
     lows = np.array([b[0] for b in system.box])
@@ -474,16 +468,12 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
     n_singular = int(np.count_nonzero(outcome == _SINGULAR))
     n_stalled = int(np.count_nonzero(outcome == _STALLED))
 
-    n_out = 0
-    n_degenerate = 0
+    _, _, (t_hi, p_lo) = _curvature(system.case)
+    n_out = n_degenerate = 0
     kept = []
     for x in converged:
         t, p, q = (float(v) for v in x)
-        in_domain = t > 1e-8 and p > 1e-8 and q > 1e-8
-        if system.case == "hyperbolic":
-            # open domain t in (0,1), p,q in (1/3, inf)
-            in_domain = in_domain and t < 1.0 - 1e-10 and p > 1.0 / 3.0 and q > 1.0 / 3.0
-        if not in_domain:
+        if not (1e-8 < t < t_hi - 1e-10 and min(p, q) > max(p_lo, 1e-8)):
             n_out += 1
             continue
         # The deflated polynomials have higher-order zeros on the closure of
@@ -535,6 +525,10 @@ def default_grid_ranges(case: str) -> tuple[tuple[float, float], ...]:
     return ((0.01, 0.99), (0.35, 6.0), (0.35, 6.0))
 
 
+# H counts as nonnegative at a grid or ray value >= H_FLOOR
+H_FLOOR = -1e-9
+
+
 @dataclass(frozen=True)
 class RayCheck:
     label: str
@@ -556,7 +550,7 @@ class HNonnegReport:
 
     @property
     def passed(self) -> bool:
-        return self.min_value >= -1e-9 and self.rays_ok
+        return self.min_value >= H_FLOOR and self.rays_ok
 
 
 def _ray_family(case: str):
@@ -611,7 +605,7 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     for label, rt, rp, rq in _ray_family(case):
         tail = H(case, rt, rp, rq)[-12:]
         tail_min = float(np.min(tail))
-        rays.append(RayCheck(label=label, tail_min=tail_min, passed=bool(tail_min >= -1e-9)))
+        rays.append(RayCheck(label=label, tail_min=tail_min, passed=bool(tail_min >= H_FLOOR)))
     return HNonnegReport(
         min_value=float(vals[it, ip, iq]),
         argmin=argmin,

@@ -202,6 +202,11 @@ def question1_margin(spectrum: CurvatureSpectrum, r: float, ell: float) -> float
     return u0 - 6.0 * tr * u1 + 9.0 * tr * tr * u2
 
 
+# the largest length the closed forms below take: there e^(3 ell) is the
+# largest double, so sinh(3 ell), cosh(3 ell) and the kernels stay finite
+_CH2_ELL_MAX = math.log(np.finfo(float).max) / 3.0
+
+
 def _ch2_difference_closed(ell: np.ndarray):
     """Closed forms of the difference kernels for the CH^2 spectrum vs kappa=-1.
 
@@ -239,10 +244,14 @@ def ch2_counterexample_search(ell_max: float, r_max: float) -> CounterexampleRes
     in (0, r_max] times 80 lengths in (0, ell_max], using closed-form
     difference kernels (the hyperbolic-sine sums integrate termwise), and
     returns the most negative margin and its location.  Ties go to the first
-    grid point scanned.
+    grid point scanned.  Past ell_max = _CH2_ELL_MAX (about 236.6) the
+    closed forms overflow, and it raises ValueError.
     """
     if ell_max <= 0.0 or r_max <= 0.0:
         raise ValueError("search bounds must be positive")
+    if ell_max > _CH2_ELL_MAX:
+        raise ValueError(f"ell_max {ell_max:g} exceeds {_CH2_ELL_MAX!r}, the largest length at which "
+                         "the closed-form CH^2 kernels stay finite")
     n_ell, n_r = 80, 60
     ells = np.linspace(ell_max / n_ell, ell_max, n_ell)
     rs = np.linspace(r_max / n_r, r_max, n_r)

@@ -115,10 +115,10 @@ def test_criterion_5_polynomial_lemmas_verified():
         assert worst <= 1e-6, (case, worst)
     rng = np.random.Generator(np.random.Philox(key=0))
     pts = rng.random((10000, 2)) * 5.0
-    residual = lemmas.check_factorization(pts[:, 0], pts[:, 1], relative=True)
+    residual = lemmas.check_factorization("spherical", pts[:, 0], pts[:, 1])
     assert float(np.max(np.abs(residual))) <= 1e-10
     for p in (1.0, 2.0):
-        check = lemmas.dGdp_identity(p)
+        check = lemmas.dGdp_identity("spherical", p)
         assert abs(check.residual) <= 1e-5 * (1.0 + abs(check.closed)), p
     assert time.perf_counter() - t0 < 180.0
 

@@ -70,6 +70,10 @@ def test_certificate_flat_4ball(capsys):
     assert body["reference"]["d"] == pytest.approx(12.0, rel=1e-12)
     assert body["reference_mismatch"] <= 1e-6
     assert body["verification"]["passed"] is True
+    # every threshold the verdict reads is echoed
+    tols = report["tolerances"]
+    assert tols == {"consistency": 1e-8, "reference_match": 1e-6, "membership_defect": 1e-9, "curve_sup": 1e-8}
+    assert body["verification"]["curve_sup_deviation"] <= tols["curve_sup"]
     # the config echo holds the effective grid, not only the flags given
     assert report["config"]["grid"] == 80
 
@@ -492,7 +496,13 @@ def test_lemma_hyperbolic(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert report["report"]["slope_sign_matches"] is True
+    body, tols = report["report"], report["tolerances"]
+    assert "slope_sign_matches" not in body
+    assert body["factorization_max_residual"] <= tols["factorization"]
+    assert [c["p"] for c in body["dGdp"]] == [1.0, 2.0]
+    for c in body["dGdp"]:
+        assert abs(c["residual"]) <= tols["dGdp"] * (1.0 + abs(c["closed"]))
+    assert body["dGdp"][0]["closed"] == 47.0 / 24.0
 
 
 def test_lemma_single_node_grid_exits_2(capsys):
@@ -571,8 +581,20 @@ def test_negbound_with_search(capsys):
     body = report["report"]
     assert body["ch2_search"]["violated"] is True
     assert body["ch2_search"]["margin"] < 0.0
-    assert abs(body["model_spectrum_margin"]) <= 1e-9
+    assert abs(body["model_spectrum_margin"]) <= report["tolerances"]["model_spectrum_margin"] == 1e-9
     assert "hyp2_convention" in body
+
+
+def test_negbound_search_past_the_kernel_overflow_exits_2(capsys):
+    # sinh(3 ell) and cosh(3 ell) overflow from about ell = 236.8; the search
+    # refuses such a window instead of reporting a nan margin as a failed check
+    code, out, err = run_cli(capsys, "negbound", "--radius", "1", "--search", "--ell-max", "240")
+    assert code == 2
+    assert out == ""
+    assert "ell_max 240 exceeds 236.59" in err and "stay finite" in err
+    code, out, _ = run_cli(capsys, "negbound", "--radius", "1", "--search", "--ell-max", "236.5")
+    assert code == 0
+    assert json.loads(out)["report"]["ch2_search"]["violated"] is True
 
 
 def test_prince_shapes(capsys):

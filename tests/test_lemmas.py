@@ -24,7 +24,6 @@ from isoplp.lemmas import (
     dG_dt,
     dGdp_identity,
     default_grid_ranges,
-    hyperbolic_slope_sign_matches,
     solve_critical_points,
     verify_H_nonneg,
 )
@@ -189,28 +188,48 @@ def test_polysystem_jacobian_matches_finite_difference():
 @given(p=st.floats(min_value=0.05, max_value=5.0), t=st.floats(min_value=0.0, max_value=5.0))
 @settings(max_examples=80, deadline=None)
 def test_factorization_identity(p, t):
-    assert abs(check_factorization(p, t, relative=True)) <= 1e-12
+    assert abs(check_factorization("spherical", p, t)) <= 1e-12
+
+
+@given(
+    p=st.floats(min_value=1.0 / 3.0, max_value=5.0, exclude_min=True),
+    t=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@settings(max_examples=80, deadline=None)
+def test_factorization_identity_hyperbolic(p, t):
+    assert abs(check_factorization("hyperbolic", p, t)) <= 1e-12
 
 
 def test_factorization_roots():
-    # both printed factors vanish on the product: 3pt = 1, and the cubic root
+    # dG/dt vanishes on the diagonal where 3pt = 1, and the factorization is exact there
     p = 0.8
-    lhs = 12.0 * p ** 2 * (1.0 / (3 * p)) ** 4 - 16.0 * p * (1.0 / (3 * p)) ** 3 \
-        + (4.0 - 12.0 * p ** 2) * (1.0 / (3 * p)) ** 2 + 4.0 / 3.0
-    rhs = 4.0 * (3.0 * p * (1.0 / (3 * p)) - 1.0)
-    assert_allclose(lhs * rhs, 0.0, atol=1e-12)
-    assert abs(check_factorization(p, 1.0 / (3.0 * p))) <= 1e-14
+    for case in CASES:
+        assert_allclose(dG_dt(case, 1.0 / (3.0 * p), p, p), 0.0, atol=1e-12)
+        assert abs(check_factorization(case, p, 1.0 / (3.0 * p))) <= 1e-14
 
 
 def test_dGdp_identity_values():
-    chk1 = dGdp_identity(1.0)
+    chk1 = dGdp_identity("spherical", 1.0)
     assert_allclose(chk1.closed, 2.16, rtol=0, atol=0)
     assert abs(chk1.residual) <= 1e-5
-    chk2 = dGdp_identity(2.0)
+    chk2 = dGdp_identity("spherical", 2.0)
     assert_allclose(chk2.closed, 3456.0 / 1369.0, rtol=1e-15)
     assert abs(chk2.residual) <= 1e-5
     with pytest.raises(ValueError):
-        dGdp_identity(0.0)
+        dGdp_identity("spherical", 0.0)
+
+
+def test_dGdp_identity_hyperbolic():
+    # (216 - 96 + 16/3) / 8^2 at p = 1
+    chk = dGdp_identity("hyperbolic", 1.0)
+    assert chk.closed == 47.0 / 24.0
+    assert abs(chk.residual) <= 1e-5 * (1.0 + abs(chk.closed))
+    # (9p^2 - 1)^2 = 1225 at p = 2
+    assert_allclose(dGdp_identity("hyperbolic", 2.0).closed, (3456.0 - 384.0 + 16.0 / 3.0) / 1225.0, rtol=1e-15)
+    # the central difference must not leave the open domain p > 1/3
+    for p in (1.0 / 3.0, 0.3, 1.0 / 3.0 + 1e-6):
+        with pytest.raises(ValueError, match="1/3|0.333333"):
+            dGdp_identity("hyperbolic", p)
 
 
 def slice_max_t(case: str, p: float) -> float:
@@ -259,9 +278,15 @@ def test_slice_max_domain_guards():
 
 
 def test_hyperbolic_slope_sign():
+    # dG/dt = 2 s num / (1 + s t^2)^4 with num factored as 4 (3pt - 1) (p t^3 - t^2 + p t + 1/3) at s = -1,
+    # so the slope has the sign of (1 - 3pt) (p t^3 - t^2 + p t + 1/3)
     t = np.linspace(0.05, 0.95, 19)[:, None] + 0.00371
     p = np.linspace(0.4, 5.0, 17)[None, :] + 0.00113
-    assert np.all(hyperbolic_slope_sign_matches(t, p))
+    assert np.max(np.abs(check_factorization("hyperbolic", p, t))) <= 1e-12
+    factored = 4.0 * (3.0 * p * t - 1.0) * (p * t ** 3 - t ** 2 + p * t + 1.0 / 3.0)
+    slope = dG_dt("hyperbolic", t, p, p)
+    assert_allclose(slope, -2.0 * factored / (1.0 - t * t) ** 4, rtol=1e-12, atol=1e-12)
+    assert np.all(np.sign(slope) == np.sign((1.0 - 3.0 * p * t) * (p * t ** 3 - t ** 2 + p * t + 1.0 / 3.0)))
 
 
 def test_curve_distance_zero_on_curve():

@@ -188,6 +188,18 @@ def test_ch2_search_validation():
         ch2_counterexample_search(0.0, 5.0)
     with pytest.raises(ValueError):
         ch2_counterexample_search(10.0, -1.0)
+    with pytest.raises(ValueError, match="stay finite"):
+        ch2_counterexample_search(240.0, 1.0)
+
+
+def test_ch2_search_finite_up_to_its_length_limit():
+    # at the largest admitted length e^(3 ell) is the largest double
+    limit = math.log(np.finfo(float).max) / 3.0
+    assert all(np.isfinite(u).all() for u in _ch2_difference_closed(np.array([limit])))
+    result = ch2_counterexample_search(limit, 5.0)
+    assert math.isfinite(result.margin) and result.violated
+    with pytest.raises(ValueError, match=f"exceeds {limit!r}"):
+        ch2_counterexample_search(math.nextafter(limit, math.inf), 1.0)
 
 
 def test_ch2_search_monotone_in_window():
