@@ -42,7 +42,6 @@ __all__ = [
     "sup_integrand",
     "sup_integrand_dell",
     "build_f",
-    "evaluate_f",
     "check_family_membership",
     "verify_certificate",
     "CONSISTENCY_TOL", "CURVE_SUP_TOL", "DEFECT_TOL",
@@ -292,13 +291,6 @@ def build_f(cert: DualCertificate, alpha, beta):
     return val.reshape(shape), arg.reshape(shape)
 
 
-def evaluate_f(cert: DualCertificate, alpha, beta):
-    """Closed-form f when tabulated, numeric sup otherwise; returns (value, argmax)."""
-    if cert.has_closed_form:
-        return cert.f_closed(alpha, beta), cert.argmax_closed(alpha, beta)
-    return build_f(cert, alpha, beta)
-
-
 @dataclass
 class MembershipReport:
     """Admissibility of f: nonnegative, with concavity-type diagonal defect >= 0."""
@@ -323,15 +315,16 @@ CONSISTENCY_TOL, CURVE_SUP_TOL, DEFECT_TOL = 1e-8, 1e-8, 1e-9
 def check_family_membership(cert: DualCertificate, grid: int = 80) -> MembershipReport:
     """Check f >= 0 and (f(a,a)+f(b,b))/2 - f(a,b) >= 0 on a grid x grid angle grid.
 
-    The angles are equispaced on [0, pi/2 - 1e-3].  Equality of the defect
-    should only happen next to the diagonal.
+    f is the closed form where the certificate has one, build_f's sup
+    otherwise.  The angles are equispaced on [0, pi/2 - 1e-3].  Equality of
+    the defect should only happen next to the diagonal.
     """
     if grid < 2:
         # one node has only the diagonal, where the defect is 0 by construction
         raise ValueError(f"the membership grid needs at least 2 angle nodes, got {grid}")
     angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, grid)
     A, B = np.meshgrid(angles, angles, indexing="ij")
-    fvals, _ = evaluate_f(cert, A, B)
+    fvals = cert.f_closed(A, B) if cert.has_closed_form else build_f(cert, A, B)[0]
     fdiag = np.diag(fvals)
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
     eq_i, eq_j = np.nonzero(defect <= DEFECT_TOL)

@@ -225,10 +225,14 @@ def _cmd_lp(config: dict):
 
 def _moment_residuals(ball, n_nodes: int) -> list[float]:
     """Relative residuals of the integrals of F1..F4 over the ball's quadrature measure against its moments."""
+    moments = chordmeasure.ball_moments(ball)
+    if 0.0 in moments:
+        name = ("A^2", "A*V", "V^2", "omega_{n-1}*V")[moments.index(0.0)]
+        raise ValueError(f"radius {ball.radius!r} is too small: the ball's moment {name} underflows to 0")
     measure = chordmeasure.discretize_ball_measure(ball, n_nodes)
     return [
         (chordmeasure.integrate(measure, f"F{k}", ball.params) - rhs) / rhs
-        for k, rhs in enumerate(chordmeasure.ball_moments(ball), start=1)
+        for k, rhs in enumerate(moments, start=1)
     ]
 
 

@@ -8,9 +8,12 @@ V; minimizing A then gives a lower bound for the area of any region of
 volume V, and the model ball should be optimal.
 
 All rows are written as row . x >= rhs.  Every atom row is separable: a
-function of ell times a function of (alpha, beta).  Assembly evaluates the
-candle functions once per chord length and each family function once per
-angle pair, then fills the rows by broadcasting.
+function of ell times a function of (alpha, beta).  Each profile row is
+-(h(alpha) + h(beta))/2, constant in ell, for h = cos^(2 gamma) or, in
+dimensions 2 and 4, the paper certificate's integrand on the ball's chord
+curve; its rhs is the closed-form integral of h over the ball's chord
+measure.  Assembly evaluates the candle functions once per chord length
+and each h once per angle node, then fills the rows by broadcasting.
 
 The solver is a dense two-phase revised simplex over every grid column.
 With at most a few rows, the basis is small enough to solve afresh at every
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import evaluate_f, paper_certificate
-from .chordmeasure import chord_functional, discretize_ball_measure
+from .certificate import paper_certificate, sup_integrand
+from .chordmeasure import ball_moments, chord_functional, discretize_ball_measure
 from .spaceform import BallGeometry, ModelParams, ball_from_volume, sphere_volume
 
 __all__ = [
@@ -288,22 +291,14 @@ class GridSpec:
             raise ValueError("n_ell must cover at least the curve nodes")
 
 
-def _profile_family(params: ModelParams, radius: float):
-    """(row label, f): (cos a cos b)^gamma, gamma in {0.5, 1, 1.5, 2}, and for n in {2, 4} the ball's certificate f."""
-    fam = [(f"profile-pow{g:g}", lambda a, b, _g=g: (np.cos(a) * np.cos(b)) ** _g) for g in (0.5, 1.0, 1.5, 2.0)]
-    if params.n in (2, 4):
-        cert = paper_certificate(params, radius)
-        fam.append(("profile-certificate-sup", lambda a, b: evaluate_f(cert, a, b)[0]))
-    return fam
-
-
 def _grid_nodes(ball: BallGeometry, grid: GridSpec):
-    """Angle nodes and curve-aligned ell nodes, read off the ball's n_alpha-atom measure; atoms are their product."""
+    """Ascending angle nodes, their chord-curve lengths and the curve lengths padded by uniform ell nodes."""
     atoms = discretize_ball_measure(ball, grid.n_alpha)
+    order = np.argsort(atoms.alpha)
     lmax = min(2.0 * ball.radius, ball.params.conjugate_radius)
     n_fill = grid.n_ell - grid.n_alpha
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
-    return np.sort(atoms.alpha), np.unique(np.concatenate([atoms.ell, fill]))
+    return atoms.alpha[order], atoms.ell[order], np.unique(np.concatenate([atoms.ell, fill]))
 
 
 def build_relative_lp(
@@ -318,9 +313,14 @@ def build_relative_lp(
     Its optimum should match area(B0)/m; at m = 1 it is the isoperimetric LP
     of the ball of volume V, with every coefficient exact.  Variables: A,
     then one mass per atom (ell, alpha, beta) in C order.  Rows 0-2 cap the
-    integrals of F1..F3, row 3 bounds the total length below, and the
-    profile rows cap the integral of each f of the family by its diagonal
-    integral over B0's 200-atom chord measure.  Every row reads B0 alone.
+    integrals of F1..F3, and row 3 bounds the total length below.  Each
+    profile row caps the integral of (h(a) + h(b))/2 by that of h over B0's
+    chord measure, divided by m: h = cos^(2 gamma), gamma in {0.5, 1, 1.5, 2},
+    and for n in {2, 4} the paper certificate's integrand at B0's curve atoms
+    (chord_length(alpha), alpha, alpha).  An admissible f is dominated by
+    (f(a,a) + f(b,b))/2, so each row is at least as strong as the one for
+    (cos a cos b)^gamma or f itself.  Every row reads B0 alone, and every
+    right-hand side is a closed form.
     variant="printed" swaps the rescaled rhs m*V^2 (F3) and omega_{n-1}*V
     (length), under which the quotient is feasible with equality, for the
     printed omega_{n-1}*m*V^2 and bare V.
@@ -331,19 +331,25 @@ def build_relative_lp(
         raise ValueError(f"variant must be 'rescaled' or 'printed', got {variant!r}")
     ball0 = ball_from_volume(params, m * V)
     omega = sphere_volume(params.n - 1)
-    a_rel = ball0.area / m
-    if variant == "rescaled":
-        rhs = [0.0, 0.0, -m * V * V, omega * V]
-    else:
-        rhs = [0.0, 0.0, -omega * m * V * V, V]
-
-    family = _profile_family(params, ball0.radius)
-    alpha, ell = _grid_nodes(ball0, grid)
+    rhs = [0.0, 0.0, -m * V * V, omega * V] if variant == "rescaled" else [0.0, 0.0, -omega * m * V * V, V]
+    alpha, curve, ell = _grid_nodes(ball0, grid)
     cos = np.cos(alpha)
-    A_, B_ = np.meshgrid(alpha, alpha, indexing="ij")
-    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _ in family)
+    # (label, h at the angle nodes, integral of h over B0's chord measure); cos^(2 gamma)
+    # integrates to area * omega_{n-2} * B((n-1)/2, gamma+1) / 2, the Beta taken in log-gammas
+    n, half = params.n, 0.5 * ball0.area * sphere_volume(params.n - 2)
+    profiles = [
+        (f"profile-pow{g:g}", cos ** (2.0 * g),
+         half * math.exp(math.lgamma((n - 1) / 2.0) + math.lgamma(g + 1.0) - math.lgamma((n + 1) / 2.0 + g)))
+        for g in (0.5, 1.0, 1.5, 2.0)
+    ]
+    if n in (2, 4):
+        # the certificate's integrand on B0's chord curve integrates to (-a, -b, -c, d) . B0's moments
+        cert = paper_certificate(params, ball0.radius)
+        integral = float(np.dot((-cert.a, -cert.b, -cert.c, cert.d), ball_moments(ball0)))
+        profiles.append(("profile-certificate-sup", sup_integrand(cert, curve, alpha, alpha), integral))
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _, _ in profiles)
     row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
-    row_matrix[0, 0] = m * a_rel
+    row_matrix[0, 0] = ball0.area
     row_matrix[1, 0] = m * V
     # splitting the column axis keeps a view, so writes land in row_matrix
     atoms = row_matrix[:, 1:].reshape(len(labels), ell.size, alpha.size, alpha.size)
@@ -351,10 +357,9 @@ def build_relative_lp(
     for k in (1, 2, 3, 4):
         Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
         atoms[k - 1] = Fk if k == 4 else -Fk
-    diag = discretize_ball_measure(ball0, 200)
-    for row, (_, f) in enumerate(family, start=4):
-        atoms[row] = -np.asarray(f(A_, B_), dtype=float)
-        rhs.append(-float(np.dot(diag.mass, f(diag.alpha, diag.alpha))) / m)
+    for row, (_, h, integral) in enumerate(profiles, start=4):
+        atoms[row] = -0.5 * (h[:, None] + h[None, :])
+        rhs.append(-integral / m)
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0

@@ -45,13 +45,19 @@ TRACED = [
         {"lpcore.build_relative_lp": 1, "lpcore.highs": 1},
     ),
     (
+        ("lp", "--table", "2", "--dim", "4", "--kappa", "1", "--m", "3", "--volume", "0.4", "--grid", "12x6"),
+        {"lpcore.build_relative_lp": 2, "lpcore.highs": 2},
+    ),
+    (
         ("lemma", "--case", "hyperbolic", "--grid", "24", "--starts", "60", "--seed", "5"),
         {"lemmas.solve_critical_points": 1},
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,counts", TRACED, ids=[a[0] for a, _ in TRACED])
+@pytest.mark.parametrize(
+    "argv,counts", TRACED, ids=[a[0] + ("-table2" if "--table" in a else "") for a, _ in TRACED]
+)
 def test_traced_cli_records_each_stage_once(tmp_path, argv, counts):
     # perfbench's tracer rebinds the package's public names in a CLI child;
     # one span per stage keeps its per-layer metrics from counting work twice
@@ -66,6 +72,9 @@ def test_traced_cli_records_each_stage_once(tmp_path, argv, counts):
     spans = tracing.load(spans_path)
     names = [s.name for s in spans]
     assert {name: names.count(name) for name in counts} == counts
-    # the LP is built by one traced call, so lpcore.build.columns counts it once
+    # each LP is built by one traced call, so lpcore.build.columns counts it once
     assert sum(name.startswith("lpcore.build") for name in names) == counts.get("lpcore.build_relative_lp", 0)
     assert all(s.counts["nit"] > 0 for s in spans if s.name == "lpcore.highs")
+    # the LP reads each profile on B0's chord curve, so certificate.build_f.pairs reads 0 on lp
+    if argv[0] == "lp":
+        assert "certificate.build_f" not in names

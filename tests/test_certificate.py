@@ -13,7 +13,6 @@ from isoplp.certificate import (
     SupDomainError,
     build_f,
     check_family_membership,
-    evaluate_f,
     paper_certificate,
     solve_consistency,
     sup_integrand,
@@ -159,12 +158,12 @@ def test_closed_form_n2_any_curvature(kappa):
 def test_closed_form_values_flat():
     # n=4 flat: f = 16 r^3 sqrt(cos a cos b) at the length 2 r sqrt(cos a cos b)
     cert = paper_certificate(ModelParams(4, 0.0), 1.0)
-    val, arg = evaluate_f(cert, 0.0, 0.0)
+    val, arg = cert.f_closed(0.0, 0.0), cert.argmax_closed(0.0, 0.0)
     assert_allclose(val, 16.0, rtol=1e-13)
     assert_allclose(arg, 2.0, rtol=1e-13)
     # n=2 flat: f = 4 r^2/(sec a + sec b)
     cert2 = paper_certificate(ModelParams(2, 0.0), 1.0)
-    val2, arg2 = evaluate_f(cert2, 0.0, 0.0)
+    val2, arg2 = cert2.f_closed(0.0, 0.0), cert2.argmax_closed(0.0, 0.0)
     assert_allclose(val2, 2.0, rtol=1e-13)
     assert_allclose(arg2, 2.0, rtol=1e-13)
 

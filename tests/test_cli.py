@@ -286,6 +286,16 @@ def test_lp_near_the_hemisphere_meets_the_ball_area(capsys, radius, grid):
     assert abs(entry["optimum"] - entry["bound"]) <= 1e-8 * entry["bound"]
 
 
+def test_lp_flat_4ball_of_radius_10_is_optimal(capsys):
+    # the row entries span 1 to 4e7 at r = 10, since the LP is built in the
+    # user's unit of length; at this grid it still meets the ball area
+    code, out, _ = run_cli(capsys, "lp", "--dim", "4", "--kappa", "0", "--radius", "10", "--grid", "24x12")
+    entry = json.loads(out)["report"]["table1"]
+    assert code == 0
+    assert entry["status"] == "optimal"
+    assert entry["relative_error"] <= 1e-9
+
+
 def test_lp_table2_quotient(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -767,6 +777,29 @@ def test_negbound_underflowing_normalizer_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "conjecture_rhs(r) underflows to 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("measure-check", "--dim", "2", "--kappa", "0", "--radius", "1e-170"),
+            "radius 1e-170 is too small: the ball's moment A^2",
+        ),
+        (
+            ("measure-check", "--dim", "4", "--kappa", "1e300", "--radius", "1e-151"),
+            "radius 1e-151 is too small: the ball's moment A^2",
+        ),
+        # B0 of volume 1e-320 has radius 5.6e-161; its A^2 is subnormal, its A*V 0
+        (("relative", "--dim", "2", "--kappa", "0", "--m", "1", "--volume", "1e-320"), "the ball's moment A*V"),
+    ],
+)
+def test_underflowing_moments_exit_2(capsys, argv, message):
+    # the moments divide the quadrature residuals, so one that rounds to 0 is a usage error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{message} underflows to 0" in err
 
 
 @pytest.mark.parametrize("r", ["6", "8", "12", "20", "30", "40"])

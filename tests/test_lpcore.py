@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog as highs
 
 from isoplp import certificate, lpcore
-from isoplp.chordmeasure import DiscreteMeasure, integrate
+from isoplp.chordmeasure import DiscreteMeasure, discretize_ball_measure, integrate
 from isoplp.lpcore import (
     GridSpec,
     LinearProgram,
@@ -18,6 +18,7 @@ from isoplp.lpcore import (
     build_relative_lp,
     solve,
 )
+from isoplp.relative import RelativeCase, relative_bound
 from isoplp.spaceform import (
     ModelParams,
     ball_from_radius,
@@ -25,6 +26,7 @@ from isoplp.spaceform import (
     candle,
     candle_anti,
     candle_anti2,
+    chord_length,
     sphere_volume,
 )
 
@@ -200,7 +202,7 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
     V = ball_from_radius(params, r).volume
     grid = GridSpec(12, 6)
     lp = build_relative_lp(params, V, 1, grid)
-    alpha, ell = _grid_nodes(ball_from_volume(params, V), grid)
+    alpha, _, ell = _grid_nodes(ball_from_volume(params, V), grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     cols = lp.row_matrix[:4, 1:]
     cert = certificate.paper_certificate(params, r)
@@ -358,20 +360,17 @@ def test_large_unbounded_lp_detected():
     assert solve(lp).status == "unbounded"
 
 
-def _meshgrid_rows(params, ball_curve, grid, labels):
-    """Atom rows evaluated point by point on the full (ell, alpha, beta) mesh, but the certificate's."""
-    alpha, ell = _grid_nodes(ball_curve, grid)
+def _meshgrid_rows(params, ball_curve, grid):
+    """The four structural atom rows, evaluated point by point on the full (ell, alpha, beta) mesh."""
+    alpha, _, ell = _grid_nodes(ball_curve, grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
-    rows = [
+    return np.vstack([
         -candle(params, L) * sec_a * sec_b,
         -candle_anti(params, L) / 2.0 * (sec_a + sec_b),
         -candle_anti2(params, L),
         L,
-    ]
-    # the power rows carry their exponent in their label
-    rows += [-(np.cos(A) * np.cos(B)) ** float(lab[len("profile-pow"):]) for lab in labels if "-pow" in lab]
-    return np.vstack(rows)
+    ])
 
 
 @pytest.mark.parametrize("n, kappa, r", [(4, 1.0, 0.8), (2, 0.0, 1.0)])
@@ -382,8 +381,8 @@ def test_separable_assembly_matches_meshgrid(n, kappa, r):
     lp = build_relative_lp(params, ball.volume, 1, grid)
     # the LP places its curve nodes on the ball it recovers from the volume
     ball_curve = ball_from_volume(params, ball.volume)
-    assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[1].size * 12 * 12
-    rows = _meshgrid_rows(params, ball_curve, grid, lp.row_labels)
+    assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[2].size * 12 * 12
+    rows = _meshgrid_rows(params, ball_curve, grid)
     assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
 
@@ -393,28 +392,87 @@ def test_separable_assembly_matches_meshgrid_relative():
     ball0 = ball_from_volume(params, m * V)
     grid = GridSpec(24, 12)
     lp = build_relative_lp(params, V, m, grid)
-    rows = _meshgrid_rows(params, ball0, grid, lp.row_labels)
+    rows = _meshgrid_rows(params, ball0, grid)
     assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
     assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "n, kappa, m, V",
-    [
-        (4, 1.0, 1, ball_from_radius(ModelParams(4, 1.0), 0.8).volume),
-        (2, 0.0, 1, ball_from_radius(ModelParams(2, 0.0), 1.0).volume),
-        (4, 1.0, 3, 0.4),
-    ],
-)
-def test_certificate_profile_row_is_the_ball_certificate_f(n, kappa, m, V):
-    # the LP pairs its profile rows with the paper's certificate of B0 itself,
-    # the ball of volume m V whose angle nodes and curve lengths it reads
-    params = ModelParams(n, kappa)
-    grid = GridSpec(12, 6)
+# (n, kappa, m, V): the balls of radius 0.8 (curved) and 1 (flat) at m = 1, and B0 of volume 1.2 split three ways
+ROW_CASES = [
+    (n, kappa, 1, ball_from_radius(ModelParams(n, kappa), 0.8 if kappa else 1.0).volume)
+    for n, kappa in ((4, 1.0), (4, 0.0), (2, 1.0), (2, 0.0), (4, -1.0), (2, -1.0))
+] + [(4, 1.0, 3, 0.4)]
+
+
+def _profile_rows(params, V, m, grid):
+    """The LP, B0, its angle nodes and ell nodes, and {label: profile row as an (ell, alpha, beta) array}."""
     lp = build_relative_lp(params, V, m, grid)
     ball0 = ball_from_volume(params, m * V)
-    alpha, ell = _grid_nodes(ball0, grid)
-    A, B = np.meshgrid(alpha, alpha, indexing="ij")
-    f, _ = certificate.evaluate_f(certificate.paper_certificate(params, ball0.radius), A, B)
-    row = lp.row_matrix[lp.row_labels.index("profile-certificate-sup"), 1:].reshape(ell.size, *A.shape)
-    assert np.array_equal(row, np.broadcast_to(-f, row.shape))
+    alpha, _, ell = _grid_nodes(ball0, grid)
+    rows = {
+        label: lp.row_matrix[i, 1:].reshape(ell.size, alpha.size, alpha.size)
+        for i, label in enumerate(lp.row_labels) if label.startswith("profile-")
+    }
+    return lp, ball0, alpha, rows
+
+
+@pytest.mark.parametrize("n, kappa, m, V", ROW_CASES)
+def test_profile_rows_are_additive_in_the_angles(n, kappa, m, V):
+    # each profile row is -(h(a) + h(b))/2 at every chord length: cos^(2 gamma) for
+    # the power rows, the certificate's integrand at B0's curve atoms for its row
+    params = ModelParams(n, kappa)
+    _, ball0, alpha, rows = _profile_rows(params, V, m, GridSpec(12, 6))
+    h = {f"profile-pow{g:g}": np.cos(alpha) ** (2.0 * g) for g in (0.5, 1.0, 1.5, 2.0)}
+    if n in (2, 4):
+        cert = certificate.paper_certificate(params, ball0.radius)
+        curve = chord_length(kappa, ball0.radius, alpha)
+        h["profile-certificate-sup"] = certificate.sup_integrand(cert, curve, alpha, alpha)
+    assert rows.keys() == h.keys()
+    for label, row in rows.items():
+        expect = -0.5 * (h[label][:, None] + h[label][None, :])
+        assert_allclose(row, np.broadcast_to(expect, row.shape), rtol=1e-14, atol=0.0, err_msg=label)
+
+
+@pytest.mark.parametrize("n, kappa, m, V", [case for case in ROW_CASES if case[2] == 1])
+def test_certificate_profile_is_the_sup_on_the_diagonal(n, kappa, m, V):
+    # on the diagonal the sup over chord length sits on the curve, so h needs no sup
+    params = ModelParams(n, kappa)
+    _, ball0, alpha, rows = _profile_rows(params, V, m, GridSpec(12, 6))
+    h = -np.diagonal(rows["profile-certificate-sup"][0])
+    f_diag, _ = certificate.build_f(certificate.paper_certificate(params, ball0.radius), alpha, alpha)
+    assert np.all(h >= 0.0)
+    assert_allclose(h, f_diag, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, kappa, m, V", [case for case in ROW_CASES if case[0] in (2, 4)])
+def test_certificate_profile_rhs_is_the_diagonal_quadrature(n, kappa, m, V):
+    # the closed form (-a, -b, -c, d) . ball_moments(B0) against the 200-node
+    # quadrature of h over B0's chord measure, divided by m
+    params = ModelParams(n, kappa)
+    lp, ball0, _, _ = _profile_rows(params, V, m, GridSpec(12, 6))
+    cert = certificate.paper_certificate(params, ball0.radius)
+    atoms = discretize_ball_measure(ball0, 200)
+    quadrature = float(np.dot(atoms.mass, certificate.sup_integrand(cert, atoms.ell, atoms.alpha, atoms.alpha)))
+    assert_allclose(-lp.rhs[lp.row_labels.index("profile-certificate-sup")], quadrature / m, rtol=1e-12)
+
+
+def test_lp_assembly_runs_no_sup(monkeypatch):
+    def no_sup(*args, **kwargs):
+        raise AssertionError("the LP must not take the sup over chord length")
+
+    monkeypatch.setattr(certificate, "build_f", no_sup)
+    params = ModelParams(4, 1.0)
+    lp = build_relative_lp(params, ball_from_radius(params, 0.8).volume, 1, GridSpec(12, 6))
+    assert "profile-certificate-sup" in lp.row_labels
+
+
+@pytest.mark.parametrize("grid", [GridSpec(40, 20), GridSpec(80, 40)], ids=["40x20", "80x40"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kappa, V", [(0.0, 1.0), (1.0, 0.4)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_table2_rescaled_optimum_is_the_relative_bound(n, kappa, V, m, grid):
+    # the quotient LP's rows, right-hand sides divided by m included, meet area(B0)/m
+    params = ModelParams(n, kappa)
+    sol = solve(build_relative_lp(params, V, m, grid))
+    assert sol.status == "optimal"
+    assert_allclose(sol.objective_value, relative_bound(RelativeCase(params, m, V)), rtol=1e-8)
