@@ -28,9 +28,7 @@ the batching.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,30 +194,17 @@ def _ep(s: float) -> tuple:
             (2, 2, 0, -54.0 * s), (2, 0, 0, -3.0), (0, 2, 0, -18.0), (0, 0, 0, -s))
 
 
-def _scalar_power(x: np.ndarray, e: int) -> np.ndarray:
-    # x ** e element by element with the C library's pow, as numpy scalars
-    # compute it.  On SIMD builds the array power can differ from it in the
-    # last bit.  The scale is defined with this pow, and the 1e-13 test and the
-    # line search compare against the scale, so one changed bit can change
-    # which starts converge.  math.pow calls the same pow but raises where the
-    # result overflows; there the numpy scalars give inf.
-    try:
-        return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(e)), float, len(x))
-    except OverflowError:
-        return np.array([v ** e for v in x])
-
-
 class _Table:
     """K polynomials in (t, p, q): exponents (K, M, 3) and coefficients (K, M).
 
     Values at N points come out as (N, K).  Each term is formed as
-    ((c t^i) p^j) q^k from power(column, e) and the terms are summed in row
-    order.  Shorter polynomials are padded at the end with 0 t^0 p^0 q^0,
+    ((c t^i) p^j) q^k from the array powers column ** e and the terms are
+    summed in row order.  Shorter polynomials are padded at the end with 0 t^0 p^0 q^0,
     which adds exactly zero.
     """
 
-    def __init__(self, exps: np.ndarray, coef: np.ndarray, power=operator.pow):
-        self.exps, self.coef, self.power = exps, coef, power
+    def __init__(self, exps: np.ndarray, coef: np.ndarray):
+        self.exps, self.coef = exps, coef
         self.used = [sorted({int(e) for e in exps[..., v].ravel()} - {0}) for v in range(3)]
 
     @classmethod
@@ -246,15 +231,15 @@ class _Table:
                 exps[r, v, :n] = self.exps[r, live]
                 exps[r, v, :n, v] -= 1
                 coef[r, v, :n] = self.coef[r, live] * self.exps[r, live, v]
-        return _Table(exps.reshape(3 * n_polys, width, 3), coef.reshape(3 * n_polys, width), self.power)
+        return _Table(exps.reshape(3 * n_polys, width, 3), coef.reshape(3 * n_polys, width))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # pw[v, e] is power(variable v, e) over the N points, so each monomial
+        # pw[v, e] is variable v to the power e over the N points, so each monomial
         # factor is one row gather and the terms come out as (K, M, N)
         pw = np.ones((3, int(self.exps.max()) + 1, len(x)))
         for v, used in enumerate(self.used):
             for e in used:
-                pw[v, e] = self.power(x[:, v], e)
+                pw[v, e] = x[:, v] ** e
         e = self.exps
         terms = self.coef[..., None] * pw[0][e[..., 0]] * pw[1][e[..., 1]] * pw[2][e[..., 2]]
         out = np.zeros((terms.shape[0], len(x)))
@@ -289,7 +274,7 @@ class PolySystem:
         values = _Table.from_rows(self.polys)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_jacobian", values.derivatives())
-        object.__setattr__(self, "_abs", _Table(values.exps, np.abs(values.coef), _scalar_power))
+        object.__setattr__(self, "_abs", _Table(values.exps, np.abs(values.coef)))
 
     def _scale(self, x: np.ndarray) -> np.ndarray:
         return 1.0 + self._abs(np.abs(x))

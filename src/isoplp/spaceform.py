@@ -379,60 +379,47 @@ def ball_from_radius(params: ModelParams, r: float) -> BallGeometry:
     )
 
 
-_BRACKET_SPAN = 40.0
-
-
 def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
-    """Invert r -> |B(r)| by safeguarded Newton (relative accuracy ~1e-14).
+    """Invert r -> |B(r)| by Newton's method on ln |B(r)| (relative accuracy ~1e-15).
 
-    The volume must not exceed the hemisphere volume (max_ball_volume).
+    The volume must not exceed the hemisphere volume (max_ball_volume).  The
+    candle sn^(n-1) is log-concave up to the hemisphere, and so is its
+    integral (Prekopa): ln |B(r)| is increasing and concave, so Newton's
+    method started below the root climbs to it and no iterate passes it.
+    With target = volume / omega_{n-1}, the start is the flat radius
+    r_f = (n target)^(1/n) for kappa >= 0, as sn(t) <= t; for kappa < 0, with
+    s = sqrt(-kappa), the larger of r_f exp(-(n - 1) s r_f / n), as
+    sinh x <= x e^x, and ln(target (n - 1) s (2s)^(n-1)) / ((n - 1) s), as
+    sinh x <= e^x / 2.  Rounding can put the start past the root (the power
+    1/n rounds, by up to 1.3e-14 relative), and from there a Newton step
+    lands below it, so the first step is always taken; the iteration stops
+    where the iterate stops increasing.
     """
     if not (volume > 0.0 and math.isfinite(volume)):
         raise ValueError(f"volume must be positive and finite, got {volume!r}")
-    omega = sphere_volume(params.n - 1)
-    target = volume / omega
-    vmax, rmax = max_ball_volume(params), params.hemisphere_radius
+    n, kappa = params.n, params.kappa
+    omega = sphere_volume(n - 1)
+    vmax = max_ball_volume(params)
     if volume > vmax * (1.0 + 1e-12):
-        raise ValueError(f"volume {volume} exceeds the hemisphere volume {vmax} at curvature {params.kappa}")
+        raise ValueError(f"volume {volume} exceeds the hemisphere volume {vmax} at curvature {kappa}")
     if volume >= vmax:
-        return ball_from_radius(params, rmax)
+        return ball_from_radius(params, params.hemisphere_radius)
 
-    # Bracket [0, hi]: the flat-space guess doubled until it brackets, capped
-    # at the hemisphere radius, which replaces it where it is at most
-    # _BRACKET_SPAN * max(1, guess).  A longer hemisphere radius (kappa -> 0+)
-    # would start Newton hundreds of steps from the root.
-    lo, hi = 0.0, min((params.n * target) ** (1.0 / params.n), rmax)
-    for _ in range(200):
-        if hi >= rmax or candle_anti(params, hi) >= target:
-            break
-        hi = min(2.0 * hi, rmax)
-    else:
-        raise ValueError("failed to bracket the radius")
-    if rmax <= _BRACKET_SPAN * max(1.0, hi):
-        hi = rmax
-
-    r = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = float(candle_anti(params, r)) - target
-        if f > 0.0:
-            hi = r
-        else:
-            lo = r
-        df = float(candle(params, r))
-        step_ok = False
-        if df > 0.0:
-            r_new = r - f / df
-            if lo < r_new < hi:
-                step_ok = True
-        if not step_ok:
-            r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= 1e-15 * abs(r_new):
-            r = r_new
-            break
+    target = volume / omega
+    r = (n * target) ** (1.0 / n)
+    if kappa < 0.0:  # in logs: the volume at r_f may overflow, and target may be 0
+        s = math.sqrt(-kappa)
+        log_bound = math.log(volume) - math.log(omega) + math.log((n - 1) * s) + (n - 1) * math.log(2.0 * s)
+        r = max(r * math.exp(-(n - 1) * s * r / n), log_bound / ((n - 1) * s))
+    for step in range(200):
+        anti = float(candle_anti(params, r))
+        if anti == 0.0 or target == 0.0:
+            raise ValueError(f"volume {volume!r} is too small: the ball's volume underflows near its radius")
+        r_new = r - math.log(anti / target) * anti / float(candle(params, r))
+        if step and not r_new > r:
+            return ball_from_radius(params, r)
         r = r_new
-    else:
-        raise ValueError(f"Newton did not converge on the radius of volume {volume}")
-    return ball_from_radius(params, r)
+    raise ValueError(f"Newton did not converge on the radius of volume {volume}")
 
 
 def _validate_chord_args(kappa: float, r: float) -> None:

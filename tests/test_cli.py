@@ -695,6 +695,48 @@ def test_relative_command(capsys):
     )
 
 
+# The radius r of the hyperbolic ball of volume V, by bisection in 60-digit
+# mpmath on the closed forms 4 pi (sinh(2r)/4 - r/2) for n = 3 and
+# 2 pi^2 (cosh^3(r)/3 - cosh(r) + 2/3) for n = 4.  The flat radius of each
+# volume lies far past it, where the volume overflows.
+@pytest.mark.parametrize(
+    "dim, vmax, radius",
+    [
+        ("4", "1e300", 230.32365825876763506),
+        ("3", "1e12", 13.589719205362240034),
+        ("3", "1e30", 34.312985042265957828),
+    ],
+)
+def test_profile_radius_of_a_large_hyperbolic_volume(capsys, dim, vmax, radius):
+    code, out, err = run_cli(
+        capsys, "profile", "--dim", dim, "--kappa", "-1", "--vmin", "1", "--vmax", vmax, "--steps", "2"
+    )
+    assert code == 0, err
+    row = json.loads(out)["report"]["rows"][-1]
+    assert row["V"] == float(vmax)
+    assert row["radius"] == pytest.approx(radius, rel=1e-13)
+
+
+def test_relative_bound_of_a_large_hyperbolic_volume(capsys):
+    # B0 of volume 1e16 has radius 12.345602788721380269 (the reference above)
+    # and area 2 pi^2 sinh^3(r) = 30000000003404184.852
+    code, out, err = run_cli(
+        capsys, "relative", "--dim", "4", "--kappa", "-1", "--m", "1000000", "--volume", "1e10"
+    )
+    assert code == 0, err
+    assert json.loads(out)["report"]["relative_bound"] == pytest.approx(30000000003.404184852, rel=1e-13)
+
+
+def test_profile_past_the_hemisphere_exits_2(capsys):
+    # the unit 2-sphere's hemisphere has area 2 pi
+    code, out, err = run_cli(
+        capsys, "profile", "--dim", "2", "--kappa", "1", "--vmin", "1", "--vmax", "7", "--steps", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the hemisphere volume" in err
+
+
 HEMISPHERE = repr(math.pi / 2.0)
 
 

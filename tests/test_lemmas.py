@@ -17,7 +17,6 @@ from isoplp.lemmas import (
     PolySystem,
     S_table,
     _lockstep_newton,
-    _scalar_power,
     check_factorization,
     critical_system,
     curve_distance,
@@ -499,22 +498,6 @@ def test_multistart_line_search_takes_every_depth():
     assert result.roots and all((r.t, r.p, r.q) in converged for r in result.roots)
     points, outcome = _lockstep_newton(system, starts)
     assert [tuple(float(v) for v in x) for x in points[outcome == _CONVERGED]] == converged
-
-
-def test_scalar_power_is_the_numpy_scalar_power():
-    rng = np.random.Generator(np.random.Philox(key=4))
-    x = np.concatenate([
-        rng.random(500) * 20.0,
-        np.exp(rng.normal(0.0, 40.0, 500)),
-        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e51, 1e60, 1e300],
-    ])
-    for e in range(1, 10):
-        with np.errstate(over="ignore"):
-            got = _scalar_power(x, e)
-            ref = np.array([v ** e for v in x])
-        assert got.tobytes() == ref.tobytes()
-    with np.errstate(over="ignore"):
-        assert _scalar_power(np.array([2.0, 1e60]), 6).tolist() == [64.0, math.inf]
 
 
 def test_polysystem_broadcasts_arrays():

@@ -1,6 +1,7 @@
 """Constant-curvature geometry primitives: closed forms, limits, round trips."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from isoplp import spaceform
 from isoplp.spaceform import (
     BallGeometry,
     CurvatureSpectrum,
@@ -281,6 +283,39 @@ def test_small_ball_from_volume_matches_flat_radius(n, volume):
     params = ModelParams(n, 0.0)
     exact = (n * volume / sphere_volume(n - 1)) ** (1.0 / n)
     assert_allclose(ball_from_volume(params, volume).radius, exact, rtol=1e-14, atol=0.0)
+
+
+def test_ball_from_volume_climbs_to_the_radius(monkeypatch):
+    # ln |B(r)| is increasing and concave and Newton starts below the root,
+    # up to rounding, so after the first step the iterates increase and none
+    # passes the root, where the hyperbolic volume overflows
+    iterates = []
+
+    def recording_candle(params, t):
+        iterates.append(float(t))
+        return candle(params, t)
+
+    monkeypatch.setattr(spaceform, "candle", recording_candle)
+    n_cases = 0
+    for n in (2, 3, 4, 5, 6, 8):
+        for kappa in (0.0, 1e-300, -1e-300, 1e-6, -1e-6, 1.0, -1.0, 100.0, -100.0, 1e4, -1e4):
+            params = ModelParams(n, kappa)
+            for volume in np.logspace(-300, 300, 121).tolist():
+                if volume >= max_ball_volume(params):
+                    continue
+                iterates.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    ball = ball_from_volume(params, volume)
+                case = (n, kappa, volume)
+                *steps, area_at = iterates  # ball_area reads the candle at the radius last
+                assert area_at == steps[-1] == ball.radius, case
+                assert len(steps) <= 8, case
+                assert steps[1] >= steps[0] * (1.0 - 1e-13), case
+                assert all(a < b for a, b in zip(steps[1:], steps[2:])), case
+                assert abs(ball_volume(params, ball.radius) / volume - 1.0) <= 1e-12, case
+                n_cases += 1
+    assert n_cases == 6541
 
 
 def test_angle_rule_is_gauss_legendre_where_ungraded():
