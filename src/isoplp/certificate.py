@@ -315,16 +315,24 @@ CONSISTENCY_TOL, CURVE_SUP_TOL, DEFECT_TOL = 1e-8, 1e-8, 1e-9
 def check_family_membership(cert: DualCertificate, grid: int = 80) -> MembershipReport:
     """Check f >= 0 and (f(a,a)+f(b,b))/2 - f(a,b) >= 0 on a grid x grid angle grid.
 
-    f is the closed form where the certificate has one, build_f's sup
-    otherwise.  The angles are equispaced on [0, pi/2 - 1e-3].  Equality of
-    the defect should only happen next to the diagonal.
+    f is the closed form where the certificate has one, build_f's sup on
+    the upper triangle, mirrored, otherwise.  The angles are equispaced on
+    [0, pi/2 - 1e-3].  Equality of the defect should only happen next to the
+    diagonal.
     """
     if grid < 2:
         # one node has only the diagonal, where the defect is 0 by construction
         raise ValueError(f"the membership grid needs at least 2 angle nodes, got {grid}")
     angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, grid)
-    A, B = np.meshgrid(angles, angles, indexing="ij")
-    fvals = cert.f_closed(A, B) if cert.has_closed_form else build_f(cert, A, B)[0]
+    if cert.has_closed_form:
+        A, B = np.meshgrid(angles, angles, indexing="ij")
+        fvals = cert.f_closed(A, B)
+    else:
+        # f(a,b) = f(b,a) bit for bit (its angle factors are a symmetric product and sum),
+        # so the sup runs on the upper triangle and is mirrored
+        fvals = np.empty((grid, grid))
+        i, j = np.triu_indices(grid)
+        fvals[i, j] = fvals[j, i] = build_f(cert, angles[i], angles[j])[0]
     fdiag = np.diag(fvals)
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
     eq_i, eq_j = np.nonzero(defect <= DEFECT_TOL)

@@ -188,7 +188,9 @@ def _quad_profile(fun, knots) -> float:
             raise ValueError("the profile is not finite on [-pi/2, pi/2]")
         return (f @ w) * half
 
-    edges = np.unique([-_HALF_PI, *(k for k in knots if -_HALF_PI < k < _HALF_PI), _HALF_PI])
+    # sorted, then each run of equal knots kept once: np.unique's result, without its numpy.ma import
+    edges = np.sort([-_HALF_PI, *(k for k in knots if -_HALF_PI < k < _HALF_PI), _HALF_PI])
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     whole = rule(mid, half)
     max_halves = 2 * mid.size + _QUAD_PANELS

@@ -12,20 +12,26 @@ function of ell times a function of (alpha, beta).  Each profile row is
 -(h(alpha) + h(beta))/2, constant in ell, for h = cos^(2 gamma) or, in
 dimensions 2 and 4, the paper certificate's integrand on the ball's chord
 curve; its rhs is the closed-form integral of h over the ball's chord
-measure.  Assembly evaluates the candle functions once per chord length
-and each h once per angle node, then fills the rows by broadcasting.
+measure.  The grid LP keeps its rows as these factors (SeparableRows): the
+candle functions once per chord length and each angle factor once per
+angle pair, never the m x K matrix.
 
-The solver is a dense two-phase revised simplex over every grid column.
-With at most a few rows, the basis is small enough to solve afresh at every
-pivot, and one vectorized c - A^T y prices all columns: the full pricing
-that Gilmore & Gomory's (1961) column generation performs, without a
+The solver is a two-phase revised simplex over every grid column.  It
+reads the row matrix only through its shape, y @ A, A @ x, the column
+gather A[:, j], abs(A) and -A, which a dense ndarray and SeparableRows
+both provide, so the tests' generic LPs and the grid LP take one code
+path.  With at most a few rows, the basis is small enough to solve afresh
+at every pivot, and one y @ A prices all columns; on separable rows that
+is an (n_ell x m)(m x n_alpha^2) product.  This is the full pricing that
+Gilmore & Gomory's (1961) column generation performs, without a
 restricted master program.  Phase 1 puts artificials only on the rows that
 x = 0 violates, so infeasibility is decided over the whole grid.  The
 solution is a basic one, exact to rounding.  The acceptance test (primal,
-dual, gap and complementary-slackness residuals) then runs on the full row
-matrix.  What is certified is the grid LP: every grid column is priced and
-checked, but chords off the grid are not.  The grid restricts the primal,
-so its optimum is evidence for the bound, not a lower bound.
+dual, gap and complementary-slackness residuals) then runs over every
+column of the row matrix.  What is certified is the grid LP: every grid
+column is priced and checked, but chords off the grid are not.  The grid
+restricts the primal, so its optimum is evidence for the bound, not a
+lower bound.
 """
 
 from __future__ import annotations
@@ -36,12 +42,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import paper_certificate, sup_integrand
-from .chordmeasure import ball_moments, chord_functional, discretize_ball_measure
-from .spaceform import BallGeometry, ModelParams, ball_from_volume, sphere_volume
+from .chordmeasure import ball_moments, discretize_ball_measure
+from .spaceform import (
+    BallGeometry,
+    ModelParams,
+    ball_from_volume,
+    candle,
+    candle_anti,
+    candle_anti2,
+    sphere_volume,
+)
 
 __all__ = [
     "SOLVER_TOL",
     "LinearProgram",
+    "SeparableRows",
     "LPSolution",
     "GridSpec",
     "solve",
@@ -49,18 +64,69 @@ __all__ = [
 ]
 
 
+class SeparableRows:
+    """m rows over 1 + n_ell * n_pair columns, kept as their factors.
+
+    Column 0 is `first`; column 1 + l * n_pair + p holds
+    ell_factor[:, l] * pair_factor[:, p].  It provides what the simplex and
+    the acceptance test read of a row matrix, as a dense ndarray does: .shape,
+    y @ R (also np.matmul(y, R, out=...)), R @ x over the support of x, the
+    column gather R[:, j] for an index or an index array, abs(R) and -R.
+    abs is exact, because |g * phi| = |g| * |phi| in floating point.
+    """
+
+    def __init__(self, first, ell_factor, pair_factor):
+        self.first, self.ell_factor, self.pair_factor = first, ell_factor, pair_factor
+        m, n_ell = ell_factor.shape
+        self.shape = (m, 1 + n_ell * pair_factor.shape[1])
+
+    def __neg__(self) -> "SeparableRows":
+        return SeparableRows(-self.first, -self.ell_factor, self.pair_factor)
+
+    def __abs__(self) -> "SeparableRows":
+        return SeparableRows(np.abs(self.first), np.abs(self.ell_factor), np.abs(self.pair_factor))
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, j = key
+        if rows != slice(None):
+            raise IndexError("SeparableRows gathers whole columns only")
+        j = np.asarray(j)
+        # column 0 maps to a valid factor index here and is replaced by `first`
+        ell, pair = np.divmod(j - 1, self.pair_factor.shape[1])
+        first = self.first.reshape(-1, *(1,) * j.ndim)
+        return np.where(j == 0, first, self.ell_factor[:, ell] * self.pair_factor[:, pair])
+
+    def __matmul__(self, x) -> np.ndarray:
+        support = np.flatnonzero(x)
+        return self[:, support] @ x[support]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        # only y @ R: the (n_ell x m)(m x n_pair) product, written into out when given
+        if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[1] is not self:
+            return NotImplemented
+        y = inputs[0]
+        prices = np.empty(self.shape[1]) if out is None else out[0]
+        prices[0] = y @ self.first
+        np.matmul(self.ell_factor.T * y, self.pair_factor, out=prices[1:].reshape(self.ell_factor.shape[1], -1))
+        return prices
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  subject to  row_matrix . x >= rhs,  x >= 0."""
+    """min objective . x  subject to  row_matrix . x >= rhs,  x >= 0.
+
+    row_matrix is a dense array or, for the grid LP, SeparableRows.
+    """
 
     objective: np.ndarray
-    row_matrix: np.ndarray
+    row_matrix: np.ndarray | SeparableRows
     rhs: np.ndarray
     row_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "row_matrix", np.asarray(self.row_matrix, dtype=float))
+        if not isinstance(self.row_matrix, SeparableRows):
+            object.__setattr__(self, "row_matrix", np.asarray(self.row_matrix, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         m, n = self.row_matrix.shape
         if self.objective.shape != (n,):
@@ -127,18 +193,22 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
     """Primal simplex from the feasible `basis`, updated in place; returns (status, pivots, x_B, duals).
 
     Every pivot solves the basis afresh, so nothing drifts.  All n + m
-    structural and slack columns are priced with one c - A^T y; artificials
-    never enter.  Dantzig's rule picks the entering column, and the ratio
-    test takes the largest pivot among tied rows; after _DEGENERATE_RUN
-    degenerate pivots in a row, Bland's rule takes over for both choices.
+    structural and slack columns are priced with one c - y @ A, written into
+    one reduced-cost buffer; artificials never enter.  Dantzig's rule picks
+    the entering column, and the ratio test takes the largest pivot among
+    tied rows; after _DEGENERATE_RUN degenerate pivots in a row, Bland's
+    rule takes over for both choices.
     """
     m, n = A_ub.shape
     pivots = degenerate = 0
+    reduced = np.empty(n + m)
     while True:
         B = _basis_matrix(A_ub, basis)
         x_B = np.linalg.solve(B, b_ub)
         y = np.linalg.solve(B.T, cost[basis])
-        reduced = cost[: n + m] - np.concatenate([y @ A_ub, y])
+        np.matmul(y, A_ub, out=reduced[:n])
+        reduced[n:] = y
+        np.subtract(cost[: n + m], reduced, out=reduced)
         reduced[basis[basis < n + m]] = 0.0
         bland = degenerate >= _DEGENERATE_RUN
         q = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
@@ -162,13 +232,14 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
 
 
 def linprog(c, A_ub, b_ub, tol):
-    """min c . x subject to A_ub x <= b_ub, x >= 0: a dense two-phase revised simplex.
+    """min c . x subject to A_ub x <= b_ub, x >= 0: a two-phase revised simplex.
 
     Keywords, result fields and status codes follow the usual `linprog`
-    convention (see _SimplexResult).  `solve` passes its rows A x >= b as
-    A_ub = -A, so a slack here is a surplus column -e_i of the >= form.  tol
-    is the pricing tolerance and, relative to the magnitude of the row
-    arithmetic, the phase-1 feasibility tolerance.  Phase 1 puts artificials
+    convention (see _SimplexResult).  A_ub is a dense array or SeparableRows.
+    `solve` passes its rows A x >= b as A_ub = -A, so a slack here is a
+    surplus column -e_i of the >= form.  tol is the pricing tolerance and,
+    relative to the magnitude of the row arithmetic, the phase-1 feasibility
+    tolerance.  Phase 1 puts artificials
     only on the rows that x = 0 violates; those left in the basis at zero
     are pivoted out for slacks before phase 2.  `solve` looks this name up
     at call time, so a rebinding of `lpcore.linprog` takes effect.
@@ -219,7 +290,7 @@ def _violation(*arrays) -> float:
 
 def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
     slack = lp.row_matrix @ x - lp.rhs
-    reduced = lp.objective - lp.row_matrix.T @ y
+    reduced = lp.objective - y @ lp.row_matrix
     gap = float(lp.objective @ x - lp.rhs @ y)
     cs = max(
         float(np.max(np.abs(y * slack), initial=0.0)),
@@ -234,8 +305,8 @@ def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
     The simplex `linprog` prices every column at tol and returns a basic
     solution, exact to rounding.  tol also bounds the accepted feasibility/
     stationarity residuals, each taken relative to the magnitude of the
-    arithmetic that produced it, and the acceptance test runs on the full
-    row matrix.
+    arithmetic that produced it, and the acceptance test runs over every
+    column of the row matrix.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
@@ -248,7 +319,7 @@ def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
     # each surplus column is priced, so y >= -tol; the rounding-level
     # negatives (and -0.0) are zeroed so the residuals describe the reported y
     y = np.maximum(-res.marginals, 0.0)
-    abs_matrix = np.abs(lp.row_matrix)
+    abs_matrix = abs(lp.row_matrix)
     primal_res, dual_res, gap, cs = _residuals(lp, x, y)
     # each residual is judged against the magnitude of the arithmetic that
     # produced it; the rhs alone undersells rows whose matrix entries are large
@@ -260,7 +331,7 @@ def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
     dual_tol = tol * (
         1.0
         + float(np.max(np.abs(lp.objective), initial=0.0))
-        + float(np.max(abs_matrix.T @ np.abs(y), initial=0.0))
+        + float(np.max(np.abs(y) @ abs_matrix, initial=0.0))
     )
     gap_scale = 1.0 + abs(float(lp.objective @ x)) + abs(float(lp.rhs @ y))
     ok = (
@@ -298,7 +369,9 @@ def _grid_nodes(ball: BallGeometry, grid: GridSpec):
     lmax = min(2.0 * ball.radius, ball.params.conjugate_radius)
     n_fill = grid.n_ell - grid.n_alpha
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
-    return atoms.alpha[order], atoms.ell[order], np.unique(np.concatenate([atoms.ell, fill]))
+    # sorted, then each run of equal lengths kept once: np.unique's result, without its numpy.ma import
+    ell = np.sort(np.concatenate([atoms.ell, fill]))
+    return atoms.alpha[order], atoms.ell[order], ell[np.concatenate(([True], ell[1:] != ell[:-1]))]
 
 
 def build_relative_lp(
@@ -320,7 +393,11 @@ def build_relative_lp(
     (chord_length(alpha), alpha, alpha).  An admissible f is dominated by
     (f(a,a) + f(b,b))/2, so each row is at least as strong as the one for
     (cos a cos b)^gamma or f itself.  Every row reads B0 alone, and every
-    right-hand side is a closed form.
+    right-hand side is a closed form.  The rows are SeparableRows: column 0
+    holds (area(B0), m*V, 0, ...), and each row is an ell factor times an
+    angle-pair factor, -candle x sec a sec b (F1), -candle_anti x
+    (sec a + sec b)/2 (F2), -candle_anti2 x 1 (F3), ell x 1 (F4) and
+    1 x -(h(a) + h(b))/2 for each profile.
     variant="printed" swaps the rescaled rhs m*V^2 (F3) and omega_{n-1}*V
     (length), under which the quotient is feasible with equality, for the
     printed omega_{n-1}*m*V^2 and bare V.
@@ -348,18 +425,23 @@ def build_relative_lp(
         integral = float(np.dot((-cert.a, -cert.b, -cert.c, cert.d), ball_moments(ball0)))
         profiles.append(("profile-certificate-sup", sup_integrand(cert, curve, alpha, alpha), integral))
     labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _, _ in profiles)
-    row_matrix = np.zeros((len(labels), 1 + ell.size * alpha.size ** 2))
-    row_matrix[0, 0] = ball0.area
-    row_matrix[1, 0] = m * V
-    # splitting the column axis keeps a view, so writes land in row_matrix
-    atoms = row_matrix[:, 1:].reshape(len(labels), ell.size, alpha.size, alpha.size)
-    # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below
-    for k in (1, 2, 3, 4):
-        Fk = chord_functional(params, k, ell[:, None, None], cos[:, None], cos[None, :])
-        atoms[k - 1] = Fk if k == 4 else -Fk
+    # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below;
+    # F1 = candle sec a sec b, F2 = candle_anti (sec a + sec b)/2, F3 = candle_anti2, F4 = ell
+    sec = 1.0 / cos
+    ell_factor = np.ones((len(labels), ell.size))
+    pair_factor = np.ones((len(labels), alpha.size, alpha.size))
+    ell_factor[0] = -candle(params, ell)
+    pair_factor[0] = sec[:, None] * sec[None, :]
+    ell_factor[1] = -candle_anti(params, ell)
+    pair_factor[1] = 0.5 * (sec[:, None] + sec[None, :])
+    ell_factor[2] = -candle_anti2(params, ell)
+    ell_factor[3] = ell
     for row, (_, h, integral) in enumerate(profiles, start=4):
-        atoms[row] = -0.5 * (h[:, None] + h[None, :])
+        pair_factor[row] = -0.5 * (h[:, None] + h[None, :])
         rhs.append(-integral / m)
+    first = np.zeros(len(labels))
+    first[:2] = ball0.area, m * V
+    row_matrix = SeparableRows(first, ell_factor, pair_factor.reshape(len(labels), -1))
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0

@@ -361,7 +361,7 @@ import contextlib, io, sys
 from isoplp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
+print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.modules), "numpy.ma" in sys.modules)
 """
 
 
@@ -387,9 +387,11 @@ print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.mod
 def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     table = tmp_path / "profile.csv"
     table.write_text("alpha,L\n-1.5,0.1\n0,2\n1.5,0.1\n")
-    code, loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
+    code, loaded, ma_loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
     assert code == "0"
     assert loaded == str(uses_scipy)
+    # np.unique imports numpy.ma at every call; no CLI path needs it
+    assert ma_loaded == "False"
 
 
 def test_lp_m_only_with_table_2(capsys):

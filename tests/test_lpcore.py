@@ -1,6 +1,7 @@
 """Finite LP assembly and solving; the residuals are checked against hand-made pairs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ from isoplp.spaceform import (
     chord_length,
     sphere_volume,
 )
+
+
+def _dense(lp):
+    """The LP's row matrix materialized, gathered column by column."""
+    return lp.row_matrix[:, np.arange(lp.n_vars)]
 
 
 def _certifies(sol, tol):
@@ -204,7 +210,7 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
     lp = build_relative_lp(params, V, 1, grid)
     alpha, _, ell = _grid_nodes(ball_from_volume(params, V), grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
-    cols = lp.row_matrix[:4, 1:]
+    cols = _dense(lp)[:4, 1:]
     cert = certificate.paper_certificate(params, r)
     coeffs = np.array(cert.coefficients)
     eps = np.finfo(float).eps
@@ -382,9 +388,9 @@ def test_separable_assembly_matches_meshgrid(n, kappa, r):
     # the LP places its curve nodes on the ball it recovers from the volume
     ball_curve = ball_from_volume(params, ball.volume)
     assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[2].size * 12 * 12
-    rows = _meshgrid_rows(params, ball_curve, grid)
-    assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
-    assert_allclose(lp.row_matrix[:, 0], [ball.area, ball.volume] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
+    rows, dense = _meshgrid_rows(params, ball_curve, grid), _dense(lp)
+    assert_allclose(dense[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
+    assert_allclose(dense[:, 0], [ball.area, ball.volume] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
 
 
 def test_separable_assembly_matches_meshgrid_relative():
@@ -392,9 +398,9 @@ def test_separable_assembly_matches_meshgrid_relative():
     ball0 = ball_from_volume(params, m * V)
     grid = GridSpec(24, 12)
     lp = build_relative_lp(params, V, m, grid)
-    rows = _meshgrid_rows(params, ball0, grid)
-    assert_allclose(lp.row_matrix[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
-    assert_allclose(lp.row_matrix[:, 0], [ball0.area, m * V] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
+    rows, dense = _meshgrid_rows(params, ball0, grid), _dense(lp)
+    assert_allclose(dense[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
+    assert_allclose(dense[:, 0], [ball0.area, m * V] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
 
 
 # (n, kappa, m, V): the balls of radius 0.8 (curved) and 1 (flat) at m = 1, and B0 of volume 1.2 split three ways
@@ -409,11 +415,22 @@ def _profile_rows(params, V, m, grid):
     lp = build_relative_lp(params, V, m, grid)
     ball0 = ball_from_volume(params, m * V)
     alpha, _, ell = _grid_nodes(ball0, grid)
+    dense = _dense(lp)
     rows = {
-        label: lp.row_matrix[i, 1:].reshape(ell.size, alpha.size, alpha.size)
+        label: dense[i, 1:].reshape(ell.size, alpha.size, alpha.size)
         for i, label in enumerate(lp.row_labels) if label.startswith("profile-")
     }
     return lp, ball0, alpha, rows
+
+
+def _profile_h(params, ball0, alpha):
+    """{label: h at the angle nodes}: cos^(2 gamma), and for n in {2, 4} the certificate's integrand on B0's curve."""
+    h = {f"profile-pow{g:g}": np.cos(alpha) ** (2.0 * g) for g in (0.5, 1.0, 1.5, 2.0)}
+    if params.n in (2, 4):
+        cert = certificate.paper_certificate(params, ball0.radius)
+        curve = chord_length(params.kappa, ball0.radius, alpha)
+        h["profile-certificate-sup"] = certificate.sup_integrand(cert, curve, alpha, alpha)
+    return h
 
 
 @pytest.mark.parametrize("n, kappa, m, V", ROW_CASES)
@@ -422,15 +439,87 @@ def test_profile_rows_are_additive_in_the_angles(n, kappa, m, V):
     # the power rows, the certificate's integrand at B0's curve atoms for its row
     params = ModelParams(n, kappa)
     _, ball0, alpha, rows = _profile_rows(params, V, m, GridSpec(12, 6))
-    h = {f"profile-pow{g:g}": np.cos(alpha) ** (2.0 * g) for g in (0.5, 1.0, 1.5, 2.0)}
-    if n in (2, 4):
-        cert = certificate.paper_certificate(params, ball0.radius)
-        curve = chord_length(kappa, ball0.radius, alpha)
-        h["profile-certificate-sup"] = certificate.sup_integrand(cert, curve, alpha, alpha)
+    h = _profile_h(params, ball0, alpha)
     assert rows.keys() == h.keys()
     for label, row in rows.items():
         expect = -0.5 * (h[label][:, None] + h[label][None, :])
         assert_allclose(row, np.broadcast_to(expect, row.shape), rtol=1e-14, atol=0.0, err_msg=label)
+
+
+def _reference_rows(params, V, m, grid):
+    """The LP's labels and rows as a dense matrix, evaluated point by point on the full mesh."""
+    ball0 = ball_from_volume(params, m * V)
+    alpha, _, ell = _grid_nodes(ball0, grid)
+    h = _profile_h(params, ball0, alpha)
+    profiles = [np.tile(-0.5 * (v[:, None] + v[None, :]).ravel(), ell.size) for v in h.values()]
+    atoms = np.vstack([_meshgrid_rows(params, ball0, grid), *profiles])
+    first = np.zeros((atoms.shape[0], 1))
+    first[:2, 0] = ball0.area, m * V
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length", *h)
+    return labels, np.hstack([first, atoms])
+
+
+@pytest.mark.parametrize("n, kappa, m, V", ROW_CASES)
+def test_separable_rows_match_the_dense_rows(n, kappa, m, V):
+    # every operation the simplex and the acceptance test read of the rows, against
+    # the dense rows built without the LP's factors
+    params, grid = ModelParams(n, kappa), GridSpec(12, 6)
+    lp = build_relative_lp(params, V, m, grid)
+    labels, D = _reference_rows(params, V, m, grid)
+    R, every = lp.row_matrix, np.arange(D.shape[1])
+    assert lp.row_labels == labels and R.shape == D.shape
+    # the column gather, by index array and by single index; abs and negation are exact
+    assert_allclose(R[:, every], D, rtol=1e-12, atol=0.0)
+    for j in (0, 1, D.shape[1] - 1):
+        assert_allclose(R[:, j], D[:, j], rtol=1e-12, atol=0.0)
+    assert_allclose(abs(R)[:, every], np.abs(D), rtol=1e-12, atol=0.0)
+    assert_allclose((-R)[:, every], -D, rtol=1e-12, atol=0.0)
+    # y @ R: each row alone, then a positive combination against the magnitude of its terms
+    for i, e in enumerate(np.eye(R.shape[0])):
+        assert_allclose(e @ R, D[i], rtol=1e-12, atol=0.0)
+    rng = np.random.default_rng(n)
+    y = rng.uniform(0.1, 1.0, R.shape[0])
+    prices = np.empty(R.shape[1])
+    assert np.matmul(y, R, out=prices) is prices
+    assert np.all(np.abs(prices - y @ D) <= 1e-12 * (y @ np.abs(D)))
+    # R @ x on a basic solution's support: one column per row, the area column among them
+    x = np.zeros(R.shape[1])
+    support = np.concatenate([[0], rng.choice(every[1:], R.shape[0] - 1, replace=False)])
+    x[support] = rng.uniform(0.1, 1.0, support.size)
+    assert np.all(np.abs(R @ x - D @ x) <= 1e-12 * (np.abs(D) @ x))
+
+
+# the eight cases of the cone-LP prototype in ROADMAP item 1
+SOLVE_CASES = [
+    (4, 1.0, 0.8), (4, 0.0, 1.0), (2, 1.0, 0.8), (2, 0.0, 1.0),
+    (4, -1.0, 0.8), (2, -1.0, 0.8), (3, 1.0, 0.8), (3, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("n, kappa, r", SOLVE_CASES)
+def test_solve_on_separable_rows_matches_the_dense_materialization(n, kappa, r):
+    params = ModelParams(n, kappa)
+    lp = build_relative_lp(params, ball_from_radius(params, r).volume, 1, GridSpec(40, 20))
+    sol = solve(lp)
+    ref = solve(LinearProgram(lp.objective, _dense(lp), lp.rhs, lp.row_labels))
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.objective_value - ref.objective_value) <= lpcore.SOLVER_TOL * abs(ref.objective_value)
+
+
+@pytest.mark.parametrize("n, kappa, r", [(4, 1.0, 0.8), (2, 0.0, 1.0)])
+def test_grid_lp_build_and_solve_stay_small(n, kappa, r):
+    # stored densely, the 80x40 rows alone take 9 x 128,001 x 8 B = 9.2 MB, and the
+    # solver kept three such copies; the factored rows and their pricing buffer do not
+    params = ModelParams(n, kappa)
+    V = ball_from_radius(params, r).volume
+    tracemalloc.start()
+    try:
+        sol = solve(build_relative_lp(params, V, 1, GridSpec(80, 40)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("n, kappa, m, V", [case for case in ROW_CASES if case[2] == 1])
