@@ -11,7 +11,7 @@ pins the coefficients up to scale, and the induced admissible test function
 
     f(alpha, beta) = sup_ell [ d*ell - a*F1 - b*F2 - c*F3 ](ell, alpha, beta)
 
-(F1..F4 as in chordmeasure.chord_functional, which the LP rows also read)
+(F1..F4 as in chordmeasure.chord_functional_factors, whose factors the LP rows keep)
 closes the duality argument.  This module reconstructs coefficients
 numerically (SVD of the collocated consistency system), writes the paper's
 certificates for n in {2, 4} at any curvature in closed form, computes f

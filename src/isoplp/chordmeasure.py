@@ -45,6 +45,7 @@ __all__ = [
     "discretize_ball_measure",
     "sample_chords",
     "chord_functional",
+    "chord_functional_factors",
     "integrate",
 ]
 
@@ -151,18 +152,20 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
     return DiscreteMeasure(ell, alpha, alpha, mass)
 
 
-def chord_functional(params: ModelParams, k: int, ell, cos_a, cos_b, dell: bool = False):
-    """F_k at chords (ell, alpha, beta) given cos(alpha), cos(beta); its ell-derivative if dell.
+def chord_functional_factors(params: ModelParams, k: int, ell, cos_a, cos_b, dell: bool = False):
+    """F_k at chords (ell, alpha, beta), given cos(alpha), cos(beta), as (ell factor, p, q).
 
-    Each F_k is an ell factor times an angle factor:
-    F1 = candle(ell) / (cos a cos b), F2 = candle_anti(ell) (sec a + sec b)/2,
-    F3 = candle_anti2(ell), F4 = ell.  Arguments broadcast, so an ell column
-    against an angle grid evaluates each factor once.  These are the LP's
-    structural rows and the terms a certificate (a, b, c, d) weights.
+    F_k = ell factor * p / q, where p / q is its angle factor:
+    F1 = candle(ell) * 1 / (cos a cos b), F2 = candle_anti(ell) * (sec a + sec b) / 2,
+    F3 = candle_anti2(ell) and F4 = ell, which have no angle factor (p = q = None)
+    and read no cosine.  With dell the ell factor is its derivative.  This is
+    the one definition of F1..F4: chord_functional evaluates it, and the LP
+    keeps the ell factor and p / q as its separable rows.  p and q stay apart
+    so that chord_functional rounds F1 as one division, candle / (cos a cos b).
     """
     if k == 4:
         ell = np.asarray(ell, dtype=float)
-        return np.ones_like(ell) if dell else ell
+        return (np.ones_like(ell) if dell else ell), None, None
     if k not in (1, 2, 3):
         raise ValueError(f"unknown functional F{k}; expected F1, F2, F3 or F4")
     # each entry is the ell-derivative of the next, so F_k' steps its ell factor one
@@ -170,10 +173,21 @@ def chord_functional(params: ModelParams, k: int, ell, cos_a, cos_b, dell: bool 
     ladder = (candle_prime, candle, candle_anti, candle_anti2)
     factor = np.asarray(ladder[k - dell](params, ell))
     if k == 1:
-        return factor / (cos_a * cos_b)
+        return factor, 1.0, cos_a * cos_b
     if k == 2:
-        return factor / 2.0 * (1.0 / cos_a + 1.0 / cos_b)
-    return factor
+        return factor, 1.0 / cos_a + 1.0 / cos_b, 2.0
+    return factor, None, None
+
+
+def chord_functional(params: ModelParams, k: int, ell, cos_a, cos_b, dell: bool = False):
+    """F_k at chords (ell, alpha, beta) given cos(alpha), cos(beta); its ell-derivative if dell.
+
+    chord_functional_factors multiplied out.  Arguments broadcast, so an ell
+    column against an angle grid evaluates each factor once.  These are the
+    terms a certificate (a, b, c, d) weights.
+    """
+    factor, p, q = chord_functional_factors(params, k, ell, cos_a, cos_b, dell)
+    return factor if p is None else factor * p / q
 
 
 class SingularAtomError(ValueError):

@@ -42,14 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import paper_certificate, sup_integrand
-from .chordmeasure import ball_moments, discretize_ball_measure
+from .chordmeasure import ball_moments, chord_functional_factors, discretize_ball_measure
 from .spaceform import (
     BallGeometry,
     ModelParams,
     ball_from_volume,
-    candle,
-    candle_anti,
-    candle_anti2,
     sphere_volume,
 )
 
@@ -395,9 +392,9 @@ def build_relative_lp(
     (cos a cos b)^gamma or f itself.  Every row reads B0 alone, and every
     right-hand side is a closed form.  The rows are SeparableRows: column 0
     holds (area(B0), m*V, 0, ...), and each row is an ell factor times an
-    angle-pair factor, -candle x sec a sec b (F1), -candle_anti x
-    (sec a + sec b)/2 (F2), -candle_anti2 x 1 (F3), ell x 1 (F4) and
-    1 x -(h(a) + h(b))/2 for each profile.
+    angle-pair factor: rows 0-3 take F1..F4's two factors from
+    chordmeasure.chord_functional_factors, negated for F1..F3, and each
+    profile row is 1 x -(h(a) + h(b))/2.
     variant="printed" swaps the rescaled rhs m*V^2 (F3) and omega_{n-1}*V
     (length), under which the quotient is feasible with equality, for the
     printed omega_{n-1}*m*V^2 and bare V.
@@ -425,17 +422,14 @@ def build_relative_lp(
         integral = float(np.dot((-cert.a, -cert.b, -cert.c, cert.d), ball_moments(ball0)))
         profiles.append(("profile-certificate-sup", sup_integrand(cert, curve, alpha, alpha), integral))
     labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _, _ in profiles)
-    # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below;
-    # F1 = candle sec a sec b, F2 = candle_anti (sec a + sec b)/2, F3 = candle_anti2, F4 = ell
-    sec = 1.0 / cos
+    # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below
     ell_factor = np.ones((len(labels), ell.size))
     pair_factor = np.ones((len(labels), alpha.size, alpha.size))
-    ell_factor[0] = -candle(params, ell)
-    pair_factor[0] = sec[:, None] * sec[None, :]
-    ell_factor[1] = -candle_anti(params, ell)
-    pair_factor[1] = 0.5 * (sec[:, None] + sec[None, :])
-    ell_factor[2] = -candle_anti2(params, ell)
-    ell_factor[3] = ell
+    for k in (1, 2, 3, 4):
+        ell_factor[k - 1], p, q = chord_functional_factors(params, k, ell, cos[:, None], cos[None, :])
+        if p is not None:
+            pair_factor[k - 1] = p / q
+    ell_factor[:3] *= -1.0
     for row, (_, h, integral) in enumerate(profiles, start=4):
         pair_factor[row] = -0.5 * (h[:, None] + h[None, :])
         rhs.append(-integral / m)
