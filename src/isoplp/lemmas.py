@@ -571,8 +571,14 @@ def _ray_family(case: str):
 def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     """Dense-grid minimum of H on a grid^3 grid plus liminf >= 0 along 8 escape rays.
 
-    Ties in the argmin go to the lexicographically smallest index.  The
-    argmin is annotated with its distance to the vanishing curve.
+    The grid is scanned in slabs of consecutive t-rows, about 2^17 nodes
+    each, so memory stays bounded by the slab rather than growing like
+    grid^3.  Every node's value is the same as in one whole-grid broadcast,
+    and a slab's minimum replaces the running one only if it is strictly
+    smaller, or is the first NaN: ties in the argmin go to the
+    lexicographically smallest index, and a NaN wins (and fails the check)
+    exactly as in np.argmin over the whole grid.  The argmin is annotated
+    with its distance to the vanishing curve.
     """
     _check_case(case)
     if grid < 2:
@@ -582,9 +588,14 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     ts = np.linspace(t0, t1, grid)
     ps = np.linspace(p0, p1, grid)
     qs = np.linspace(q0, q1, grid)
-    vals = H(case, ts[:, None, None], ps[None, :, None], qs[None, None, :])
-    flat_idx = int(np.argmin(vals))
-    it, ip, iq = np.unravel_index(flat_idx, vals.shape)
+    rows = max(1, 2 ** 17 // grid ** 2)
+    min_value, (it, ip, iq) = math.inf, (0, 0, 0)
+    for i in range(0, grid, rows):
+        slab = H(case, ts[i:i + rows, None, None], ps[None, :, None], qs[None, None, :])
+        jt, jp, jq = np.unravel_index(int(np.argmin(slab)), slab.shape)
+        v = float(slab[jt, jp, jq])
+        if v < min_value or (math.isnan(v) and not math.isnan(min_value)):
+            min_value, (it, ip, iq) = v, (i + jt, jp, jq)
     argmin = (float(ts[it]), float(ps[ip]), float(qs[iq]))
     rays = []
     for label, rt, rp, rq in _ray_family(case):
@@ -592,7 +603,7 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
         tail_min = float(np.min(tail))
         rays.append(RayCheck(label=label, tail_min=tail_min, passed=bool(tail_min >= H_FLOOR)))
     return HNonnegReport(
-        min_value=float(vals[it, ip, iq]),
+        min_value=min_value,
         argmin=argmin,
         argmin_curve_distance=curve_distance(*argmin),
         grid_shape=(grid, grid, grid),

@@ -50,7 +50,7 @@ TRACED = [
     ),
     (
         ("lemma", "--case", "hyperbolic", "--grid", "24", "--starts", "60", "--seed", "5"),
-        {"lemmas.solve_critical_points": 1},
+        {"lemmas.solve_critical_points": 1, "lemmas.verify_H_nonneg": 1},
     ),
 ]
 

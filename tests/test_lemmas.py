@@ -1,6 +1,7 @@
 """Positivity lemmas for the n=4 curved certificates, in half-angle coordinates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
+from isoplp import lemmas
 from isoplp.lemmas import (
     _CONVERGED,
     CASES,
@@ -112,6 +114,102 @@ def test_H_nonneg_on_grid(case):
     assert report.grid_shape == (60, 60, 60)
     # the discrete argmin hugs the vanishing curve
     assert report.argmin_curve_distance < 0.1
+
+
+def _whole_grid(case, grid):
+    (t0, t1), (p0, p1), (q0, q1) = default_grid_ranges(case)
+    axes = np.linspace(t0, t1, grid), np.linspace(p0, p1, grid), np.linspace(q0, q1, grid)
+    return axes, H(case, axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :])
+
+
+@pytest.mark.parametrize("grid", [2, 3, 17, 120, 121])
+@pytest.mark.parametrize("case", CASES)
+def test_slab_scan_matches_the_whole_grid_argmin(case, grid):
+    # 2 and 3 fit in one slab; 121 leaves a ragged last slab
+    axes, vals = _whole_grid(case, grid)
+    node = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    argmin = tuple(float(axis[i]) for axis, i in zip(axes, node))
+    report = verify_H_nonneg(case, grid)
+    assert report.min_value == float(vals[node])
+    assert report.argmin == argmin
+    assert report.argmin_curve_distance == curve_distance(*argmin)
+
+
+def _patched_grid(monkeypatch, case, grid, vals):
+    """Make lemmas.H read vals on 3-D grid slabs; the 1-D rays keep the real H."""
+    ts = _whole_grid(case, grid)[0][0]
+    real_H, slabs = lemmas.H, []
+
+    def fake(which, t, p, q):
+        if np.ndim(t) != 3:
+            return real_H(which, t, p, q)
+        rows = np.searchsorted(ts, t[:, 0, 0])
+        slabs.append(rows)
+        return vals[rows].copy()
+
+    monkeypatch.setattr(lemmas, "H", fake)
+    report = verify_H_nonneg(case, grid)
+    # the slabs cover the t-rows once, in order, in more than one call
+    assert len(slabs) > 1
+    assert np.array_equal(np.concatenate(slabs), np.arange(grid))
+    return report, slabs
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_slab_scan_ties_go_to_the_first_node(monkeypatch, case):
+    grid = 120
+    axes = _whole_grid(case, grid)[0]
+    report, _ = _patched_grid(monkeypatch, case, grid, np.zeros((grid, grid, grid)))
+    assert report.min_value == 0.0
+    assert report.argmin == (axes[0][0], axes[1][0], axes[2][0])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_slab_scan_keeps_the_earlier_slab_on_a_repeated_minimum(monkeypatch, case):
+    grid = 120
+    axes = _whole_grid(case, grid)[0]
+    vals = np.ones((grid, grid, grid))
+    vals[1, 5, 5] = -2.0
+    vals[-1, 0, 0] = -2.0  # a later slab, earlier within its slab
+    report, slabs = _patched_grid(monkeypatch, case, grid, vals)
+    assert 1 in slabs[0] and grid - 1 not in slabs[0]
+    assert report.min_value == -2.0
+    assert report.argmin == (axes[0][1], axes[1][5], axes[2][5])
+
+
+# one NaN in the last slab; then a NaN in an earlier slab as well, which wins
+@pytest.mark.parametrize("nans", [[(119, 3, 4)], [(110, 3, 4), (119, 0, 0)]])
+@pytest.mark.parametrize("case", CASES)
+def test_slab_scan_fails_on_a_nan(monkeypatch, case, nans):
+    grid = 120
+    axes = _whole_grid(case, grid)[0]
+    vals = np.ones((grid, grid, grid))
+    vals[0, 0, 0] = -1.0
+    for node in nans:
+        vals[node] = np.nan
+    report, slabs = _patched_grid(monkeypatch, case, grid, vals)
+    # the last NaN lies in the last slab; a second NaN lies in an earlier one
+    assert nans[-1][0] in slabs[-1]
+    assert (nans[0][0] in slabs[-1]) == (len(nans) == 1)
+    assert math.isnan(report.min_value)
+    assert report.argmin == tuple(float(axis[i]) for axis, i in zip(axes, nans[0]))
+    assert report.rays_ok
+    assert not report.passed
+
+
+@pytest.mark.parametrize("grid", [120, 240])
+@pytest.mark.parametrize("case", CASES)
+def test_H_grid_stays_small(case, grid):
+    # one whole-grid broadcast holds two grid^3 float arrays, 26.6 MB at 120 and
+    # about 8 times that at 240; a slab of about 2^17 nodes does not grow with grid^3
+    tracemalloc.start()
+    try:
+        report = verify_H_nonneg(case, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 6e6
 
 
 def test_dG_dt_matches_finite_difference():
