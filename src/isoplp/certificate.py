@@ -195,7 +195,7 @@ def sup_integrand_dell(cert: DualCertificate, ell, alpha, beta):
 
 
 _SCAN_NODES = 512
-_SCAN_CHUNK = 1 << 18  # scan nodes x angle pairs evaluated per block
+_SCAN_CHUNK = 1 << 15  # scan nodes x angle pairs per block: 64 pairs, 256 KB a temporary
 _CAP_FACTOR = 40.0
 
 
@@ -215,8 +215,10 @@ def _sup_domain(cert: DualCertificate) -> tuple[float, bool]:
 def build_f(cert: DualCertificate, alpha, beta):
     """Numeric sup over chord lengths: returns (value, argmax) arrays.
 
-    A scan over 512 chord lengths, in blocks of at most _SCAN_CHUNK
-    (length, pair) points, brackets each pair's maximum.  Where the analytic
+    A scan over 512 chord lengths brackets each pair's maximum.  It runs in
+    blocks of _SCAN_CHUNK (length, pair) points, 64 pairs, so a temporary
+    holds 256 KB whatever the pair count; each pair's column is computed on
+    its own, so the blocking changes no value or argmax.  Where the analytic
     ell-derivative changes sign across the bracket, bisection on it refines
     the argmax until an iteration changes no bracket; the other pairs (a
     maximum at ell = 0 or on a plateau) take a 60-step golden-section

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _philox
 from .spaceform import (
     BallGeometry,
     ModelParams,
@@ -48,6 +49,9 @@ __all__ = [
     "chord_functional_factors",
     "integrate",
 ]
+
+_SAMPLE_BLOCK = 1 << 14  # atoms per elementwise block of sample_chords
+
 
 @dataclass
 class DiscreteMeasure:
@@ -134,19 +138,24 @@ def ball_moments(ball: BallGeometry) -> tuple[float, float, float, float]:
 def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeasure:
     """Monte Carlo draw from the normalized chord measure.
 
-    Counter-based generator keyed by the seed, one vectorized block, so
-    sample i depends only on (seed, i).  Angles follow the delta_weight
-    marginal via inverse transform alpha = arcsin(u^(1/(n-1))); every atom
-    carries mass total/n_samples.
+    Philox uniforms keyed by the seed (numpy's Philox stream), so sample i
+    depends only on (seed, i).  Angles follow the delta_weight marginal via
+    inverse transform alpha = arcsin(u^(1/(n-1))), taken in place on the
+    uniforms, and lengths ell = chord_length(alpha), both elementwise in
+    blocks of _SAMPLE_BLOCK atoms, so no temporary grows with n_samples;
+    every atom carries mass total/n_samples.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     params = ball.params
     n = params.n
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n_samples)
-    alpha = np.arcsin(u ** (1.0 / (n - 1)))
-    ell = chord_length(params.kappa, ball.radius, alpha)
+    alpha = _philox.uniform(seed, n_samples)
+    ell = np.empty(n_samples)
+    for i in range(0, n_samples, _SAMPLE_BLOCK):
+        block = alpha[i : i + _SAMPLE_BLOCK]
+        block **= 1.0 / (n - 1)
+        np.arcsin(block, out=block)
+        ell[i : i + _SAMPLE_BLOCK] = chord_length(params.kappa, ball.radius, block)
     total = ball.area * sphere_volume(n - 2) / (n - 1)
     mass = np.full(n_samples, total / n_samples)
     return DiscreteMeasure(ell, alpha, alpha, mass)

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, certificate, chordmeasure, lemmas, littleprince, lpcore, negbound, relative
+from . import __version__, _philox, certificate, chordmeasure, lemmas, littleprince, lpcore, negbound, relative
 from .spaceform import (
     ModelParams,
     ball_from_radius,
@@ -282,8 +282,7 @@ def _cmd_lemma(config: dict):
     search = lemmas.solve_critical_points(lemmas.critical_system(case), n_starts=starts, seed=seed)
     roots = search.roots
     max_curve_dist = max((r.curve_distance for r in roots), default=0.0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = rng.random((10000, 2)) * 5.0
+    pts = _philox.uniform(seed, (10000, 2)) * 5.0
     fact = float(np.max(np.abs(lemmas.check_factorization(case, pts[:, 0], pts[:, 1]))))
     dgdp = [lemmas.dGdp_identity(case, p) for p in (1.0, 2.0)]
     tols = {"min_H": lemmas.H_FLOOR, "root_curve_distance": 1e-6, "factorization": 1e-10, "dGdp": 1e-5}
@@ -448,6 +447,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < _philox.SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and < 2**128 (a Philox key), got {text!r}")
+    return value
+
+
 def _parse_grid_pair(text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
@@ -493,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure-check", help="chord-measure integral identities")
     p.add_argument("--mc-samples", type=_positive_int, dest="mc_samples", help="Monte Carlo chord count (>= 2)")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed; required with --mc-samples, read only there")
+    p.add_argument("--seed", type=_seed, help="Monte Carlo seed in [0, 2**128); required with --mc-samples, read only there")
     _add_common(p, model=True, rv=True, grid=128, tol=1e-7)
 
     p = sub.add_parser("lemma", help="polynomial nonnegativity verification")
     p.add_argument("--case", choices=lemmas.CASES, required=True)
     p.add_argument("--starts", type=_positive_int, default=1000, help="Newton multistart count (> 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="multistart seed in [0, 2**128)")
     _add_common(p, grid=120)
 
     p = sub.add_parser("negbound", help="negative-curvature inequalities")

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _philox
+
 __all__ = [
     "CASES",
     "PolySystem",
@@ -445,8 +447,7 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
     """
     lows = np.array([b[0] for b in system.box])
     highs = np.array([b[1] for b in system.box])
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    starts = lows + rng.random((n_starts, 3)) * (highs - lows)
+    starts = lows + _philox.uniform(seed, (n_starts, 3)) * (highs - lows)
 
     points, outcome = _lockstep_newton(system, starts)
     converged = points[outcome == _CONVERGED]

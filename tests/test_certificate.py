@@ -1,6 +1,7 @@
 """Dual certificates: consistency solve, sup construction, membership."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_build_f_mixes_interior_and_zero_maxima():
 
 
 def test_build_f_blocked_scan_matches_one_block(monkeypatch):
-    # 6,400 pairs take 13 scan blocks of 512 pairs; one block holds them all
+    # 6,400 pairs take 100 scan blocks of 64 pairs; one block holds them all
     cert = paper_certificate(ModelParams(4, 1.0), 0.8)
     a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 80)
     A, B = np.meshgrid(a, a, indexing="ij")
@@ -221,6 +222,22 @@ def test_build_f_blocked_scan_matches_one_block(monkeypatch):
     one_val, one_arg = build_f(cert, A, B)
     assert np.array_equal(val, one_val)
     assert np.array_equal(arg, one_arg)
+
+
+def test_build_f_on_the_membership_triangle_stays_small():
+    # the 3,240 pairs of the 80-node membership triangle; a scan block of
+    # 512 nodes x 64 pairs holds 256 KB a temporary (8.1 MiB peak at 512 pairs)
+    cert = paper_certificate(ModelParams(4, 1.0), 0.8)
+    angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, 80)
+    i, j = np.triu_indices(80)
+    tracemalloc.start()
+    try:
+        val, _ = build_f(cert, angles[i], angles[j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(val))
+    assert peak < 3e6
 
 
 @pytest.mark.parametrize("n, r", [(4, 3.5), (4, 4.0), (4, 5.0), (2, 10.0), (2, 12.0), (2, 13.0)])

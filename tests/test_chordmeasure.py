@@ -1,6 +1,7 @@
 """Chord measures on balls: discretization, sampling, integral identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isoplp.chordmeasure import (
+    _SAMPLE_BLOCK,
     DiscreteMeasure,
     SingularAtomError,
     ball_chord_density,
@@ -16,7 +18,14 @@ from isoplp.chordmeasure import (
     integrate,
     sample_chords,
 )
-from isoplp.spaceform import ModelParams, _angle_rule, _legendre_rule, ball_from_radius, sphere_volume
+from isoplp.spaceform import (
+    ModelParams,
+    _angle_rule,
+    _legendre_rule,
+    ball_from_radius,
+    chord_length,
+    sphere_volume,
+)
 
 DISK = ball_from_radius(ModelParams(2, 0.0), 1.0)
 BALL4 = ball_from_radius(ModelParams(4, 0.0), 1.0)
@@ -193,3 +202,33 @@ def test_monte_carlo_angles_in_range(seed):
     s = sample_chords(DISK, 64, seed)
     assert np.all(s.alpha >= 0.0) and np.all(s.alpha <= math.pi / 2.0)
     assert np.all(s.ell > 0.0) and np.all(s.ell <= DISK.max_chord)
+
+
+@pytest.mark.parametrize("n_samples", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 100000])
+@pytest.mark.parametrize(
+    "n, kappa, r", [(2, 0.0, 1.0), (3, 1.0, 0.8), (4, 1.0, 0.8), (5, -1.0, 1.5)]
+)  # exponents 1/(n-1) = 1, 1/2, 1/3, 1/4
+def test_blocked_sample_matches_the_whole_array_draw(n, kappa, r, n_samples):
+    # the draw as one whole-array pass from numpy's own Philox generator
+    ball = ball_from_radius(ModelParams(n, kappa), r)
+    u = np.random.Generator(np.random.Philox(key=3)).random(n_samples)
+    alpha = np.arcsin(u ** (1.0 / (n - 1)))
+    ell = chord_length(kappa, r, alpha)
+    s = sample_chords(ball, n_samples, 3)
+    assert np.array_equal(s.alpha, alpha)
+    assert np.array_equal(s.beta, alpha)
+    assert np.array_equal(s.ell, ell)
+    assert np.array_equal(s.mass, np.full(n_samples, ball.area * sphere_volume(n - 2) / (n - 1) / n_samples))
+
+
+def test_sample_of_100000_chords_stays_small():
+    # its three result arrays take 2.3 MiB; one whole-array pass added 2.3 MiB of temporaries
+    ball = ball_from_radius(ModelParams(4, 1.0), 0.8)
+    tracemalloc.start()
+    try:
+        sample = sample_chords(ball, 100000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.size == 100000
+    assert peak < 4e6

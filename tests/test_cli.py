@@ -361,7 +361,12 @@ import contextlib, io, sys
 from isoplp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.modules), "numpy.ma" in sys.modules)
+print(
+    code,
+    any(name == "scipy" or name.startswith("scipy.") for name in sys.modules),
+    "numpy.ma" in sys.modules,
+    "numpy.random" in sys.modules,
+)
 """
 
 
@@ -387,11 +392,13 @@ print(code, any(name == "scipy" or name.startswith("scipy.") for name in sys.mod
 def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     table = tmp_path / "profile.csv"
     table.write_text("alpha,L\n-1.5,0.1\n0,2\n1.5,0.1\n")
-    code, loaded, ma_loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
+    code, loaded, ma_loaded, random_loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
     assert code == "0"
     assert loaded == str(uses_scipy)
     # np.unique imports numpy.ma at every call; no CLI path needs it
     assert ma_loaded == "False"
+    # numpy imports numpy.random lazily, at about 5 MB of RSS; the seeded draws use isoplp._philox
+    assert random_loaded == "False"
 
 
 def test_lp_m_only_with_table_2(capsys):
@@ -413,6 +420,29 @@ def test_measure_check_seed_needs_mc_samples(capsys):
     assert code == 2
     assert out == ""
     assert "--seed is only read with --mc-samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma", "--case", "spherical", "--grid", "4", "--starts", "2"),
+        ("measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--mc-samples", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_seed_outside_the_philox_key_range_exits_2(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: must be >= 0 and < 2**128" in err
+
+
+def test_largest_seed_is_accepted(capsys):
+    argv = ("measure-check", "--dim", "2", "--kappa", "0", "--radius", "1", "--mc-samples", "10")
+    code, out, _ = run_cli(capsys, *argv, "--seed", str(2 ** 128 - 1))
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 2 ** 128 - 1
 
 
 def test_measure_check_deterministic_mc(capsys):
