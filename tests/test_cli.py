@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report shape, determinism, curvature units."""
 
+import argparse
 import importlib
 import json
 import math
@@ -9,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isoplp
-from isoplp import __version__
+from isoplp import __version__, _philox, lemmas
 from isoplp.cli import build_parser, main
 
 
@@ -399,6 +401,87 @@ def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     assert ma_loaded == "False"
     # numpy imports numpy.random lazily, at about 5 MB of RSS; the seeded draws use isoplp._philox
     assert random_loaded == "False"
+
+
+LAYERS = ("spaceform", "chordmeasure", "certificate", "lpcore", "lemmas", "negbound", "littleprince", "relative")
+
+_LAYER_PROBE = """
+import contextlib, io, sys, types
+from isoplp.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+layers = {name.removeprefix("isoplp."): type(mod) is types.ModuleType
+          for name, mod in sys.modules.items() if name.startswith("isoplp.")}
+print(code, ",".join(sorted(layers)), ",".join(sorted(k for k, ran in layers.items() if ran)))
+"""
+
+LP_LAYERS = {"spaceform", "chordmeasure", "certificate", "lpcore"}
+
+# the benchmark's invocations, --version and a usage error, with the layers each one runs
+LAYER_RUNS = [
+    (0, "lp --dim 4 --kappa 1 --radius 0.8 --grid 80x40", LP_LAYERS),
+    (0, "lp --dim 2 --kappa 0 --radius 1.0 --grid 80x40", LP_LAYERS),
+    (0, "lemma --case spherical --grid 120 --starts 250 --seed 1", {"lemmas"}),
+    (0, "lemma --case hyperbolic --grid 120 --starts 250 --seed 1", {"lemmas"}),
+    (0, "certificate --dim 4 --kappa 1 --radius 0.8", {"spaceform", "chordmeasure", "certificate"}),
+    (0, "lp --dim 2 --kappa 0 --volume 3.141592653589793 --grid 40x20", LP_LAYERS),
+    (1, "lp --dim 4 --kappa -1 --radius 0.8", LP_LAYERS),
+    (0, "lp --table 2 --dim 4 --kappa 1 --m 3 --volume 0.4", LP_LAYERS | {"relative"}),
+    (0, "measure-check --dim 4 --kappa 1 --radius 0.8 --mc-samples 100000 --seed 1", {"spaceform", "chordmeasure"}),
+    (0, "negbound --radius 1.2 --search", {"spaceform", "chordmeasure", "negbound"}),
+    (0, "prince --shape ellipse --a 2 --b 0.5", {"spaceform", "littleprince"}),
+    (0, "relative --dim 4 --kappa 1 --m 3 --volume 0.4", {"spaceform", "chordmeasure", "relative"}),
+    (0, "profile --dim 3 --kappa -1 --vmin 0.5 --vmax 2.0 --steps 16", {"spaceform"}),
+    (0, "--version", set()),
+    (2, "negbound --radius -1", set()),
+]
+
+
+@pytest.mark.parametrize("expected,argv,layers", LAYER_RUNS, ids=[a for _, a, _ in LAYER_RUNS])
+def test_subcommand_runs_only_its_layers(expected, argv, layers):
+    # every layer is registered in sys.modules, where perfbench's tracer looks
+    # it up, but only the layers the subcommand reads run their module code
+    code, registered, ran = _run_probe(_LAYER_PROBE, *shlex.split(argv))
+    assert code == str(expected)
+    assert set(registered.split(",")) == {"_philox", "cli", *LAYERS}
+    assert set(ran.split(",")) == {"_philox", "cli", *layers}
+
+
+def test_lemma_case_choices_are_the_lemmas_cases():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    case = next(a for a in subparsers.choices["lemma"]._actions if a.dest == "case")
+    assert tuple(case.choices) == lemmas.CASES
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*head, flag)
+        for head in (
+            ("certificate", "--dim", "4", "--kappa", "1"),
+            ("lp", "--dim", "4", "--kappa", "1"),
+            ("measure-check", "--dim", "4", "--kappa", "1"),
+        )
+        for flag in ("--radius", "--volume")
+    ]
+    + [("negbound", "--radius"), ("relative", "--dim", "4", "--kappa", "1", "--m", "3", "--volume")],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_nonpositive_or_infinite_size_exits_2(capsys, argv, value):
+    # the parser names the flag, before any layer runs
+    code, out, err = run_cli(capsys, *argv, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-1]}: must be > 0 and finite, got {value!r}" in err
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 12345, 16385, 65536, 99999, 100000, 131072, 250000, 1000003])
+def test_blocked_sample_std_is_numpys(n):
+    # measure-check's standard error keeps np.std(ddof=1)'s pairwise summation order
+    x = _philox.uniform(n, (n,)) * 3.0 + 0.5
+    assert isoplp.cli._sample_std(x) == float(np.std(x, ddof=1))
 
 
 def test_lp_m_only_with_table_2(capsys):
@@ -898,9 +981,6 @@ def test_parser_help_lists_subcommands():
     help_text = parser.format_help()
     for name in ("profile", "certificate", "lp", "measure-check", "lemma", "negbound", "prince", "relative"):
         assert name in help_text
-
-
-LAYERS = ("spaceform", "chordmeasure", "certificate", "lpcore", "lemmas", "negbound", "littleprince", "relative")
 
 
 def test_every_exported_name_resolves():
