@@ -13,7 +13,7 @@ quadrature in the angle variable (which also regularizes the integrable n=2
 endpoint singularity of the length density) or by seeded Monte Carlo
 sampling.  The quadrature is spaceform's angle rule, Gauss-Legendre graded
 toward the chord curve's boundary layer; the LP's angle grid, its curve
-lengths and its diagonal integral are read off these atoms.
+lengths and its marginal masses are read off these atoms.
 """
 
 from __future__ import annotations

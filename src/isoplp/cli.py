@@ -24,7 +24,7 @@ pays only for the layers it reads (with the ones they import):
     relative       relative, chordmeasure, spaceform
     negbound       negbound, chordmeasure, spaceform
     certificate    certificate, chordmeasure, spaceform
-    lp             lpcore, certificate, chordmeasure, spaceform; relative with --table 2
+    lp             lpcore, chordmeasure, spaceform; relative with --table 2
 
 `--version` and a flag that the parser rejects run none.  Imports inside
 each handler would give the same saving, but perfbench's tracer finds
@@ -483,7 +483,7 @@ _COMMANDS = {
 }
 
 
-def _add_common(p, *, model=False, rv=False, grid=None, tol=None):
+def _add_common(p, *, model=False, rv=False, grid=None, grid_type=None, tol=None):
     if model:
         p.add_argument("--dim", type=int, required=True, help="dimension n >= 2")
         p.add_argument("--kappa", type=float, required=True, help="curvature bound")
@@ -492,7 +492,7 @@ def _add_common(p, *, model=False, rv=False, grid=None, tol=None):
         g.add_argument("--radius", type=_positive_float, help="ball radius (> 0)")
         g.add_argument("--volume", type=_positive_float, help="ball volume (> 0)")
     if grid is not None:
-        p.add_argument("--grid", type=_positive_int, default=grid, help=f"grid size / node count (> 0, default {grid})")
+        p.add_argument("--grid", type=grid_type or _positive_int, default=grid, help=f"grid size / node count (default {grid})")
     if tol is not None:
         p.add_argument("--tol", type=_positive_float, default=tol, help=f"tolerance of the check (> 0, default {tol})")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -520,12 +520,20 @@ def _seed(text: str) -> int:
     return value
 
 
+def _node_count(text: str) -> int:
+    if _positive_int(text) < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 nodes per axis, got {text!r}")
+    return int(text)
+
+
 def _parse_grid_pair(text: str) -> tuple[int, int]:
     try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
+        n_ell, n_alpha = (int(v) for v in text.lower().split("x"))
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 40x20, got {text!r}") from exc
+    if n_alpha < 2 or n_ell < n_alpha:
+        raise argparse.ArgumentTypeError(f"need >= 2 angle nodes and at least as many ell nodes, got {text!r}")
+    return n_ell, n_alpha
 
 
 class _Parser(argparse.ArgumentParser):
@@ -555,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, model=True)
 
     p = sub.add_parser("certificate", help="reconstruct and verify a dual certificate")
-    _add_common(p, model=True, rv=True, grid=80)
+    _add_common(p, model=True, rv=True, grid=80, grid_type=_node_count)
 
     p = sub.add_parser("lp", help="build and solve the finite LP")
     p.add_argument("--table", type=int, choices=(1, 2), default=1)
@@ -572,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=("spherical", "hyperbolic"), required=True)  # lemmas.CASES
     p.add_argument("--starts", type=_positive_int, default=1000, help="Newton multistart count (> 0)")
     p.add_argument("--seed", type=_seed, default=0, help="multistart seed in [0, 2**128)")
-    _add_common(p, grid=120)
+    _add_common(p, grid=120, grid_type=_node_count)
 
     p = sub.add_parser("negbound", help="negative-curvature inequalities")
     p.add_argument("--radius", type=_positive_float, required=True, help="ball radius (> 0)")

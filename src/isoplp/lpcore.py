@@ -8,30 +8,28 @@ V; minimizing A then gives a lower bound for the area of any region of
 volume V, and the model ball should be optimal.
 
 All rows are written as row . x >= rhs.  Every atom row is separable: a
-function of ell times a function of (alpha, beta).  Each profile row is
--(h(alpha) + h(beta))/2, constant in ell, for h = cos^(2 gamma) or, in
-dimensions 2 and 4, the paper certificate's integrand on the ball's chord
-curve; its rhs is the closed-form integral of h over the ball's chord
-measure.  The grid LP keeps its rows as these factors (SeparableRows): the
-candle functions once per chord length and each angle factor once per
-angle pair, never the m x K matrix.
+function of ell times a function of (alpha, beta).  Besides the rows of
+F1..F4, one row per angle node caps the angle marginal by the ball's: the
+unit profiles h = e_i generate the admissible cone, so the LP finds its
+dual diagonal h itself, given no certificate.  The grid LP keeps its rows
+as these factors (SeparableRows): the candle functions once per chord
+length and each angle factor once per angle pair, never the m x K matrix.
 
 The solver is a two-phase revised simplex over every grid column.  It
 reads the row matrix only through its shape, y @ A, A @ x, the column
 gather A[:, j], abs(A) and -A, which a dense ndarray and SeparableRows
 both provide, so the tests' generic LPs and the grid LP take one code
-path.  With at most a few rows, the basis is small enough to solve afresh
-at every pivot, and one y @ A prices all columns; on separable rows that
-is an (n_ell x m)(m x n_alpha^2) product.  This is the full pricing that
+path.  With 4 + n_alpha rows, the basis is small enough to solve afresh at
+every pivot, and one y @ A prices all columns; on separable rows that is
+an (n_ell x m)(m x n_alpha^2) product.  This is the full pricing that
 Gilmore & Gomory's (1961) column generation performs, without a
-restricted master program.  Phase 1 puts artificials only on the rows that
-x = 0 violates, so infeasibility is decided over the whole grid.  The
-solution is a basic one, exact to rounding.  The acceptance test (primal,
-dual, gap and complementary-slackness residuals) then runs over every
-column of the row matrix.  What is certified is the grid LP: every grid
-column is priced and checked, but chords off the grid are not.  The grid
-restricts the primal, so its optimum is evidence for the bound, not a
-lower bound.
+restricted master program.  The grid LP starts at the ball's chord curve,
+and phase 1 puts artificials only on the rows that the start violates, so
+infeasibility is decided over the whole grid.  The acceptance test
+(primal, dual, gap and complementary-slackness residuals) of the basic
+solution runs over every column of the row matrix.  What is certified is
+the grid LP: chords off the grid are not priced.  The grid restricts the
+primal, so its optimum is evidence for the bound, not a lower bound.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import paper_certificate, sup_integrand
-from .chordmeasure import ball_moments, chord_functional_factors, discretize_ball_measure
+from .chordmeasure import chord_functional_factors, discretize_ball_measure
 from .spaceform import (
     BallGeometry,
     ModelParams,
@@ -112,13 +109,15 @@ class SeparableRows:
 class LinearProgram:
     """min objective . x  subject to  row_matrix . x >= rhs,  x >= 0.
 
-    row_matrix is a dense array or, for the grid LP, SeparableRows.
+    row_matrix is a dense array or, for the grid LP, SeparableRows.  start, the
+    first basis, holds j < n for x_j and n + i for row i's surplus (None: all surpluses).
     """
 
     objective: np.ndarray
     row_matrix: np.ndarray | SeparableRows
     rhs: np.ndarray
     row_labels: tuple[str, ...]
+    start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
@@ -228,7 +227,7 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
         pivots += 1
 
 
-def linprog(c, A_ub, b_ub, tol):
+def linprog(c, A_ub, b_ub, tol, start=None):
     """min c . x subject to A_ub x <= b_ub, x >= 0: a two-phase revised simplex.
 
     Keywords, result fields and status codes follow the usual `linprog`
@@ -236,14 +235,15 @@ def linprog(c, A_ub, b_ub, tol):
     `solve` passes its rows A x >= b as A_ub = -A, so a slack here is a
     surplus column -e_i of the >= form.  tol is the pricing tolerance and,
     relative to the magnitude of the row arithmetic, the phase-1 feasibility
-    tolerance.  Phase 1 puts artificials
-    only on the rows that x = 0 violates; those left in the basis at zero
-    are pivoted out for slacks before phase 2.  `solve` looks this name up
-    at call time, so a rebinding of `lpcore.linprog` takes effect.
+    tolerance.  The first basis is `start`, or else the slacks; phase 1 puts
+    artificials only on rows whose basic slack is below -tol, and those left
+    in the basis at zero are pivoted out for slacks before phase 2.  `solve`
+    looks this name up at call time, so a rebinding of `linprog` takes effect.
     """
     m, n = A_ub.shape
-    basis = n + np.arange(m)
-    violated = b_ub < 0.0
+    basis = n + np.arange(m) if start is None else np.array(start)
+    x_B = np.linalg.solve(_basis_matrix(A_ub, basis), b_ub)
+    violated = (basis >= n) & (x_B < -tol * (1.0 + np.max(np.abs(x_B))))
     basis[violated] += m
     budget = _PIVOTS_PER_ROW * (m + 1)
     nit = 0
@@ -307,7 +307,7 @@ def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol)
+    res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol, start=lp.start)
     if res.status != 0:
         status = _STATUS.get(res.status, "tolerance-failure")
         return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf)
@@ -360,7 +360,7 @@ class GridSpec:
 
 
 def _grid_nodes(ball: BallGeometry, grid: GridSpec):
-    """Ascending angle nodes, their chord-curve lengths and the curve lengths padded by uniform ell nodes."""
+    """Ascending angle nodes, their curve lengths and ball masses, and the curve lengths padded by uniform ell nodes."""
     atoms = discretize_ball_measure(ball, grid.n_alpha)
     order = np.argsort(atoms.alpha)
     lmax = min(2.0 * ball.radius, ball.params.conjugate_radius)
@@ -368,7 +368,7 @@ def _grid_nodes(ball: BallGeometry, grid: GridSpec):
     fill = (np.arange(1, n_fill + 1) / (n_fill + 1)) * lmax
     # sorted, then each run of equal lengths kept once: np.unique's result, without its numpy.ma import
     ell = np.sort(np.concatenate([atoms.ell, fill]))
-    return atoms.alpha[order], atoms.ell[order], ell[np.concatenate(([True], ell[1:] != ell[:-1]))]
+    return atoms.alpha[order], atoms.ell[order], atoms.mass[order], ell[np.concatenate(([True], ell[1:] != ell[:-1]))]
 
 
 def build_relative_lp(
@@ -383,18 +383,18 @@ def build_relative_lp(
     Its optimum should match area(B0)/m; at m = 1 it is the isoperimetric LP
     of the ball of volume V, with every coefficient exact.  Variables: A,
     then one mass per atom (ell, alpha, beta) in C order.  Rows 0-2 cap the
-    integrals of F1..F3, and row 3 bounds the total length below.  Each
-    profile row caps the integral of (h(a) + h(b))/2 by that of h over B0's
-    chord measure, divided by m: h = cos^(2 gamma), gamma in {0.5, 1, 1.5, 2},
-    and for n in {2, 4} the paper certificate's integrand at B0's curve atoms
-    (chord_length(alpha), alpha, alpha).  An admissible f is dominated by
-    (f(a,a) + f(b,b))/2, so each row is at least as strong as the one for
-    (cos a cos b)^gamma or f itself.  Every row reads B0 alone, and every
-    right-hand side is a closed form.  The rows are SeparableRows: column 0
-    holds (area(B0), m*V, 0, ...), and each row is an ell factor times an
-    angle-pair factor: rows 0-3 take F1..F4's two factors from
-    chordmeasure.chord_functional_factors, negated for F1..F3, and each
-    profile row is 1 x -(h(a) + h(b))/2.
+    integrals of F1..F3, and row 3 bounds the total length below.  Row
+    marginal-<i>, one per angle node alpha_i in ascending order, caps the
+    alpha-marginal there by D_i/m, B0's mass at the node in
+    discretize_ball_measure.  An admissible f is dominated by its additive
+    envelope (f(a,a) + f(b,b))/2, and the additive profiles h >= 0 are
+    generated by h = e_i, so row i's dual is the LP's own f(alpha_i, alpha_i).
+    The rows are SeparableRows: column 0 holds (area(B0), m*V, 0, ...),
+    rows 0-3 take F1..F4's two factors from chord_functional_factors, negated
+    for F1..F3, and row marginal-<i> is 1 x -(delta(a = i) + delta(b = i))/2.
+    The start basis is B0's chord curve: A, the curve atoms
+    (chord_length(alpha_i), alpha_i, alpha_i) and the surpluses of rows 1-3,
+    which hold to quadrature accuracy.
     variant="printed" swaps the rescaled rhs m*V^2 (F3) and omega_{n-1}*V
     (length), under which the quotient is feasible with equality, for the
     printed omega_{n-1}*m*V^2 and bare V.
@@ -406,37 +406,25 @@ def build_relative_lp(
     ball0 = ball_from_volume(params, m * V)
     omega = sphere_volume(params.n - 1)
     rhs = [0.0, 0.0, -m * V * V, omega * V] if variant == "rescaled" else [0.0, 0.0, -omega * m * V * V, V]
-    alpha, curve, ell = _grid_nodes(ball0, grid)
+    alpha, curve, mass, ell = _grid_nodes(ball0, grid)
+    n_alpha, node = alpha.size, np.arange(alpha.size)
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(f"marginal-{i}" for i in range(n_alpha))
     cos = np.cos(alpha)
-    # (label, h at the angle nodes, integral of h over B0's chord measure); cos^(2 gamma)
-    # integrates to area * omega_{n-2} * B((n-1)/2, gamma+1) / 2, the Beta taken in log-gammas
-    n, half = params.n, 0.5 * ball0.area * sphere_volume(params.n - 2)
-    profiles = [
-        (f"profile-pow{g:g}", cos ** (2.0 * g),
-         half * math.exp(math.lgamma((n - 1) / 2.0) + math.lgamma(g + 1.0) - math.lgamma((n + 1) / 2.0 + g)))
-        for g in (0.5, 1.0, 1.5, 2.0)
-    ]
-    if n in (2, 4):
-        # the certificate's integrand on B0's chord curve integrates to (-a, -b, -c, d) . B0's moments
-        cert = paper_certificate(params, ball0.radius)
-        integral = float(np.dot((-cert.a, -cert.b, -cert.c, cert.d), ball_moments(ball0)))
-        profiles.append(("profile-certificate-sup", sup_integrand(cert, curve, alpha, alpha), integral))
-    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length") + tuple(label for label, _, _ in profiles)
     # rows 0-2 cap the integrals of F1..F3 from above, row 3 bounds the total length below
     ell_factor = np.ones((len(labels), ell.size))
-    pair_factor = np.ones((len(labels), alpha.size, alpha.size))
+    pair_factor = np.zeros((len(labels), n_alpha, n_alpha))
     for k in (1, 2, 3, 4):
         ell_factor[k - 1], p, q = chord_functional_factors(params, k, ell, cos[:, None], cos[None, :])
-        if p is not None:
-            pair_factor[k - 1] = p / q
+        pair_factor[k - 1] = 1.0 if p is None else p / q
     ell_factor[:3] *= -1.0
-    for row, (_, h, integral) in enumerate(profiles, start=4):
-        pair_factor[row] = -0.5 * (h[:, None] + h[None, :])
-        rhs.append(-integral / m)
+    pair_factor[4 + node, node, :] -= 0.5
+    pair_factor[4 + node, :, node] -= 0.5
     first = np.zeros(len(labels))
     first[:2] = ball0.area, m * V
     row_matrix = SeparableRows(first, ell_factor, pair_factor.reshape(len(labels), -1))
 
     objective = np.zeros(row_matrix.shape[1])
     objective[0] = 1.0
-    return LinearProgram(objective, row_matrix, np.asarray(rhs), labels)
+    curve_atoms = 1 + np.searchsorted(ell, curve) * n_alpha * n_alpha + node * (n_alpha + 1)
+    start = np.concatenate(([0], curve_atoms, row_matrix.shape[1] + np.arange(1, 4)))
+    return LinearProgram(objective, row_matrix, np.concatenate([rhs, -mass / m]), labels, start)

@@ -412,10 +412,13 @@ def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
         log_bound = math.log(volume) - math.log(omega) + math.log((n - 1) * s) + (n - 1) * math.log(2.0 * s)
         r = max(r * math.exp(-(n - 1) * s * r / n), log_bound / ((n - 1) * s))
     for step in range(200):
-        anti = float(candle_anti(params, r))
+        with np.errstate(over="ignore"):  # reported below: they overflow only where the ball's area does
+            anti, slope = float(candle_anti(params, r)), float(candle(params, r))
         if anti == 0.0 or target == 0.0:
             raise ValueError(f"volume {volume!r} is too small: the ball's volume underflows near its radius")
-        r_new = r - math.log(anti / target) * anti / float(candle(params, r))
+        if not math.isfinite(omega * slope):
+            raise ValueError(f"volume {volume!r} is too large at curvature {kappa!r}: the ball's area overflows")
+        r_new = r - math.log(anti / target) * anti / slope
         if step and not r_new > r:
             return ball_from_radius(params, r)
         r = r_new

@@ -41,11 +41,11 @@ def test_benchmark_invocation_passes_the_checker(workload, expected, argv):
 
 TRACED = [
     (
-        ("lp", "--dim", "4", "--kappa", "1", "--radius", "0.8", "--grid", "12x6"),
+        ("lp", "--dim", "4", "--kappa", "1", "--radius", "0.8", "--grid", "24x12"),
         {"lpcore.build_relative_lp": 1, "lpcore.highs": 1},
     ),
     (
-        ("lp", "--table", "2", "--dim", "4", "--kappa", "1", "--m", "3", "--volume", "0.4", "--grid", "12x6"),
+        ("lp", "--table", "2", "--dim", "4", "--kappa", "1", "--m", "3", "--volume", "0.4", "--grid", "24x12"),
         {"lpcore.build_relative_lp": 2, "lpcore.highs": 2},
     ),
     (
@@ -75,6 +75,6 @@ def test_traced_cli_records_each_stage_once(tmp_path, argv, counts):
     # each LP is built by one traced call, so lpcore.build.columns counts it once
     assert sum(name.startswith("lpcore.build") for name in names) == counts.get("lpcore.build_relative_lp", 0)
     assert all(s.counts["nit"] > 0 for s in spans if s.name == "lpcore.highs")
-    # the LP reads each profile on B0's chord curve, so certificate.build_f.pairs reads 0 on lp
+    # the LP's marginal rows read no certificate, so certificate.build_f.pairs reads 0 on lp
     if argv[0] == "lp":
         assert "certificate.build_f" not in names

@@ -1,5 +1,6 @@
 """Finite LP assembly and solving; the residuals are checked against hand-made pairs."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,8 +28,6 @@ from isoplp.spaceform import (
     candle,
     candle_anti,
     candle_anti2,
-    chord_length,
-    sphere_volume,
 )
 
 
@@ -141,33 +140,15 @@ def test_weak_duality_on_random_solvable_lps(n_vars, n_rows, seed):
     assert dual_objective <= primal_objective + 1e-7 * (1 + abs(primal_objective))
 
 
-def test_power_profile_diagonal_integral():
-    # the profile row's rhs is -area * the diagonal integral of f against the
-    # angle density, taken by the ball's angle rule, plain or graded
-    from scipy.integrate import quad
-
-    def f_diag(a):  # pow1 on the diagonal, against the angle density
-        return math.cos(a) ** 2 * sphere_volume(0) * math.cos(a)
-
-    ref = quad(f_diag, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-13)[0]
-    for kappa, r in ((0.0, 1.0), (1.0, 0.8), (1.0, 1.57), (-1.0, 7.0)):
-        params = ModelParams(2, kappa)
-        V = ball_from_radius(params, r).volume
-        lp = build_relative_lp(params, V, 1, GridSpec(12, 6))
-        pow1 = lp.rhs[lp.row_labels.index("profile-pow1")]
-        assert_allclose(-pow1 / ball_from_volume(params, V).area, ref, rtol=1e-12)
-
-
 def test_isoperimetric_lp_rows_and_bound_flat_disk():
     params = ModelParams(2, 0.0)
     ball = ball_from_radius(params, 1.0)
     lp = build_relative_lp(params, ball.volume, 1, GridSpec(30, 14))
     assert lp.row_labels == (
-        "area-vs-F1", "volume-vs-F2", "F3-cap", "total-length",
-        "profile-pow0.5", "profile-pow1", "profile-pow1.5", "profile-pow2", "profile-certificate-sup",
+        "area-vs-F1", "volume-vs-F2", "F3-cap", "total-length", *(f"marginal-{i}" for i in range(14)),
     )
-    # no paper certificate in dimension 3, so no certificate row
-    assert build_relative_lp(ModelParams(3, 0.0), 1.0, 1, GridSpec(12, 6)).row_labels[4:] == lp.row_labels[4:8]
+    # 4 + n_alpha rows in every dimension: no row depends on a paper certificate
+    assert build_relative_lp(ModelParams(3, 0.0), 1.0, 1, GridSpec(12, 6)).row_labels == lp.row_labels[:10]
     # variable 0 is the boundary area; a feasible point must reach the ball area
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -208,7 +189,7 @@ def test_lp_columns_are_the_certificate_integrand(n, kappa, r):
     V = ball_from_radius(params, r).volume
     grid = GridSpec(12, 6)
     lp = build_relative_lp(params, V, 1, grid)
-    alpha, _, ell = _grid_nodes(ball_from_volume(params, V), grid)
+    alpha, _, _, ell = _grid_nodes(ball_from_volume(params, V), grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     cols = _dense(lp)[:4, 1:]
     cert = certificate.paper_certificate(params, r)
@@ -368,7 +349,7 @@ def test_large_unbounded_lp_detected():
 
 def _meshgrid_rows(params, ball_curve, grid):
     """The four structural atom rows, evaluated point by point on the full (ell, alpha, beta) mesh."""
-    alpha, _, ell = _grid_nodes(ball_curve, grid)
+    alpha, _, _, ell = _grid_nodes(ball_curve, grid)
     L, A, B = (g.ravel() for g in np.meshgrid(ell, alpha, alpha, indexing="ij"))
     sec_a, sec_b = 1.0 / np.cos(A), 1.0 / np.cos(B)
     return np.vstack([
@@ -387,7 +368,7 @@ def test_separable_assembly_matches_meshgrid(n, kappa, r):
     lp = build_relative_lp(params, ball.volume, 1, grid)
     # the LP places its curve nodes on the ball it recovers from the volume
     ball_curve = ball_from_volume(params, ball.volume)
-    assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[2].size * 12 * 12
+    assert lp.n_vars == 1 + _grid_nodes(ball_curve, grid)[3].size * 12 * 12
     rows, dense = _meshgrid_rows(params, ball_curve, grid), _dense(lp)
     assert_allclose(dense[: len(rows), 1:], rows, rtol=1e-12, atol=0.0)
     assert_allclose(dense[:, 0], [ball.area, ball.volume] + [0.0] * (len(lp.row_labels) - 2), rtol=1e-12)
@@ -410,52 +391,45 @@ ROW_CASES = [
 ] + [(4, 1.0, 3, 0.4)]
 
 
-def _profile_rows(params, V, m, grid):
-    """The LP, B0, its angle nodes and ell nodes, and {label: profile row as an (ell, alpha, beta) array}."""
+def _marginal_rows(params, V, m, grid):
+    """The LP, B0, its angle nodes and {label: marginal row as an (ell, alpha, beta) array}."""
     lp = build_relative_lp(params, V, m, grid)
     ball0 = ball_from_volume(params, m * V)
-    alpha, _, ell = _grid_nodes(ball0, grid)
+    alpha, _, _, ell = _grid_nodes(ball0, grid)
     dense = _dense(lp)
     rows = {
         label: dense[i, 1:].reshape(ell.size, alpha.size, alpha.size)
-        for i, label in enumerate(lp.row_labels) if label.startswith("profile-")
+        for i, label in enumerate(lp.row_labels) if label.startswith("marginal-")
     }
     return lp, ball0, alpha, rows
 
 
-def _profile_h(params, ball0, alpha):
-    """{label: h at the angle nodes}: cos^(2 gamma), and for n in {2, 4} the certificate's integrand on B0's curve."""
-    h = {f"profile-pow{g:g}": np.cos(alpha) ** (2.0 * g) for g in (0.5, 1.0, 1.5, 2.0)}
-    if params.n in (2, 4):
-        cert = certificate.paper_certificate(params, ball0.radius)
-        curve = chord_length(params.kappa, ball0.radius, alpha)
-        h["profile-certificate-sup"] = certificate.sup_integrand(cert, curve, alpha, alpha)
-    return h
-
-
 @pytest.mark.parametrize("n, kappa, m, V", ROW_CASES)
 def test_profile_rows_are_additive_in_the_angles(n, kappa, m, V):
-    # each profile row is -(h(a) + h(b))/2 at every chord length: cos^(2 gamma) for
-    # the power rows, the certificate's integrand at B0's curve atoms for its row
+    # row marginal-<i> is the additive profile -(h(a) + h(b))/2 of h = e_i at every
+    # chord length, capped by B0's mass at alpha_i over m
     params = ModelParams(n, kappa)
-    _, ball0, alpha, rows = _profile_rows(params, V, m, GridSpec(12, 6))
-    h = _profile_h(params, ball0, alpha)
-    assert rows.keys() == h.keys()
-    for label, row in rows.items():
-        expect = -0.5 * (h[label][:, None] + h[label][None, :])
-        assert_allclose(row, np.broadcast_to(expect, row.shape), rtol=1e-14, atol=0.0, err_msg=label)
+    lp, ball0, alpha, rows = _marginal_rows(params, V, m, GridSpec(12, 6))
+    assert list(rows) == [f"marginal-{i}" for i in range(alpha.size)]
+    assert np.all(np.diff(alpha) > 0.0)
+    atoms = discretize_ball_measure(ball0, alpha.size)
+    mass = atoms.mass[np.argsort(atoms.alpha)]
+    for i, (label, row) in enumerate(rows.items()):
+        h = np.eye(alpha.size)[i]
+        expect = -0.5 * (h[:, None] + h[None, :])
+        assert np.array_equal(row, np.broadcast_to(expect, row.shape)), label
+        assert lp.rhs[lp.row_labels.index(label)] == -mass[i] / m
 
 
 def _reference_rows(params, V, m, grid):
     """The LP's labels and rows as a dense matrix, evaluated point by point on the full mesh."""
     ball0 = ball_from_volume(params, m * V)
-    alpha, _, ell = _grid_nodes(ball0, grid)
-    h = _profile_h(params, ball0, alpha)
-    profiles = [np.tile(-0.5 * (v[:, None] + v[None, :]).ravel(), ell.size) for v in h.values()]
-    atoms = np.vstack([_meshgrid_rows(params, ball0, grid), *profiles])
+    alpha, _, _, ell = _grid_nodes(ball0, grid)
+    marginals = [np.tile(-0.5 * (h[:, None] + h[None, :]).ravel(), ell.size) for h in np.eye(alpha.size)]
+    atoms = np.vstack([_meshgrid_rows(params, ball0, grid), *marginals])
     first = np.zeros((atoms.shape[0], 1))
     first[:2, 0] = ball0.area, m * V
-    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length", *h)
+    labels = ("area-vs-F1", "volume-vs-F2", "F3-cap", "total-length", *(f"marginal-{i}" for i in range(alpha.size)))
     return labels, np.hstack([first, atoms])
 
 
@@ -522,27 +496,47 @@ def test_grid_lp_build_and_solve_stay_small(n, kappa, r):
     assert peak < 8e6
 
 
+def _certificate_dual(params, V, m, grid):
+    """The LP, B0, h and the dual point lambda * (a, b, c, d, h) of the paper certificate.
+
+    h is the certificate's f on the diagonal at the angle nodes, and lambda
+    scales column 0's dual row, a * area(B0) + b * m * V <= 1, to equality.
+    """
+    lp = build_relative_lp(params, V, m, grid)
+    ball0 = ball_from_volume(params, m * V)
+    alpha = _grid_nodes(ball0, grid)[0]
+    cert = certificate.paper_certificate(params, ball0.radius)
+    h, _ = certificate.build_f(cert, alpha, alpha)
+    a, b, c, d = cert.coefficients
+    return lp, ball0, h, np.concatenate([(a, b, c, d), h]) / (a * ball0.area + b * m * V)
+
+
 @pytest.mark.parametrize("n, kappa, m, V", [case for case in ROW_CASES if case[2] == 1])
 def test_certificate_profile_is_the_sup_on_the_diagonal(n, kappa, m, V):
-    # on the diagonal the sup over chord length sits on the curve, so h needs no sup
+    # on the diagonal the sup over chord length sits on the curve; with h = f(a, a)
+    # the certificate meets every atom's dual row, d F4 - a F1 - b F2 - c F3 <=
+    # (h(a) + h(b))/2, so for kappa >= 0, where a, b, c, d >= 0, it is a dual point
     params = ModelParams(n, kappa)
-    _, ball0, alpha, rows = _profile_rows(params, V, m, GridSpec(12, 6))
-    h = -np.diagonal(rows["profile-certificate-sup"][0])
-    f_diag, _ = certificate.build_f(certificate.paper_certificate(params, ball0.radius), alpha, alpha)
+    grid = GridSpec(12, 6)
+    lp, ball0, h, y = _certificate_dual(params, V, m, grid)
+    alpha, curve, _, _ = _grid_nodes(ball0, grid)
+    cert = certificate.paper_certificate(params, ball0.radius)
     assert np.all(h >= 0.0)
-    assert_allclose(h, f_diag, rtol=1e-12, atol=0.0)
+    assert_allclose(h, certificate.sup_integrand(cert, curve, alpha, alpha), rtol=1e-12, atol=0.0)
+    dense = _dense(lp)
+    assert y @ dense[:, 0] == pytest.approx(1.0, rel=1e-15)
+    eps = np.finfo(float).eps
+    assert np.all(y @ dense[:, 1:] <= 8 * eps * (np.abs(y) @ np.abs(dense[:, 1:])))
+    assert np.all(y >= 0.0) == (kappa >= 0.0)
 
 
 @pytest.mark.parametrize("n, kappa, m, V", [case for case in ROW_CASES if case[0] in (2, 4)])
 def test_certificate_profile_rhs_is_the_diagonal_quadrature(n, kappa, m, V):
-    # the closed form (-a, -b, -c, d) . ball_moments(B0) against the 200-node
-    # quadrature of h over B0's chord measure, divided by m
+    # the marginal rhs weight h by B0's masses, so the certificate's dual value
+    # is the closed form area(B0)/m up to the 40-node quadrature of f(a, a)
     params = ModelParams(n, kappa)
-    lp, ball0, _, _ = _profile_rows(params, V, m, GridSpec(12, 6))
-    cert = certificate.paper_certificate(params, ball0.radius)
-    atoms = discretize_ball_measure(ball0, 200)
-    quadrature = float(np.dot(atoms.mass, certificate.sup_integrand(cert, atoms.ell, atoms.alpha, atoms.alpha)))
-    assert_allclose(-lp.rhs[lp.row_labels.index("profile-certificate-sup")], quadrature / m, rtol=1e-12)
+    lp, _, _, y = _certificate_dual(params, V, m, GridSpec(80, 40))
+    assert_allclose(lp.rhs @ y, relative_bound(RelativeCase(params, m, V)), rtol=1e-13)
 
 
 def test_lp_assembly_runs_no_sup(monkeypatch):
@@ -552,7 +546,9 @@ def test_lp_assembly_runs_no_sup(monkeypatch):
     monkeypatch.setattr(certificate, "build_f", no_sup)
     params = ModelParams(4, 1.0)
     lp = build_relative_lp(params, ball_from_radius(params, 0.8).volume, 1, GridSpec(12, 6))
-    assert "profile-certificate-sup" in lp.row_labels
+    assert lp.row_labels[4:] == tuple(f"marginal-{i}" for i in range(6))
+    # lpcore reads no certificate: the LP finds its dual f itself
+    assert not {"certificate", "paper_certificate", "sup_integrand", "ball_moments"} & set(vars(lpcore))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(40, 20), GridSpec(80, 40)], ids=["40x20", "80x40"])
@@ -565,3 +561,61 @@ def test_table2_rescaled_optimum_is_the_relative_bound(n, kappa, V, m, grid):
     sol = solve(build_relative_lp(params, V, m, grid))
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, relative_bound(RelativeCase(params, m, V)), rtol=1e-8)
+
+
+# ROADMAP item 1's ten cases: (n, kappa, r) -> relative error of the 80x40 optimum
+# against the ball's area, None where it is the area to rounding (within 1e-12);
+# no certificate is supplied, so at n = 3, 5, 6 and kappa < 0 the gap is the method's
+ITEM_1_PINS = {
+    (4, 1.0, 0.8): None, (4, 0.0, 1.0): None, (2, 1.0, 0.8): None, (2, 0.0, 1.0): None,
+    (3, 1.0, 0.8): -1.05e-3, (3, 0.0, 1.0): -8.01e-3, (5, 0.0, 1.0): -8.57e-2,
+    (2, -1.0, 0.8): -1.67e-2, (4, -1.0, 0.8): -0.151, (6, 0.0, 1.0): -0.279,
+}
+
+
+def _relative_error(n, kappa, r, grid):
+    params = ModelParams(n, kappa)
+    ball = ball_from_radius(params, r)
+    sol = solve(build_relative_lp(params, ball.volume, 1, grid))
+    assert sol.status == "optimal"
+    return (sol.objective_value - ball.area) / ball.area
+
+
+@pytest.mark.parametrize("n, kappa, r", ITEM_1_PINS)
+def test_cone_lp_optimum_at_80x40(n, kappa, r):
+    err, pin = _relative_error(n, kappa, r, GridSpec(80, 40)), ITEM_1_PINS[n, kappa, r]
+    if pin is None:
+        assert abs(err) <= 1e-12
+    else:  # three significant digits
+        assert err == pytest.approx(pin, abs=0.005 * 10.0 ** math.floor(math.log10(abs(pin))))
+
+
+def test_cone_lp_is_loose_on_a_coarse_grid():
+    # at 12x6 the 6-node quadrature puts the ball's own measure 3.6 % off rows 1-3
+    assert _relative_error(4, 1.0, 0.8, GridSpec(12, 6)) == pytest.approx(3.57e-2, abs=5e-5)
+
+
+@pytest.mark.parametrize("n, kappa, r", ITEM_1_PINS)
+def test_start_at_the_ball_reaches_the_cold_optimum(n, kappa, r):
+    params = ModelParams(n, kappa)
+    lp = build_relative_lp(params, ball_from_radius(params, r).volume, 1, GridSpec(40, 20))
+    warm, cold = solve(lp), solve(dataclasses.replace(lp, start=None))
+    assert warm.status == cold.status == "optimal"
+    assert abs(warm.objective_value - cold.objective_value) <= 1e-12 * abs(cold.objective_value)
+
+
+def test_start_at_the_ball_keeps_the_pivots_few(monkeypatch):
+    # the benchmark's two 80x40 LPs take 47 and 28 pivots from B0's chord curve,
+    # and 351 and 298 from the slack basis
+    pivots = []
+    simplex = lpcore.linprog
+
+    def counting(*args, **kwargs):
+        res = simplex(*args, **kwargs)
+        pivots.append(res.nit)
+        return res
+
+    monkeypatch.setattr(lpcore, "linprog", counting)
+    for n, kappa, r in ((4, 1.0, 0.8), (2, 0.0, 1.0)):
+        assert abs(_relative_error(n, kappa, r, GridSpec(80, 40))) <= 1e-12
+    assert len(pivots) == 2 and max(pivots) <= 100, pivots

@@ -318,6 +318,19 @@ def test_ball_from_volume_climbs_to_the_radius(monkeypatch):
     assert n_cases == 6541
 
 
+@pytest.mark.parametrize(
+    "n, kappa, volume", [(5, -1e308, 1e300), (2, -1e308, 1e10), (4, -1e200, 1e300), (3, -1.0, 1.7e308)]
+)
+def test_ball_whose_area_overflows_is_an_error_not_a_warning(n, kappa, volume):
+    # Newton climbs from below, so its candle and candle_anti overflow only where
+    # the ball's area does, and there is no BallGeometry to return; at
+    # (3, -1, 1.7e308) only the area overflows, in ball_area's omega * candle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large at curvature .*: the ball's area overflows"):
+            ball_from_volume(ModelParams(n, kappa), volume)
+
+
 def test_angle_rule_is_gauss_legendre_where_ungraded():
     x, w = _legendre_rule(128)
     half = math.pi / 4.0
