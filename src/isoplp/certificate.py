@@ -58,7 +58,7 @@ class SupDomainError(ValueError):
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Row coefficients (a, b, c, d) for a ball of radius r, plus optional closed f."""
+    """Row coefficients (a, b, c, d) for a ball of radius r, plus the closed f and its argmax where known."""
 
     params: ModelParams
     r: float
@@ -72,10 +72,6 @@ class DualCertificate:
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.f_closed is not None
 
     @property
     def negative_coefficients(self) -> tuple[str, ...]:
@@ -135,39 +131,46 @@ def solve_consistency(params: ModelParams, r: float) -> ConsistencyFit:
     return ConsistencyFit(*map(float, v), _consistency_residual(params, r, v, 640))
 
 
-def _sec_sum(alpha, beta):
-    return 1.0 / np.cos(alpha) + 1.0 / np.cos(beta)
+def _paper_coefficients(params: ModelParams, r):
+    """(a, b, c, d) of the paper's certificate for n in {2, 4}, with T = tan_kappa(r).
+
+    r may be an array of radii, which _tn sends through numpy.
+    n = 4: (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
+    n = 2: (0, 1, kappa T, 2 T).
+    """
+    n, kappa = params.n, params.kappa + 0.0  # kappa = -0.0 must not give b = -0.0
+    t = _tn(kappa, r)
+    if n == 4:
+        return 1.0, 6.0 * kappa * t, 9.0 * kappa * kappa * t * t, 12.0 * t * t
+    if n == 2:
+        return 0.0, 1.0, kappa * t, 2.0 * t
+    raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {n}")
 
 
 def paper_certificate(params: ModelParams, r: float) -> DualCertificate:
-    """The paper's certificate for n in {2, 4} at any curvature, with T = tan_kappa(r).
+    """The paper's certificate (_paper_coefficients) for n in {2, 4} at any curvature.
 
-    n = 4: (a, b, c, d) = (1, 6 kappa T, 9 kappa^2 T^2, 12 T^2);
-    n = 2: (0, 1, kappa T, 2 T) with the closed sup 2 T atan_kappa(2 T/(sec a + sec b)).
+    Its closed sup, the reference build_f is tested against, is
+    2 T atan_kappa(2 T/(sec a + sec b)) for n = 2 and 16 r^3 sqrt(cos a cos b)
+    for n = 4 at kappa = 0.
     """
     if r >= params.hemisphere_radius:
         raise ValueError("radius must be strictly inside the hemisphere")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    n, kappa = params.n, params.kappa + 0.0  # kappa = -0.0 must not give b = -0.0
-    t = _tn(kappa, r)
-    if n == 4:
-        closed = {}
-        if kappa == 0.0:
-            closed = dict(
-                f_closed=lambda a, b: 16.0 * r ** 3 * np.sqrt(np.cos(a) * np.cos(b)),
-                argmax_closed=lambda a, b: 2.0 * r * np.sqrt(np.cos(a) * np.cos(b)),
-            )
-        return DualCertificate(
-            params, r, 1.0, 6.0 * kappa * t, 9.0 * kappa * kappa * t * t, 12.0 * t * t, **closed
+    coefficients = _paper_coefficients(params, r)
+    kappa, t = params.kappa, _tn(params.kappa, r)
+    closed = {}
+    if params.n == 2:
+        def argmax(a, b):
+            return 2.0 * _atn(kappa, 2.0 * t / (1.0 / np.cos(a) + 1.0 / np.cos(b)))
+        closed = dict(f_closed=lambda a, b: t * argmax(a, b), argmax_closed=argmax)
+    elif kappa == 0.0:
+        closed = dict(
+            f_closed=lambda a, b: 16.0 * r ** 3 * np.sqrt(np.cos(a) * np.cos(b)),
+            argmax_closed=lambda a, b: 2.0 * r * np.sqrt(np.cos(a) * np.cos(b)),
         )
-    if n == 2:
-        return DualCertificate(
-            params, r, 0.0, 1.0, kappa * t, 2.0 * t,
-            f_closed=lambda a, b: 2.0 * t * _atn(kappa, 2.0 * t / _sec_sum(a, b)),
-            argmax_closed=lambda a, b: 2.0 * _atn(kappa, 2.0 * t / _sec_sum(a, b)),
-        )
-    raise ValueError(f"the paper's certificates cover dimensions 2 and 4, not {n}")
+    return DualCertificate(params, r, *coefficients, **closed)
 
 
 def _combined_row(cert: DualCertificate, ell, alpha, beta, dell: bool):
@@ -220,9 +223,9 @@ def build_f(cert: DualCertificate, alpha, beta):
     holds 256 KB whatever the pair count; each pair's column is computed on
     its own, so the blocking changes no value or argmax.  Where the analytic
     ell-derivative changes sign across the bracket, bisection on it refines
-    the argmax until an iteration changes no bracket; the other pairs (a
-    maximum at ell = 0 or on a plateau) take a 60-step golden-section
-    search.  The domain ends at the conjugate radius or at the cap of
+    the argmax until an iteration changes no bracket; every other pair takes
+    its scan node, which is exact for a maximum at ell = 0 or at the end of
+    the domain.  The domain ends at the conjugate radius or at the cap of
     _sup_domain, whichever is shorter; a sup escaping to the cap raises
     SupDomainError since the certificate then bounds nothing, and so does
     an integrand that overflows on the scan.
@@ -254,40 +257,20 @@ def build_f(cert: DualCertificate, alpha, beta):
     lo = nodes[np.maximum(k - 1, 0)]
     hi = nodes[np.minimum(k + 1, _SCAN_NODES - 1)]
 
-    dlo = sup_integrand_dell(cert, lo, A, B)
-    dhi = sup_integrand_dell(cert, hi, A, B)
-    cross = (dlo > 0.0) & (dhi < 0.0)
+    cross = (sup_integrand_dell(cert, lo, A, B) > 0.0) & (sup_integrand_dell(cert, hi, A, B) < 0.0)
 
     # once an iteration moves no bracket end, every later one is a fixed point
-    blo, bhi = lo.copy(), hi.copy()
     for _ in range(70):
-        mid = 0.5 * (blo + bhi)
-        dm = sup_integrand_dell(cert, mid, A, B)
-        take_hi = dm > 0.0
-        new_lo = np.where(cross & take_hi, mid, blo)
-        new_hi = np.where(cross & ~take_hi, mid, bhi)
-        if np.array_equal(new_lo, blo) and np.array_equal(new_hi, bhi):
+        mid = 0.5 * (lo + hi)
+        take_hi = sup_integrand_dell(cert, mid, A, B) > 0.0
+        new_lo = np.where(cross & take_hi, mid, lo)
+        new_hi = np.where(cross & ~take_hi, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
-        blo, bhi = new_lo, new_hi
-    arg = 0.5 * (blo + bhi)
+        lo, hi = new_lo, new_hi
+    arg = np.where(cross, 0.5 * (lo + hi), nodes[k])
 
-    flat = np.flatnonzero(~cross)
-    if flat.size:
-        glo, ghi = lo[flat], hi[flat]
-        Af, Bf = A[flat], B[flat]
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(60):
-            x1 = ghi - inv * (ghi - glo)
-            x2 = glo + inv * (ghi - glo)
-            f1 = sup_integrand(cert, x1, Af, Bf)
-            f2 = sup_integrand(cert, x2, Af, Bf)
-            keep_right = f1 < f2
-            glo = np.where(keep_right, x1, glo)
-            ghi = np.where(keep_right, ghi, x2)
-        arg[flat] = 0.5 * (glo + ghi)
-
-    val = sup_integrand(cert, arg, A, B)
-    val = np.maximum(val, scan_max)
+    val = np.maximum(sup_integrand(cert, arg, A, B), scan_max)
     if shape == ():
         return float(val[0]), float(arg[0])
     return val.reshape(shape), arg.reshape(shape)
@@ -317,8 +300,9 @@ CONSISTENCY_TOL, CURVE_SUP_TOL, DEFECT_TOL = 1e-8, 1e-8, 1e-9
 def check_family_membership(cert: DualCertificate, grid: int = 80) -> MembershipReport:
     """Check f >= 0 and (f(a,a)+f(b,b))/2 - f(a,b) >= 0 on a grid x grid angle grid.
 
-    f is the closed form where the certificate has one, build_f's sup on
-    the upper triangle, mirrored, otherwise.  The angles are equispaced on
+    f is build_f's sup, for every certificate.  f(a,b) = f(b,a) bit for bit
+    (its angle factors are a symmetric product and sum), so the sup runs on
+    the upper triangle and is mirrored.  The angles are equispaced on
     [0, pi/2 - 1e-3].  Equality of the defect should only happen next to the
     diagonal.
     """
@@ -326,15 +310,9 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
         # one node has only the diagonal, where the defect is 0 by construction
         raise ValueError(f"the membership grid needs at least 2 angle nodes, got {grid}")
     angles = np.linspace(0.0, math.pi / 2.0 - 1e-3, grid)
-    if cert.has_closed_form:
-        A, B = np.meshgrid(angles, angles, indexing="ij")
-        fvals = cert.f_closed(A, B)
-    else:
-        # f(a,b) = f(b,a) bit for bit (its angle factors are a symmetric product and sum),
-        # so the sup runs on the upper triangle and is mirrored
-        fvals = np.empty((grid, grid))
-        i, j = np.triu_indices(grid)
-        fvals[i, j] = fvals[j, i] = build_f(cert, angles[i], angles[j])[0]
+    fvals = np.empty((grid, grid))
+    i, j = np.triu_indices(grid)
+    fvals[i, j] = fvals[j, i] = build_f(cert, angles[i], angles[j])[0]
     fdiag = np.diag(fvals)
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
     eq_i, eq_j = np.nonzero(defect <= DEFECT_TOL)
@@ -352,9 +330,7 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
 @dataclass
 class CertificateReport:
     consistency_residual: float
-    consistency_ok: bool
     curve_sup_deviation: float
-    curve_sup_ok: bool
     membership: MembershipReport
     negative_coefficients: tuple[str, ...]
     nonneg_required: bool
@@ -362,42 +338,32 @@ class CertificateReport:
     @property
     def passed(self) -> bool:
         return (
-            self.consistency_ok
-            and self.curve_sup_ok
+            self.consistency_residual <= CONSISTENCY_TOL
+            and self.curve_sup_deviation <= CURVE_SUP_TOL
             and self.membership.passed
             and not (self.negative_coefficients and self.nonneg_required)
         )
 
 
-def verify_certificate(
-    cert: DualCertificate,
-    grid: int = 80,
-    require_nonneg: bool = True,
-) -> CertificateReport:
+def verify_certificate(cert: DualCertificate, grid: int = 80) -> CertificateReport:
     """Full certificate check: consistency, sup location on the curve, membership, signs.
 
     The consistency residual is _consistency_residual at 200 chord lengths.  The
     sup check takes 60 chord lengths ell0 on the curve, sets both angles to
     arccos(chord_T(ell0)), and requires the numeric argmax of the sup to
-    return to ell0 (tolerance CURVE_SUP_TOL absolute + relative).
+    return to ell0 (tolerance CURVE_SUP_TOL absolute + relative).  Membership
+    is check_family_membership on a grid x grid angle grid.  The coefficients
+    must be nonnegative for kappa >= 0; below 0 the paper's b (n = 4) or
+    c (n = 2) is negative, so the signs are reported, not required.
     """
     params, r = cert.params, cert.r
-    consistency_residual = _consistency_residual(params, r, cert.coefficients, 200)
-    consistency_ok = consistency_residual <= CONSISTENCY_TOL
-
     ell0 = np.linspace(0.05 * 2 * r, 0.95 * 2 * r, 60)
     alpha0 = np.arccos(np.asarray(chord_T(params.kappa, r, ell0)))
     _, argmax = build_f(cert, alpha0, alpha0)
-    curve_dev = float(np.max(np.abs(argmax - ell0) / (1.0 + np.abs(ell0))))
-    curve_sup_ok = curve_dev <= CURVE_SUP_TOL
-
-    membership = check_family_membership(cert, grid)
     return CertificateReport(
-        consistency_residual=consistency_residual,
-        consistency_ok=consistency_ok,
-        curve_sup_deviation=curve_dev,
-        curve_sup_ok=curve_sup_ok,
-        membership=membership,
+        consistency_residual=_consistency_residual(params, r, cert.coefficients, 200),
+        curve_sup_deviation=float(np.max(np.abs(argmax - ell0) / (1.0 + np.abs(ell0)))),
+        membership=check_family_membership(cert, grid),
         negative_coefficients=cert.negative_coefficients,
-        nonneg_required=require_nonneg,
+        nonneg_required=params.kappa >= 0.0,
     )

@@ -22,7 +22,7 @@ pays only for the layers it reads (with the ones they import):
     lemma          lemmas
     measure-check  chordmeasure, spaceform
     relative       relative, chordmeasure, spaceform
-    negbound       negbound, chordmeasure, spaceform
+    negbound       negbound, certificate, chordmeasure, spaceform
     certificate    certificate, chordmeasure, spaceform
     lp             lpcore, chordmeasure, spaceform; relative with --table 2
 
@@ -192,7 +192,7 @@ def _cmd_certificate(config: dict):
     ref = dict(zip("abcd", cert.coefficients))
     coeff_scale = max(abs(v) for v in cert.coefficients)
     mismatch = max(abs(getattr(fit, k) - ref[k]) for k in "abcd") / coeff_scale
-    report = certificate.verify_certificate(cert, grid=config.get("grid"), require_nonneg=params.kappa >= 0.0)
+    report = certificate.verify_certificate(cert, grid=config.get("grid"))
     body["reference"] = ref
     body["reference_mismatch"] = mismatch
     body["verification"] = {

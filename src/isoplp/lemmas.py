@@ -122,12 +122,16 @@ def H(case: str, t, p, q):
     return G_diag_peak(case, p) + G_diag_peak(case, q) - 2.0 * G(case, t, p, q)
 
 
+def _dG_dt_numerator(s: float, t, p, q):
+    """12 p q t^4 - 8 (p + q) t^3 + (4 - 12 s p q) t^2 + 4 s/3, the quartic numerator of dG/dt."""
+    return 12.0 * (p * q) * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * (p * q)) * t ** 2 + s * 4.0 / 3.0
+
+
 def dG_dt(case: str, t, p, q):
     """Closed-form t-derivative of G."""
     s, _, _ = _curvature(case)
     t = np.asarray(t, dtype=float)
-    num = 12.0 * p * q * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * p * q) * t ** 2 + s * 4.0 / 3.0
-    return 2.0 * s * num / (1.0 + s * t * t) ** 4
+    return 2.0 * s * _dG_dt_numerator(s, t, p, q) / (1.0 + s * t * t) ** 4
 
 
 def check_factorization(case: str, p, t):
@@ -136,14 +140,14 @@ def check_factorization(case: str, p, t):
     12 p^2 t^4 - 16 p t^3 + (4 - 12 s p^2) t^2 + 4 s/3
         = 4 (3 p t - 1) (p t^3 - t^2 - s p t - s/3).
 
-    The left side is dG_dt's num at q = p, so dG/dt(t, p, p) has the sign of
+    The left side is dG_dt's numerator at q = p, so dG/dt(t, p, p) has the sign of
     s times the right side.  Divided by 1 + |rhs|, rounding noise stays
     bounded however large the quartic grows; on 3pt = 1 it is the absolute one.
     """
     s, _, _ = _curvature(case)
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    lhs = 12.0 * p ** 2 * t ** 4 - 16.0 * p * t ** 3 + (4.0 - s * 12.0 * p ** 2) * t ** 2 + s * 4.0 / 3.0
+    lhs = _dG_dt_numerator(s, t, p, p)
     rhs = 4.0 * (3.0 * p * t - 1.0) * (p * t ** 3 - t ** 2 - s * p * t - s / 3.0)
     return (lhs - rhs) / (1.0 + np.abs(rhs))
 

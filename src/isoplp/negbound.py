@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import _paper_coefficients
 from .chordmeasure import DiscreteMeasure, ball_moments, integrate
 from .spaceform import (
     CurvatureSpectrum,
@@ -79,11 +80,24 @@ def smallness_ok(inp: SmallnessInput) -> SmallnessCheck:
     return SmallnessCheck(ok=product <= 0.5, margin=0.5 - product, product=product)
 
 
+def _weighted_terms(n: int, r, values) -> tuple:
+    """(a v1, b v2, c v3) with the paper's kappa = -1 certificate coefficients of
+    dimension n at radius r (a number or an array), skipping zero coefficients;
+    values(k) gives v_k, the term of the functional F_k."""
+    a, b, c, _ = _paper_coefficients(ModelParams(n, -1.0), r)
+    return tuple(w * values(k) for k, w in enumerate((a, b, c), 1) if np.any(w))
+
+
 def _rhs_terms(n: int, r: float) -> tuple[float, ...]:
     """The terms of conjecture_rhs (n = 4) or hyp2_rhs (n = 2) for the hyperbolic n-ball of radius r."""
-    a2, av, v2, _ = ball_moments(ball_from_radius(ModelParams(n, -1.0), r))
-    tr = math.tanh(r)
-    return (a2, -6.0 * tr * av, 9.0 * tr * tr * v2) if n == 4 else (av, -tr * v2)
+    moments = ball_moments(ball_from_radius(ModelParams(n, -1.0), r))  # (A^2, A V, V^2, _)
+    return _weighted_terms(n, r, lambda k: moments[k - 1])
+
+
+def _residual(n: int, r: float, measure: DiscreteMeasure) -> float:
+    """LHS - RHS of conjecture_residual (n = 4) or hyp2_lemma_residual (n = 2)."""
+    params = ModelParams(n, -1.0)
+    return sum(_weighted_terms(n, r, lambda k: integrate(measure, f"F{k}", params))) - sum(_rhs_terms(n, r))
 
 
 def conjecture_rhs(r: float) -> float:
@@ -101,14 +115,7 @@ def conjecture_residual(r: float, measure: DiscreteMeasure) -> float:
     when the measure is the chord measure of the ball of radius r; negative
     when mass is removed.
     """
-    params = ModelParams(4, -1.0)
-    tr = math.tanh(r)
-    lhs = (
-        integrate(measure, "F1", params)
-        - 6.0 * tr * integrate(measure, "F2", params)
-        + 9.0 * tr * tr * integrate(measure, "F3", params)
-    )
-    return lhs - conjecture_rhs(r)
+    return _residual(4, r, measure)
 
 
 def hyp2_lemma_residual(r: float, measure: DiscreteMeasure) -> float:
@@ -121,10 +128,7 @@ def hyp2_lemma_residual(r: float, measure: DiscreteMeasure) -> float:
     equality for the model disk carries a bare V^2 (no extra 2 pi); that
     convention is adopted here and verified by the tests.
     """
-    params = ModelParams(2, -1.0)
-    tr = math.tanh(r)
-    lhs = integrate(measure, "F2", params) - tr * integrate(measure, "F3", params)
-    return lhs - hyp2_rhs(r)
+    return _residual(2, r, measure)
 
 
 def hyp2_rhs(r: float) -> float:
@@ -197,9 +201,8 @@ def question1_margin(spectrum: CurvatureSpectrum, r: float, ell: float) -> float
     """
     if not (ell > 0.0 and r > 0.0):
         raise ValueError("r and ell must be positive")
-    u0, u1, u2 = _difference_kernels(spectrum, ell, -1.0)
-    tr = math.tanh(r)
-    return u0 - 6.0 * tr * u1 + 9.0 * tr * tr * u2
+    u = _difference_kernels(spectrum, ell, -1.0)
+    return sum(_weighted_terms(4, r, lambda k: u[k - 1]))
 
 
 # the largest length the closed forms below take: there e^(3 ell) is the
@@ -255,9 +258,8 @@ def ch2_counterexample_search(ell_max: float, r_max: float) -> CounterexampleRes
     n_ell, n_r = 80, 60
     ells = np.linspace(ell_max / n_ell, ell_max, n_ell)
     rs = np.linspace(r_max / n_r, r_max, n_r)
-    u0, u1, u2 = _ch2_difference_closed(ells)
-    tr = np.tanh(rs)[:, None]
-    margins = u0[None, :] - 6.0 * tr * u1[None, :] + 9.0 * tr * tr * u2[None, :]
+    u = _ch2_difference_closed(ells)
+    margins = sum(_weighted_terms(4, rs[:, None], lambda k: u[k - 1]))
     flat = int(np.argmin(margins))
     ir, il = np.unravel_index(flat, margins.shape)
     return CounterexampleResult(

@@ -412,12 +412,16 @@ def ball_from_volume(params: ModelParams, volume: float) -> BallGeometry:
         log_bound = math.log(volume) - math.log(omega) + math.log((n - 1) * s) + (n - 1) * math.log(2.0 * s)
         r = max(r * math.exp(-(n - 1) * s * r / n), log_bound / ((n - 1) * s))
     for step in range(200):
-        with np.errstate(over="ignore"):  # reported below: they overflow only where the ball's area does
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
             anti, slope = float(candle_anti(params, r)), float(candle(params, r))
         if anti == 0.0 or target == 0.0:
             raise ValueError(f"volume {volume!r} is too small: the ball's volume underflows near its radius")
         if not math.isfinite(omega * slope):
             raise ValueError(f"volume {volume!r} is too large at curvature {kappa!r}: the ball's area overflows")
+        if not math.isfinite(anti):
+            # n = 4: (8/3) kappa overflows in candle_anti's closed form below kappa = -6.7e307
+            raise ValueError(f"volume {volume!r} cannot be inverted at curvature {kappa!r}: "
+                             "the ball's volume is not finite near its radius")
         r_new = r - math.log(anti / target) * anti / slope
         if step and not r_new > r:
             return ball_from_radius(params, r)

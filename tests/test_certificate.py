@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,11 +109,18 @@ def test_negative_zero_curvature_gives_no_negative_zero():
 def test_negative_coefficients_flagged():
     cert = paper_certificate(ModelParams(4, -1.0), 1.0)
     assert cert.negative_coefficients == ("b",)
+    # below kappa = 0 the sign is reported, not required, so the check passes
+    report = verify_certificate(cert, grid=40)
+    assert report.negative_coefficients == ("b",)
+    assert not report.nonneg_required
+    assert report.passed
     # the negative coefficient fails the check only where the sign is required
-    assert not verify_certificate(cert, grid=40, require_nonneg=True).passed
-    assert verify_certificate(cert, grid=40, require_nonneg=False).passed
+    assert not replace(report, nonneg_required=True).passed
     cert2 = paper_certificate(ModelParams(2, 1.0), 0.7)
     assert cert2.negative_coefficients == ()
+    # the signs are required from kappa = 0 up, -0.0 included
+    for kappa in (1.0, 0.0, -0.0):
+        assert verify_certificate(paper_certificate(ModelParams(2, kappa), 0.7), grid=4).nonneg_required
 
 
 def test_sup_integrand_derivative_consistent():
@@ -137,7 +145,6 @@ CLOSED_FORM_CASES = [
 def test_build_f_matches_closed_form(case, r):
     n, kappa = case
     cert = paper_certificate(ModelParams(n, kappa), r)
-    assert cert.has_closed_form
     a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 24)
     A, B = np.meshgrid(a, a, indexing="ij")
     val, arg = build_f(cert, A, B)
@@ -192,7 +199,7 @@ def test_build_f_interior_max_hyperbolic_domain():
 def test_build_f_mixes_interior_and_zero_maxima():
     # n = 2 flat: the integrand is (d - a sec a sec b) ell - b ell^2 (sec a + sec b)/4,
     # so the sup sits at ell = 0 wherever cos a cos b <= a/d and inside otherwise;
-    # the first pairs take the golden-section fallback, the others the bisection
+    # the first pairs take their scan node ell = 0, the others the bisection
     cert = DualCertificate(ModelParams(2, 0.0), 1.0, 0.5, 1.0, 0.0, 1.0)
     a = np.linspace(0.0, math.pi / 2.0 - 1e-3, 40)
     A, B = np.meshgrid(a, a, indexing="ij")
@@ -209,7 +216,15 @@ def test_build_f_mixes_interior_and_zero_maxima():
     assert np.all(val >= ref_val - 1e-15)
     assert_allclose(val, ref_val, rtol=0, atol=1e-12)
     assert_allclose(arg, ref_arg, rtol=0, atol=1e-10)
-    assert np.all(arg[at_zero] <= 1e-6)
+    assert np.all(arg[at_zero] == 0.0)
+
+
+def test_build_f_takes_the_domain_end_exactly():
+    # f = sup of ell over [0, pi], the conjugate radius at kappa = 1: its last scan node
+    cert = DualCertificate(ModelParams(2, 1.0), 1.0, 0, 0, 0, 1)
+    val, arg = build_f(cert, np.array([0.0, 0.7, 1.5]), np.array([0.0, 0.2, 1.5]))
+    assert np.all(val == math.pi)
+    assert np.all(arg == math.pi)
 
 
 def test_build_f_blocked_scan_matches_one_block(monkeypatch):
@@ -277,12 +292,33 @@ def test_membership_defect_nonnegative(case, r):
     assert report.equality_on_diagonal
 
 
+@pytest.mark.parametrize(
+    "case,r",
+    [((2, 0.0), 0.01), ((2, 0.0), 0.8), ((2, 1.0), 0.8), ((2, 1.0), 1.56), ((2, -1.0), 0.8),
+     ((2, -1.0), 13.0), ((4, 0.0), 1.0), ((4, 0.0), 100.0)],
+)
+def test_membership_from_build_f_matches_the_closed_f(monkeypatch, case, r):
+    # build_f's sup gives the closed f's verdicts and min_f; at (2, 0, 0.01) and
+    # (2, 1, 1.56) both find the defect's equality off the diagonal
+    cert = paper_certificate(ModelParams(*case), r)
+    got = check_family_membership(cert)
+    # the reference membership reads the closed f in place of build_f
+    monkeypatch.setattr("isoplp.certificate.build_f", lambda cert, a, b: (cert.f_closed(a, b), None))
+    ref = check_family_membership(cert)
+    verdicts = ("f_nonneg_ok", "defect_ok", "equality_on_diagonal", "passed")
+    assert [getattr(got, v) for v in verdicts] == [getattr(ref, v) for v in verdicts]
+    assert got.min_f == pytest.approx(ref.min_f, rel=1e-14, abs=0)
+    if r in (0.01, 1.56):
+        assert not got.equality_on_diagonal
+
+
 @pytest.mark.parametrize("case,r", CASES)
 def test_verify_certificate_full(case, r):
     n, kappa = case
     params = ModelParams(n, kappa)
     cert = paper_certificate(params, r)
-    report = verify_certificate(cert, grid=40, require_nonneg=(kappa >= 0))
+    report = verify_certificate(cert, grid=40)
+    assert report.nonneg_required == (kappa >= 0)
     assert report.passed
     assert report.consistency_residual <= 1e-8
     assert report.curve_sup_deviation <= 1e-8

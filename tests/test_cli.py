@@ -465,7 +465,7 @@ LAYER_RUNS = [
     (1, "lp --dim 4 --kappa -1 --radius 0.8", LP_LAYERS),
     (0, "lp --table 2 --dim 4 --kappa 1 --m 3 --volume 0.4", LP_LAYERS | {"relative"}),
     (0, "measure-check --dim 4 --kappa 1 --radius 0.8 --mc-samples 100000 --seed 1", {"spaceform", "chordmeasure"}),
-    (0, "negbound --radius 1.2 --search", {"spaceform", "chordmeasure", "negbound"}),
+    (0, "negbound --radius 1.2 --search", {"spaceform", "chordmeasure", "certificate", "negbound"}),
     (0, "prince --shape ellipse --a 2 --b 0.5", {"spaceform", "littleprince"}),
     (0, "relative --dim 4 --kappa 1 --m 3 --volume 0.4", {"spaceform", "chordmeasure", "relative"}),
     (0, "profile --dim 3 --kappa -1 --vmin 0.5 --vmax 2.0 --steps 16", {"spaceform"}),

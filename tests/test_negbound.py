@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoplp.chordmeasure import DiscreteMeasure, discretize_ball_measure
+from isoplp.certificate import paper_certificate
+from isoplp.chordmeasure import DiscreteMeasure, ball_moments, discretize_ball_measure
 from isoplp.negbound import (
     CH2_SPECTRUM,
     CounterexampleResult,
     SmallnessInput,
     _ch2_difference_closed,
     _difference_kernels,
+    _rhs_terms,
     ch2_counterexample_search,
     conjecture_residual,
     conjecture_rhs,
@@ -79,6 +81,18 @@ def test_hyp2_rhs_closed_form():
     for r in (0.5, 1.0, 2.0):
         area, volume = 2.0 * math.pi * math.sinh(r), 2.0 * math.pi * (math.cosh(r) - 1.0)
         assert hyp2_rhs(r) == pytest.approx(area * volume - math.tanh(r) * volume ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.2, 3.0, 5.0])
+def test_rhs_terms_are_the_certificate_coefficients_times_the_ball_moments(r):
+    # (A^2, A V, V^2) weighted by the paper's kappa = -1 (a, b, c), bit for bit; n = 2 has a = 0
+    for n, rhs in ((4, conjecture_rhs), (2, hyp2_rhs)):
+        params = ModelParams(n, -1.0)
+        a, b, c, _ = paper_certificate(params, r).coefficients
+        a2, av, v2, _ = ball_moments(ball_from_radius(params, r))
+        expect = (a * a2, b * av, c * v2) if n == 4 else (b * av, c * v2)
+        assert _rhs_terms(n, r) == expect
+        assert rhs(r) == sum(expect)
 
 
 def test_normalizers_reject_cancellation_past_the_tolerance():

@@ -331,6 +331,16 @@ def test_ball_whose_area_overflows_is_an_error_not_a_warning(n, kappa, volume):
             ball_from_volume(ModelParams(n, kappa), volume)
 
 
+@pytest.mark.parametrize("volume", [1e-300, 1e-10, 1.0, 1e10])
+def test_n4_volume_past_the_closed_form_is_an_error_not_a_warning(volume):
+    # at kappa = -1e308 the n = 4 candle_anti's (8/3) kappa overflows, so its
+    # volume is inf or nan where the area is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"volume {volume!r} cannot be inverted at curvature -1e\+308"):
+            ball_from_volume(ModelParams(4, -1e308), volume)
+
+
 def test_angle_rule_is_gauss_legendre_where_ungraded():
     x, w = _legendre_rule(128)
     half = math.pi / 4.0
