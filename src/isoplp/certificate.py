@@ -303,8 +303,8 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
     f is build_f's sup, for every certificate.  f(a,b) = f(b,a) bit for bit
     (its angle factors are a symmetric product and sum), so the sup runs on
     the upper triangle and is mirrored.  The angles are equispaced on
-    [0, pi/2 - 1e-3].  Equality of the defect should only happen next to the
-    diagonal.
+    [0, pi/2 - 1e-3].  Equality of the defect (defect <= DEFECT_TOL) should
+    only happen on or next to the diagonal: at node indices at most 1 apart.
     """
     if grid < 2:
         # one node has only the diagonal, where the defect is 0 by construction
@@ -316,14 +316,12 @@ def check_family_membership(cert: DualCertificate, grid: int = 80) -> Membership
     fdiag = np.diag(fvals)
     defect = 0.5 * (fdiag[:, None] + fdiag[None, :]) - fvals
     eq_i, eq_j = np.nonzero(defect <= DEFECT_TOL)
-    max_gap = float(np.max(np.abs(angles[eq_i] - angles[eq_j]), initial=0.0))
-    step = float(np.max(np.diff(angles)))
     return MembershipReport(
         min_f=float(fvals.min()),
         min_defect=float(defect.min()),
         f_nonneg_ok=bool(fvals.min() >= -DEFECT_TOL),
         defect_ok=bool(defect.min() >= -DEFECT_TOL),
-        equality_on_diagonal=bool(max_gap <= step * (1 + 1e-9)),
+        equality_on_diagonal=bool(np.all(np.abs(eq_i - eq_j) <= 1)),
     )
 
 

@@ -142,8 +142,9 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
     depends only on (seed, i).  Angles follow the delta_weight marginal via
     inverse transform alpha = arcsin(u^(1/(n-1))), taken in place on the
     uniforms, and lengths ell = chord_length(alpha), both elementwise in
-    blocks of _SAMPLE_BLOCK atoms, so no temporary grows with n_samples;
-    every atom carries mass total/n_samples.
+    blocks of _SAMPLE_BLOCK atoms, so no temporary grows with n_samples.
+    ell and alpha are the sample's only arrays of n_samples values: every
+    atom carries mass total/n_samples, one value broadcast as a read-only view.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -157,7 +158,7 @@ def sample_chords(ball: BallGeometry, n_samples: int, seed: int) -> DiscreteMeas
         np.arcsin(block, out=block)
         ell[i : i + _SAMPLE_BLOCK] = chord_length(params.kappa, ball.radius, block)
     total = ball.area * sphere_volume(n - 2) / (n - 1)
-    mass = np.full(n_samples, total / n_samples)
+    mass = np.broadcast_to(total / n_samples, (n_samples,))
     return DiscreteMeasure(ell, alpha, alpha, mass)
 
 

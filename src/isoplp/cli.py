@@ -224,7 +224,7 @@ def _cmd_lp(config: dict):
     body = {"volume": V, "grid": {"n_ell": n_ell, "n_alpha": n_alpha}}
 
     def solve_one(lp, bound, label):
-        sol = lpcore.solve(lp, tol=lpcore.SOLVER_TOL)
+        sol = lpcore.solve(lp)
         entry = {
             "status": sol.status,
             "optimum": sol.objective_value,
@@ -250,7 +250,7 @@ def _cmd_lp(config: dict):
         bound = relative.relative_bound(relative.RelativeCase(params, m, V))
         passed = solve_one(lpcore.build_relative_lp(params, V, m, grid), bound, "table2_rescaled")
         lp_printed = lpcore.build_relative_lp(params, V, m, grid, variant="printed")
-        sol_printed = lpcore.solve(lp_printed, tol=lpcore.SOLVER_TOL)
+        sol_printed = lpcore.solve(lp_printed)
         body["table2_printed_scaling"] = {
             "status": sol_printed.status,
             "optimum": sol_printed.objective_value,
@@ -270,31 +270,6 @@ def _moment_residuals(ball, n_nodes: int) -> list[float]:
         (chordmeasure.integrate(measure, f"F{k}", ball.params) - rhs) / rhs
         for k, rhs in enumerate(moments, start=1)
     ]
-
-
-_SUM_LEAF = 1 << 14
-
-
-def _pairwise_sum(x: np.ndarray, term) -> float:
-    """Sum of term(x), taken as np.sum(term(x)) would take it, with no temporary of x's size.
-
-    numpy sums a contiguous float64 array pairwise: it halves a piece of
-    n > 128 elements at n // 2 rounded down to a multiple of 8.  Halving
-    the same way down to leaves of at most 2^14 elements, each summed by
-    np.sum, adds the same numbers in the same order.
-    """
-    n = x.size
-    if n <= _SUM_LEAF:
-        return float(np.sum(term(x)))
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x[:half], term) + _pairwise_sum(x[half:], term)
-
-
-def _sample_std(x: np.ndarray) -> float:
-    """float(np.std(x, ddof=1)) bit for bit, for a 1-D float64 array of at least two elements."""
-    mean = _pairwise_sum(x, lambda block: block) / x.size
-    return math.sqrt(_pairwise_sum(x, lambda block: np.square(block - mean)) / (x.size - 1))
 
 
 def _cmd_measure_check(config: dict):
@@ -322,7 +297,7 @@ def _cmd_measure_check(config: dict):
         sample = chordmeasure.sample_chords(ball, mc_n, seed)
         est = chordmeasure.integrate(sample, "F4", params)
         exact = chordmeasure.ball_moments(ball)[3]
-        se = sample.total_mass * _sample_std(sample.ell) / math.sqrt(mc_n)
+        se = sample.total_mass * float(np.std(sample.ell, ddof=1)) / math.sqrt(mc_n)
         z = (est - exact) / se
         body["monte_carlo"] = {
             "samples": mc_n,
@@ -420,6 +395,8 @@ def _cmd_negbound(config: dict):
 
 def _cmd_prince(config: dict):
     shape = config.get("shape")
+    if shape != "csv" and config.get("csv") is not None:
+        raise UsageError("--csv is only read with --shape csv")
     if shape == "disk":
         dom = littleprince.disk(config.get("r"))
     elif shape == "ellipse":

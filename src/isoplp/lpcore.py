@@ -296,17 +296,16 @@ def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
     return _violation(slack, x), _violation(reduced, y), gap, cs
 
 
-def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LPSolution:
+def solve(lp: LinearProgram) -> LPSolution:
     """Solve the LP; statuses: optimal, infeasible, unbounded, tolerance-failure.
 
-    The simplex `linprog` prices every column at tol and returns a basic
-    solution, exact to rounding.  tol also bounds the accepted feasibility/
-    stationarity residuals, each taken relative to the magnitude of the
-    arithmetic that produced it, and the acceptance test runs over every
-    column of the row matrix.
+    The simplex `linprog` prices every column at SOLVER_TOL, read at call
+    time, and returns a basic solution, exact to rounding.  SOLVER_TOL also
+    bounds the accepted feasibility/stationarity residuals, each taken
+    relative to the magnitude of the arithmetic that produced it, and the
+    acceptance test runs over every column of the row matrix.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
+    tol = SOLVER_TOL
     res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol, start=lp.start)
     if res.status != 0:
         status = _STATUS.get(res.status, "tolerance-failure")

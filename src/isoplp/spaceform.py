@@ -91,7 +91,6 @@ class BallGeometry:
     volume: float
     radius: float
     area: float
-    max_chord: float
 
 
 @dataclass(frozen=True)
@@ -375,7 +374,6 @@ def ball_from_radius(params: ModelParams, r: float) -> BallGeometry:
         volume=float(ball_volume(params, r)),
         radius=float(r),
         area=float(ball_area(params, r)),
-        max_chord=float(2.0 * r),
     )
 
 

@@ -100,7 +100,7 @@ def test_chord_density_positive_and_integrates_to_mass():
 
     for ball in (DISK, BALL4):
         total = quad(
-            lambda l: ball_chord_density(ball, l), 0.0, ball.max_chord, limit=300
+            lambda l: ball_chord_density(ball, l), 0.0, 2 * ball.radius, limit=300
         )[0]
         assert_allclose(total, discretize_ball_measure(ball, 200).total_mass, rtol=1e-8)
 
@@ -201,7 +201,7 @@ def test_monte_carlo_total_mass_matches_quadrature():
 def test_monte_carlo_angles_in_range(seed):
     s = sample_chords(DISK, 64, seed)
     assert np.all(s.alpha >= 0.0) and np.all(s.alpha <= math.pi / 2.0)
-    assert np.all(s.ell > 0.0) and np.all(s.ell <= DISK.max_chord)
+    assert np.all(s.ell > 0.0) and np.all(s.ell <= 2 * DISK.radius)
 
 
 @pytest.mark.parametrize("n_samples", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 100000])
@@ -221,8 +221,20 @@ def test_blocked_sample_matches_the_whole_array_draw(n, kappa, r, n_samples):
     assert np.array_equal(s.mass, np.full(n_samples, ball.area * sphere_volume(n - 2) / (n - 1) / n_samples))
 
 
+@pytest.mark.parametrize("n_samples", [2, 16385, 100000, 250001])
+def test_sample_mass_is_one_broadcast_value(n_samples):
+    # a read-only zero-stride view, which sums and integrates as its materialized copy does
+    s = sample_chords(BALL4, n_samples, 5)
+    assert s.mass.strides == (0,) and not s.mass.flags.writeable
+    full = DiscreteMeasure(s.ell, s.alpha, s.beta, np.array(s.mass))
+    assert full.mass.strides == (8,)
+    assert s.total_mass == full.total_mass
+    assert integrate(s, "F4", BALL4.params) == integrate(full, "F4", BALL4.params)
+
+
 def test_sample_of_100000_chords_stays_small():
-    # its three result arrays take 2.3 MiB; one whole-array pass added 2.3 MiB of temporaries
+    # its two result arrays, ell and alpha, take 1.5 MiB (the mass is one broadcast
+    # value); one whole-array pass added 2.3 MiB of temporaries
     ball = ball_from_radius(ModelParams(4, 1.0), 0.8)
     tracemalloc.start()
     try:

@@ -373,7 +373,6 @@ def test_graded_angle_rule_integrates_constants_and_cos(kappa, r):
 def test_ball_geometry_fields():
     ball = ball_from_radius(FLAT2, 2.0)
     assert isinstance(ball, BallGeometry)
-    assert_allclose(ball.max_chord, 4.0, rtol=1e-15)
     assert ball.params is FLAT2
 
 
