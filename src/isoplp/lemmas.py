@@ -15,15 +15,18 @@ the diagonal peak), gradient numerators of H (a 3-polynomial critical
 system), a seeded multistart Newton search for its roots, and a dense grid
 plus escape-ray verification that H >= 0.
 
-The gradient numerators are stored as exponent tables with coefficient
-vectors; their Jacobian and scale tables are derived from them once, and a
-table evaluates at many points in one pass.  The multistart iterates all
-starts in lockstep as one (n_starts, 3) array: each iteration makes one
-batched convergence test, one batched linear solve and a backtracking line
-search in two table passes, the full steps of all starts and then every
-shorter step of the starts the full step did not improve.  Per start it is
-the same damped Newton iteration, so its roots and counts do not depend on
-the batching.
+G and H are written once, as in-place kernels (_G_into, _H_into) that the
+public G and H and the grid scan all call; the scan writes H slab by slab
+into buffers allocated once.  The gradient numerators are stored as exponent
+tables with coefficient vectors; their Jacobian and scale tables are derived
+from them once, and a table evaluates at many points in one pass, forming
+its monomial products in place.  The multistart iterates all starts in
+lockstep as one (n_starts, 3) array: each iteration makes one batched
+convergence test, one batched linear solve and a backtracking line search in
+two table passes, the full steps of all starts and then every shorter step of
+the starts the full step did not improve.  Per start it is the same damped
+Newton iteration, so its roots and counts do not depend on the batching; the
+converged points are filtered by domain and Jacobian rank in one batch too.
 """
 
 from __future__ import annotations
@@ -93,14 +96,45 @@ def S_table(case: str, t):
     return s1, s0, sm1, sm2
 
 
+def _G_terms(case: str, t) -> tuple:
+    """G's factors in t alone: (8/3) arc(t), S0, s Sm1 and Sm2."""
+    s, arc, _ = _curvature(case)
+    _, s0, sm1, sm2 = S_table(case, t)
+    return (8.0 / 3.0) * arc(t), s0, s * sm1, sm2
+
+
+def _G_into(out, tmp, terms, pq, p_plus_q):
+    """G = ((8/3 arc(t) - (p q) S0) - (p + q)(s Sm1)) - Sm2, written into out.
+
+    terms come from _G_terms; pq = p q and p_plus_q = p + q broadcast against
+    them to out's shape, and tmp is scratch of out's shape.  This is the one
+    written form of G: the public G and H and the grid scan all evaluate it,
+    so every node's value is the same however its array was cut.
+    """
+    arc, s0, s_sm1, sm2 = terms
+    np.multiply(pq, s0, out=out)
+    np.subtract(arc, out, out=out)
+    np.subtract(out, np.multiply(p_plus_q, s_sm1, out=tmp), out=out)
+    return np.subtract(out, sm2, out=out)
+
+
+def _H_into(out, tmp, terms, pq, p_plus_q, peaks):
+    """H = peaks - 2 G into out, with peaks = G_diag_peak(p) + G_diag_peak(q)."""
+    _G_into(out, tmp, terms, pq, p_plus_q)
+    return np.subtract(peaks, np.multiply(out, 2.0, out=out), out=out)
+
+
+def _broadcast(t, p, q):
+    # the points as float arrays, and out and scratch arrays of their broadcast shape
+    t, p, q = (np.asarray(v, dtype=float) for v in (t, p, q))
+    shape = np.broadcast_shapes(t.shape, p.shape, q.shape)
+    return t, p, q, np.empty(shape), np.empty(shape)
+
+
 def G(case: str, t, p, q):
     """Substituted sup integrand (coefficients absorb the 9 tan^2 r scale)."""
-    s, arc, _ = _curvature(case)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _, s0, sm1, sm2 = S_table(case, t)
-    return (8.0 / 3.0) * arc(t) - p * q * s0 - (p + q) * (s * sm1) - sm2
+    t, p, q, out, tmp = _broadcast(t, p, q)
+    return _G_into(out, tmp, _G_terms(case, t), p * q, p + q)[()]
 
 
 def G_diag_peak(case: str, p):
@@ -119,7 +153,9 @@ def G_diag_peak(case: str, p):
 
 def H(case: str, t, p, q):
     """Admissibility defect; zero exactly on {p = q, 3pt = 1}, claimed >= 0."""
-    return G_diag_peak(case, p) + G_diag_peak(case, q) - 2.0 * G(case, t, p, q)
+    t, p, q, out, tmp = _broadcast(t, p, q)
+    peaks = G_diag_peak(case, p) + G_diag_peak(case, q)
+    return _H_into(out, tmp, _G_terms(case, t), p * q, p + q, peaks)[()]
 
 
 def _dG_dt_numerator(s: float, t, p, q):
@@ -203,7 +239,7 @@ def _ep(s: float) -> tuple:
 class _Table:
     """K polynomials in (t, p, q): exponents (K, M, 3) and coefficients (K, M).
 
-    Values at N points come out as (N, K).  Each term is formed as
+    Values at N points come out as (N, K).  Each term is formed in place as
     ((c t^i) p^j) q^k from the array powers column ** e and the terms are
     summed in row order.  Shorter polynomials are padded at the end with 0 t^0 p^0 q^0,
     which adds exactly zero.
@@ -211,7 +247,11 @@ class _Table:
 
     def __init__(self, exps: np.ndarray, coef: np.ndarray):
         self.exps, self.coef = exps, coef
-        self.used = [sorted({int(e) for e in exps[..., v].ravel()} - {0}) for v in range(3)]
+        # the power table holds a row of ones, then each (variable, power) the
+        # table uses; rows[..., v] is the row of each monomial's factor in v
+        self.powers = sorted({(v, int(e)) for v in range(3) for e in exps[..., v].ravel() if e})
+        row = {power: r for r, power in enumerate(self.powers, 1)}
+        self.rows = np.array([[[row.get((v, int(e)), 0) for v, e in enumerate(m)] for m in poly] for poly in exps])
 
     @classmethod
     def from_rows(cls, polys) -> _Table:
@@ -240,17 +280,21 @@ class _Table:
         return _Table(exps.reshape(3 * n_polys, width, 3), coef.reshape(3 * n_polys, width))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # pw[v, e] is variable v to the power e over the N points, so each monomial
-        # factor is one row gather and the terms come out as (K, M, N)
-        pw = np.ones((3, int(self.exps.max()) + 1, len(x)))
-        for v, used in enumerate(self.used):
-            for e in used:
-                pw[v, e] = x[:, v] ** e
-        e = self.exps
-        terms = self.coef[..., None] * pw[0][e[..., 0]] * pw[1][e[..., 1]] * pw[2][e[..., 2]]
+        # each monomial factor is one row gather from the power table over the N
+        # points, and the terms come out as (K, M, N)
+        pw = np.empty((len(self.powers) + 1, len(x)))
+        pw[0] = 1.0
+        for r, (v, e) in enumerate(self.powers, 1):
+            pw[r] = x[:, v] ** e
+        terms = np.take(pw, self.rows[..., 0], axis=0)
+        terms *= self.coef[..., None]
+        factor = np.empty_like(terms)
+        for v in (1, 2):
+            # mode="clip" gathers straight into factor; every row is in range
+            terms *= np.take(pw, self.rows[..., v], axis=0, out=factor, mode="clip")
         out = np.zeros((terms.shape[0], len(x)))
         for m in range(terms.shape[1]):
-            out = out + terms[:, m]
+            out += terms[:, m]
         return out.T
 
 
@@ -446,8 +490,9 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
     Starts are Philox(seed) uniform in the system's box and iterate in
     lockstep as one (n_starts, 3) array.  Singular Jacobians fall back to a
     Levenberg step; starts that still fail are discarded and counted.
-    Converged roots are filtered to the case's open domain, clustered with radius
-    1e-6, and annotated with their distance to the curve {p=q, 3pt=1}.
+    Converged roots are filtered to the case's open domain and to Jacobian
+    rank 2, all in one batch, clustered with radius 1e-6, and annotated with
+    their distance to the curve {p=q, 3pt=1}.
     """
     lows = np.array([b[0] for b in system.box])
     highs = np.array([b[1] for b in system.box])
@@ -458,28 +503,21 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
     n_singular = int(np.count_nonzero(outcome == _SINGULAR))
     n_stalled = int(np.count_nonzero(outcome == _STALLED))
 
+    # The deflated polynomials have higher-order zeros on the closure of the
+    # domain (hyperbolic corner t=1, p=q=1/3) where a whole blob of points
+    # evaluates below machine precision without being critical points of
+    # anything.  A genuine root sits on the 1-d curve of minimizers, so the
+    # Jacobian has rank exactly 2 there; an isolated off-curve root would
+    # have rank 3.  Rank < 2 means the "root" came from the degenerate closure
+    # and cannot be certified.  Domain and rank are tested for all converged
+    # points at once: one Jacobian and scale table call and one stacked SVD.
     _, _, (t_hi, p_lo) = _curvature(system.case)
-    n_out = n_degenerate = 0
-    kept = []
-    for x in converged:
-        t, p, q = (float(v) for v in x)
-        if not (1e-8 < t < t_hi - 1e-10 and min(p, q) > max(p_lo, 1e-8)):
-            n_out += 1
-            continue
-        # The deflated polynomials have higher-order zeros on the closure of
-        # the domain (hyperbolic corner t=1, p=q=1/3) where a whole blob of
-        # points evaluates below machine precision without being critical
-        # points of anything.  A genuine root sits on the 1-d curve of
-        # minimizers, so the Jacobian has rank exactly 2 there; an isolated
-        # off-curve root would have rank 3.  Rank < 2 means the "root" came
-        # from the degenerate closure and cannot be certified.
-        sv = np.linalg.svd(system.jacobian(t, p, q), compute_uv=False)
-        if sv[1] <= 1e-6 * max(sv[0], float(np.max(system.scale(t, p, q)))):
-            n_degenerate += 1
-            continue
-        kept.append((t, p, q))
+    t, p, q = converged.T
+    inside = converged[(1e-8 < t) & (t < t_hi - 1e-10) & (np.minimum(p, q) > max(p_lo, 1e-8))]
+    sv = np.linalg.svd(system._jacobian(inside).reshape(-1, 3, 3), compute_uv=False)
+    degenerate = sv[:, 1] <= 1e-6 * np.maximum(sv[:, 0], system._scale(inside).max(axis=1))
+    kept = sorted(tuple(float(v) for v in x) for x in inside[~degenerate])
 
-    kept.sort()
     clusters: list[list] = []
     for pt in kept:
         for cl in clusters:
@@ -489,19 +527,20 @@ def solve_critical_points(system: PolySystem, n_starts: int = 1000, seed: int = 
         else:
             clusters.append([pt])
 
-    roots = []
-    for cl in clusters:
-        t, p, q = cl[0]
-        res = float(np.max(np.abs(system.eval(t, p, q) / system.scale(t, p, q))))
-        roots.append(CriticalPoint(t, p, q, res, curve_distance(t, p, q), len(cl)))
+    # each cluster's residual, max |F| / scale at its first point: one values and one scale call for all
+    firsts = np.array([cl[0] for cl in clusters]).reshape(-1, 3)
+    residuals = np.max(np.abs(system._values(firsts) / system._scale(firsts)), axis=1)
+    roots = [
+        CriticalPoint(*cl[0], float(res), curve_distance(*cl[0]), len(cl)) for cl, res in zip(clusters, residuals)
+    ]
     return CriticalSearchResult(
         roots=roots,
         n_starts=n_starts,
         n_converged=len(converged),
         n_singular=n_singular,
         n_stalled=n_stalled,
-        n_out_of_domain=n_out,
-        n_degenerate=n_degenerate,
+        n_out_of_domain=len(converged) - len(inside),
+        n_degenerate=len(inside) - len(kept),
     )
 
 
@@ -573,17 +612,50 @@ def _ray_family(case: str):
     )
 
 
+def _H_slabs(case: str, ts, ps, qs, rows: int, cols: int):
+    """H on slabs of the grid ts x ps x qs, as a function of slices (t, p).
+
+    The function returns H on ts[t] x ps[p] x qs, for t and p of at most rows
+    and cols nodes, as a view of a buffer allocated once here and overwritten
+    by the next call.  G's t-factors and the diagonal peaks are taken once per
+    node; the (p, q) tables p q, p + q and the summed peaks are taken for cols
+    p-nodes, again only when p changes.
+    """
+    terms = _G_terms(case, ts)
+    peak_p, peak_q = G_diag_peak(case, ps), G_diag_peak(case, qs)
+    out, tmp = np.empty((2, rows * cols * len(qs)))
+    tables = np.empty((3, cols * len(qs)))
+    block = None
+
+    def slab(t: slice, p: slice) -> np.ndarray:
+        nonlocal block
+        n_t, n_p = len(ts[t]), len(ps[p])
+        pq, p_plus_q, peaks = tables[:, :n_p * len(qs)].reshape(3, n_p, len(qs))
+        if p != block:
+            block = p
+            np.multiply(ps[p, None], qs, out=pq)
+            np.add(ps[p, None], qs, out=p_plus_q)
+            np.add(peak_p[p, None], peak_q, out=peaks)
+        o, w = (a[:n_t * n_p * len(qs)].reshape(n_t, n_p, len(qs)) for a in (out, tmp))
+        return _H_into(o, w, tuple(x[t, None, None] for x in terms), pq, p_plus_q, peaks)
+
+    return slab
+
+
 def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     """Dense-grid minimum of H on a grid^3 grid plus liminf >= 0 along 8 escape rays.
 
-    The grid is scanned in slabs of consecutive t-rows, about 2^17 nodes
-    each, so memory stays bounded by the slab rather than growing like
-    grid^3.  Every node's value is the same as in one whole-grid broadcast,
-    and a slab's minimum replaces the running one only if it is strictly
-    smaller, or is the first NaN: ties in the argmin go to the
-    lexicographically smallest index, and a NaN wins (and fails the check)
-    exactly as in np.argmin over the whole grid.  The argmin is annotated
-    with its distance to the vanishing curve.
+    The grid is scanned in slabs of at most about 2^15 nodes (256 KB of
+    float64, about an L2 cache): consecutive t-rows while a t-row fits, and
+    above grid = 181, where a t-row alone holds more, consecutive p-blocks of
+    one t-row.  Each slab is a run of consecutive flat indices, and the slabs
+    come in flat-index order.  H is written in place into buffers allocated
+    once, in the operation order of G and H, so memory stays that of a few
+    slabs at any grid and every node's value is the one H gives.  A slab's
+    minimum replaces the running one only if it is strictly smaller, or is the
+    first NaN: ties in the argmin go to the smallest flat index, and a NaN wins
+    (and fails the check) exactly as in np.argmin over the whole grid.  The
+    argmin is annotated with its distance to the vanishing curve.
     """
     _check_case(case)
     if grid < 2:
@@ -593,14 +665,18 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     ts = np.linspace(t0, t1, grid)
     ps = np.linspace(p0, p1, grid)
     qs = np.linspace(q0, q1, grid)
-    rows = max(1, 2 ** 17 // grid ** 2)
+    budget = 2 ** 15
+    rows = min(grid, max(1, budget // grid ** 2))
+    cols = min(grid, max(1, budget // grid))
+    slab_at = _H_slabs(case, ts, ps, qs, rows, cols)
     min_value, (it, ip, iq) = math.inf, (0, 0, 0)
     for i in range(0, grid, rows):
-        slab = H(case, ts[i:i + rows, None, None], ps[None, :, None], qs[None, None, :])
-        jt, jp, jq = np.unravel_index(int(np.argmin(slab)), slab.shape)
-        v = float(slab[jt, jp, jq])
-        if v < min_value or (math.isnan(v) and not math.isnan(min_value)):
-            min_value, (it, ip, iq) = v, (i + jt, jp, jq)
+        for j in range(0, grid, cols):
+            slab = slab_at(slice(i, i + rows), slice(j, j + cols))
+            jt, jp, jq = np.unravel_index(int(np.argmin(slab)), slab.shape)
+            v = float(slab[jt, jp, jq])
+            if v < min_value or (math.isnan(v) and not math.isnan(min_value)):
+                min_value, (it, ip, iq) = v, (i + jt, j + jp, jq)
     argmin = (float(ts[it]), float(ps[ip]), float(qs[iq]))
     rays = []
     for label, rt, rp, rq in _ray_family(case):

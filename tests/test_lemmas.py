@@ -106,6 +106,24 @@ def test_H_vanishes_on_curve(case, s_lo):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_G_and_H_keep_their_operation_order(case):
+    # the in-place kernels give the plain expressions of G and H bit for bit,
+    # on broadcast arrays, and a scalar at a scalar point
+    s, arc, _ = lemmas._curvature(case)
+    t = np.linspace(0.03, 0.97, 11)[:, None, None]
+    p = np.linspace(0.4, 5.0, 7)[None, :, None]
+    q = np.linspace(0.35, 6.0, 5)[None, None, :]
+    _, s0, sm1, sm2 = S_table(case, t)
+    g = (8.0 / 3.0) * arc(t) - p * q * s0 - (p + q) * (s * sm1) - sm2
+    h = G_diag_peak(case, p) + G_diag_peak(case, q) - 2.0 * g
+    assert np.array_equal(G(case, t, p, q), g)
+    assert np.array_equal(H(case, t, p, q), h)
+    point = float(t[3, 0, 0]), float(p[0, 2, 0]), float(q[0, 0, 1])
+    assert np.ndim(H(case, *point)) == 0 and H(case, *point) == h[3, 2, 1]
+    assert np.ndim(G(case, *point)) == 0 and G(case, *point) == g[3, 2, 1]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_H_nonneg_on_grid(case):
     report = verify_H_nonneg(case, grid=60)
     assert report.passed
@@ -116,9 +134,13 @@ def test_H_nonneg_on_grid(case):
     assert report.argmin_curve_distance < 0.1
 
 
-def _whole_grid(case, grid):
+def _axes(case, grid):
     (t0, t1), (p0, p1), (q0, q1) = default_grid_ranges(case)
-    axes = np.linspace(t0, t1, grid), np.linspace(p0, p1, grid), np.linspace(q0, q1, grid)
+    return np.linspace(t0, t1, grid), np.linspace(p0, p1, grid), np.linspace(q0, q1, grid)
+
+
+def _whole_grid(case, grid):
+    axes = _axes(case, grid)
     return axes, H(case, axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :])
 
 
@@ -136,22 +158,29 @@ def test_slab_scan_matches_the_whole_grid_argmin(case, grid):
 
 
 def _patched_grid(monkeypatch, case, grid, vals):
-    """Make lemmas.H read vals on 3-D grid slabs; the 1-D rays keep the real H."""
-    ts = _whole_grid(case, grid)[0][0]
-    real_H, slabs = lemmas.H, []
+    """Make the grid slabs read vals; the 1-D rays keep the real H.
 
-    def fake(which, t, p, q):
-        if np.ndim(t) != 3:
-            return real_H(which, t, p, q)
-        rows = np.searchsorted(ts, t[:, 0, 0])
-        slabs.append(rows)
-        return vals[rows].copy()
+    vals is a whole grid^3 array, or a function of the slab's broadcast node
+    indices (t, p, q) where a whole grid would not fit in memory.  Returns the
+    report and, per slab, its t-rows and p-nodes.
+    """
+    value = vals if callable(vals) else (lambda *node: vals[node])
+    slabs = []
 
-    monkeypatch.setattr(lemmas, "H", fake)
+    def slabs_of(which, ts, ps, qs, rows, cols):
+        def slab(t, p):
+            it, ip = np.arange(grid)[t], np.arange(grid)[p]
+            slabs.append((it, ip))
+            return value(it[:, None, None], ip[None, :, None], np.arange(grid)[None, None, :])
+
+        return slab
+
+    monkeypatch.setattr(lemmas, "_H_slabs", slabs_of)
     report = verify_H_nonneg(case, grid)
-    # the slabs cover the t-rows once, in order, in more than one call
+    # the slabs cover the (t, p) rows once, in flat order, in more than one call
     assert len(slabs) > 1
-    assert np.array_equal(np.concatenate(slabs), np.arange(grid))
+    pairs = np.concatenate([(it[:, None] * grid + ip).ravel() for it, ip in slabs])
+    assert np.array_equal(pairs, np.arange(grid * grid))
     return report, slabs
 
 
@@ -172,7 +201,7 @@ def test_slab_scan_keeps_the_earlier_slab_on_a_repeated_minimum(monkeypatch, cas
     vals[1, 5, 5] = -2.0
     vals[-1, 0, 0] = -2.0  # a later slab, earlier within its slab
     report, slabs = _patched_grid(monkeypatch, case, grid, vals)
-    assert 1 in slabs[0] and grid - 1 not in slabs[0]
+    assert 1 in slabs[0][0] and grid - 1 not in slabs[0][0]
     assert report.min_value == -2.0
     assert report.argmin == (axes[0][1], axes[1][5], axes[2][5])
 
@@ -189,27 +218,94 @@ def test_slab_scan_fails_on_a_nan(monkeypatch, case, nans):
         vals[node] = np.nan
     report, slabs = _patched_grid(monkeypatch, case, grid, vals)
     # the last NaN lies in the last slab; a second NaN lies in an earlier one
-    assert nans[-1][0] in slabs[-1]
-    assert (nans[0][0] in slabs[-1]) == (len(nans) == 1)
+    assert nans[-1][0] in slabs[-1][0]
+    assert (nans[0][0] in slabs[-1][0]) == (len(nans) == 1)
     assert math.isnan(report.min_value)
     assert report.argmin == tuple(float(axis[i]) for axis, i in zip(axes, nans[0]))
     assert report.rays_ok
     assert not report.passed
 
 
+# past grid 181 one t-row holds more than the 2^15-node slab budget
+SPLIT_GRID = 200
+
+
+def _flat_nodes(grid, *nodes):
+    return [(t * grid + p) * grid + q for t, p, q in nodes]
+
+
+@pytest.mark.parametrize(
+    "minima,nans,winner",
+    [
+        # a minimum in the second p-block of t-row 0 beats a repeat in a later
+        # slab, which comes first within its slab, and a later one in its own block
+        ([(0, 170, 5), (1, 0, 0), (0, 199, 2)], [], (0, 170, 5)),
+        # the first NaN in flat order wins over an earlier minimum and a later NaN
+        ([(0, 0, 0)], [(3, 180, 1), (3, 10, 2), (150, 0, 0)], (3, 10, 2)),
+    ],
+)
+@pytest.mark.parametrize("case", CASES)
+def test_slab_scan_splits_a_t_row_past_the_budget(monkeypatch, case, minima, nans, winner):
+    grid = SPLIT_GRID
+    low, nan = _flat_nodes(grid, *minima), _flat_nodes(grid, *nans)
+
+    def vals(it, ip, iq):
+        flat = (it * grid + ip) * grid + iq
+        return np.where(np.isin(flat, nan), np.nan, np.where(np.isin(flat, low), -2.0, 1.0))
+
+    report, slabs = _patched_grid(monkeypatch, case, grid, vals)
+    # each t-row is cut into p-blocks, and no slab grows past the budget
+    cols = 2 ** 15 // grid
+    assert [len(it) for it, _ in slabs] == [1] * (2 * grid)
+    assert [len(ip) for _, ip in slabs] == [cols, grid - cols] * grid
+    assert max(len(it) * len(ip) * grid for it, ip in slabs) <= 2 ** 15
+    assert report.argmin == tuple(float(axis[i]) for axis, i in zip(_axes(case, grid), winner))
+    assert math.isnan(report.min_value) if nans else report.min_value == -2.0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_split_rows_match_a_row_by_row_scan(case):
+    grid = SPLIT_GRID
+    ts, ps, qs = _axes(case, grid)
+    min_value, node = math.inf, None
+    for i, t in enumerate(ts):
+        row = H(case, t, ps[:, None], qs[None, :])
+        j = np.unravel_index(int(np.argmin(row)), row.shape)
+        if row[j] < min_value:
+            min_value, node = float(row[j]), (i, *j)
+    report = verify_H_nonneg(case, grid)
+    assert report.min_value == min_value
+    assert report.argmin == (ts[node[0]], ps[node[1]], qs[node[2]])
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("grid", [120, 240])
 @pytest.mark.parametrize("case", CASES)
 def test_H_grid_stays_small(case, grid):
     # one whole-grid broadcast holds two grid^3 float arrays, 26.6 MB at 120 and
-    # about 8 times that at 240; a slab of about 2^17 nodes does not grow with grid^3
-    tracemalloc.start()
-    try:
-        report = verify_H_nonneg(case, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # about 8 times that at 240; the in-place scan keeps two slab buffers and
+    # three (p, q) tables of at most 2^15 nodes each, 0.95 MB at 120 and 1.49 MB
+    # at 240 with numpy 2.4
+    report, peak = _traced_peak(verify_H_nonneg, case, grid)
     assert report.passed
-    assert peak < 6e6
+    assert peak < 1.6e6
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_multistart_stays_small(case):
+    # the benchmark's run; the monomial terms are formed in place in two
+    # (K, M, N) arrays: 0.74 MB spherical and 1.14 MB hyperbolic with numpy 2.4
+    result, peak = _traced_peak(solve_critical_points, critical_system(case), 250, seed=1)
+    assert result.roots
+    assert peak < 1.2e6
 
 
 def test_dG_dt_matches_finite_difference():
@@ -269,6 +365,25 @@ def test_gradient_numerator_values_at_unit_point():
     _, dp, dq = gradient_of_H(system, 1.0, 1.0, 1.0)
     assert_allclose(dp, (8.0 / 3.0) * 848.0 / 800.0, rtol=1e-15)
     assert_allclose(dq, dp, rtol=1e-15)
+
+
+def test_tables_sum_each_term_in_row_order():
+    # each term is ((c t^i) p^j) q^k, and the terms of a polynomial are added
+    # one by one in row order from 0.0: in a batch and at a single point alike
+    system = critical_system("hyperbolic")
+    x = np.array([[0.3, 0.7, 1.9], [0.81, 2.4, 0.45], [0.5, 1.0, 1.0], [-0.2, 3.0, -1.5]])
+    powers = [[x[:, v] ** e for e in range(7)] for v in range(3)]
+    for table in (system._values, system._jacobian, system._abs):
+        batch = table(x)
+        for n in range(len(x)):
+            ref = []
+            for exps, coef in zip(table.exps, table.coef):
+                total = 0.0
+                for (i, j, k), c in zip(exps, coef):
+                    total += c * powers[0][i][n] * powers[1][j][n] * powers[2][k][n]
+                ref.append(total)
+            assert batch[n].tolist() == ref
+            assert table(x[n:n + 1])[0].tolist() == ref
 
 
 def test_polysystem_jacobian_matches_finite_difference():
@@ -494,6 +609,49 @@ def test_multistart_root_coordinates_pinned(case, first, last):
     roots = solve_critical_points(critical_system(case), n_starts=250, seed=1).roots
     assert_allclose((roots[0].t, roots[0].p, roots[0].q), first, rtol=0, atol=1e-12)
     assert_allclose((roots[-1].t, roots[-1].p, roots[-1].q), last, rtol=0, atol=1e-12)
+
+
+def _per_point_filter(system, points):
+    """Domain and rank filter one converged point at a time, through the public API."""
+    _, _, (t_hi, p_lo) = lemmas._curvature(system.case)
+    n_out = n_degenerate = 0
+    kept = []
+    for t, p, q in points:
+        if not (1e-8 < t < t_hi - 1e-10 and min(p, q) > max(p_lo, 1e-8)):
+            n_out += 1
+            continue
+        sv = np.linalg.svd(system.jacobian(t, p, q), compute_uv=False)
+        if sv[1] <= 1e-6 * max(sv[0], float(np.max(system.scale(t, p, q)))):
+            n_degenerate += 1
+            continue
+        kept.append((t, p, q))
+    return kept, n_out, n_degenerate
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_batched_root_filter_matches_the_per_point_api(case):
+    # the benchmark's run: the batched domain and rank filter and the batched
+    # residuals equal the public scalar API at every point, bit for bit
+    system = critical_system(case)
+    result = solve_critical_points(system, n_starts=250, seed=1)
+    lows, highs = np.array(system.box).T
+    starts = lows + np.random.Generator(np.random.Philox(key=1)).random((250, 3)) * (highs - lows)
+    points, outcome = _lockstep_newton(system, starts)
+    converged = [tuple(float(v) for v in x) for x in points[outcome == _CONVERGED]]
+    kept, n_out, n_degenerate = _per_point_filter(system, converged)
+    assert (result.n_out_of_domain, result.n_degenerate) == (n_out, n_degenerate)
+    assert sum(r.n_merged for r in result.roots) == len(kept)
+    for r in result.roots:
+        assert (r.t, r.p, r.q) in kept
+        assert r.residual == float(np.max(np.abs(system.eval(r.t, r.p, r.q) / system.scale(r.t, r.p, r.q))))
+
+
+def test_multistart_with_no_converged_start():
+    # seed 1's one spherical start stalls: an empty batch of converged points
+    result = solve_critical_points(critical_system("spherical"), n_starts=1, seed=1)
+    assert result.roots == []
+    assert result.n_converged == result.n_out_of_domain == result.n_degenerate == 0
+    assert result.n_converged + result.n_singular + result.n_stalled == result.n_starts == 1
 
 
 def _per_start_multistart(system, n_starts, seed):
