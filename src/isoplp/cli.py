@@ -364,7 +364,7 @@ def _cmd_negbound(config: dict):
     n_nodes = config.get("grid")
     tol = config.get("tol")
     tols = {"relative": tol, "model_spectrum_margin": 1e-9}
-    small = negbound.smallness_ok(negbound.SmallnessInput(-1.0, r, r))
+    small = negbound.smallness_ok(-1.0, r, r)
     meas4, meas2 = (
         chordmeasure.discretize_ball_measure(spaceform.ball_from_radius(spaceform.ModelParams(n, -1.0), r), n_nodes)
         for n in (4, 2)

@@ -32,7 +32,7 @@ converged points are filtered by domain and Jacobian rank in one batch too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,12 @@ def H(case: str, t, p, q):
 
 
 def _dG_dt_numerator(s: float, t, p, q):
-    """12 p q t^4 - 8 (p + q) t^3 + (4 - 12 s p q) t^2 + 4 s/3, the quartic numerator of dG/dt."""
+    """12 p q t^4 - 8 (p + q) t^3 + (4 - 12 s p q) t^2 + 4 s/3, the quartic numerator of dG/dt.
+
+    The critical system's t-numerator _et is the same polynomial times 3/4,
+    written as monomial rows.  Each form keeps its own arithmetic: this one
+    fixes the factorization residual, _et's rows fix the multistart.
+    """
     return 12.0 * (p * q) * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * (p * q)) * t ** 2 + s * 4.0 / 3.0
 
 
@@ -228,6 +233,7 @@ def dGdp_identity(case: str, p: float) -> DGdpCheck:
 # formulas above, each table is written once in the curvature sign s.
 
 def _et(s: float) -> tuple:
+    """9 p q t^4 - 6 (p + q) t^3 + (3 - 9 s p q) t^2 + s: 3/4 of _dG_dt_numerator, in rows."""
     return ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, -9.0 * s), (0, 0, 0, s))
 
 
@@ -298,51 +304,25 @@ class _Table:
         return out.T
 
 
-def _points(t, p, q) -> tuple[np.ndarray, tuple]:
-    t, p, q = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, p, q)))
-    return np.stack([t.ravel(), p.ravel(), q.ravel()], axis=1), t.shape
-
-
-@dataclass(frozen=True)
 class PolySystem:
     """Gradient numerators of H: three polynomials in (t, p, q) with search box.
 
     Each polynomial is a sequence of monomial rows (i, j, k, c), meaning
-    c t^i p^j q^k.  They are stored as one exponent table and one coefficient
-    table, from which the Jacobian and scale tables are derived once.
-    ``eval``, ``jacobian`` and ``scale`` broadcast scalars or arrays.
+    c t^i p^j q^k.  They are kept as the three tables that
+    solve_critical_points evaluates at (N, 3) points: _values, the (N, 3)
+    numerators; _jacobian, the (N, 9) derivatives, column 3r + v holding
+    d(numerator r)/d(variable v); and _abs, the numerators with |c|, from
+    which _scale gives 1 + sum of |c| |t|^i |p|^j |q|^k per numerator.
     """
 
-    case: str
-    polys: tuple
-    box: tuple[tuple[float, float], ...]
-    _values: _Table = field(init=False, repr=False, compare=False)
-    _jacobian: _Table = field(init=False, repr=False, compare=False)
-    _abs: _Table = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        values = _Table.from_rows(self.polys)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_jacobian", values.derivatives())
-        object.__setattr__(self, "_abs", _Table(values.exps, np.abs(values.coef)))
+    def __init__(self, case: str, polys: tuple, box: tuple[tuple[float, float], ...]):
+        self.case, self.box = case, box
+        self._values = _Table.from_rows(polys)
+        self._jacobian = self._values.derivatives()
+        self._abs = _Table(self._values.exps, np.abs(self._values.coef))
 
     def _scale(self, x: np.ndarray) -> np.ndarray:
         return 1.0 + self._abs(np.abs(x))
-
-    def eval(self, t, p, q) -> np.ndarray:
-        """The three numerators, shape (3, *broadcast shape)."""
-        x, shape = _points(t, p, q)
-        return self._values(x).T.reshape(3, *shape)
-
-    def jacobian(self, t, p, q) -> np.ndarray:
-        """d(numerator r)/d(variable v) at [r, v], shape (3, 3, *broadcast shape)."""
-        x, shape = _points(t, p, q)
-        return self._jacobian(x).T.reshape(3, 3, *shape)
-
-    def scale(self, t, p, q) -> np.ndarray:
-        """1 + sum of |c| |t|^i |p|^j |q|^k per numerator, shape (3, *broadcast shape)."""
-        x, shape = _points(t, p, q)
-        return self._scale(x).T.reshape(3, *shape)
 
 
 def critical_system(case: str) -> PolySystem:
@@ -583,7 +563,8 @@ class HNonnegReport:
 
 
 def _ray_family(case: str):
-    k = np.arange(40, dtype=float)
+    # the 12 far nodes k = 28..39 of each ray, over which H's minimum is the ray's tail_min
+    k = np.arange(28, 40, dtype=float)
     if case == "spherical":
         small = 0.02 * 10.0 ** (-k / 5.0)
         big = 4.0 * 10.0 ** (k / 6.0)
@@ -680,8 +661,7 @@ def verify_H_nonneg(case: str, grid: int = 120) -> HNonnegReport:
     argmin = (float(ts[it]), float(ps[ip]), float(qs[iq]))
     rays = []
     for label, rt, rp, rq in _ray_family(case):
-        tail = H(case, rt, rp, rq)[-12:]
-        tail_min = float(np.min(tail))
+        tail_min = float(np.min(H(case, rt, rp, rq)))
         rays.append(RayCheck(label=label, tail_min=tail_min, passed=bool(tail_min >= H_FLOOR)))
     return HNonnegReport(
         min_value=min_value,

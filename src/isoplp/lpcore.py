@@ -155,7 +155,7 @@ class LPSolution:
 class _SimplexResult:
     """What `linprog` returns: the result fields that `solve` and its tracers read."""
 
-    status: int  # 0 optimal, 1 pivot cap reached, 2 infeasible, 3 unbounded, 4 numerical trouble
+    status: str  # optimal | infeasible | unbounded | tolerance-failure, as in LPSolution
     nit: int  # pivots over both phases
     x: np.ndarray | None = None
     fun: float | None = None
@@ -193,7 +193,8 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
     one reduced-cost buffer; artificials never enter.  Dantzig's rule picks
     the entering column, and the ratio test takes the largest pivot among
     tied rows; after _DEGENERATE_RUN degenerate pivots in a row, Bland's
-    rule takes over for both choices.
+    rule takes over for both choices.  The status is optimal, unbounded, or
+    tolerance-failure at the pivot budget.
     """
     m, n = A_ub.shape
     pivots = degenerate = 0
@@ -209,13 +210,13 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
         bland = degenerate >= _DEGENERATE_RUN
         q = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
         if reduced[q] >= -tol:
-            return 0, pivots, x_B, y
+            return "optimal", pivots, x_B, y
         if pivots == budget:
-            return 1, pivots, x_B, y
+            return "tolerance-failure", pivots, x_B, y
         u = np.linalg.solve(B, A_ub[:, q] if q < n else np.eye(m)[q - n])
         rows = np.flatnonzero(u > 1e-9 * np.max(np.abs(u)))
         if rows.size == 0:
-            return 3, pivots, x_B, y
+            return "unbounded", pivots, x_B, y
         # basic values at rounding level count as zero, so degenerate ties are exact
         level = np.where(x_B > 1e-12 * (1.0 + np.max(np.abs(x_B))), x_B, 0.0)
         ratio = level[rows] / u[rows]
@@ -230,8 +231,10 @@ def _pivot(A_ub, b_ub, cost, basis, tol, budget):
 def linprog(c, A_ub, b_ub, tol, start=None):
     """min c . x subject to A_ub x <= b_ub, x >= 0: a two-phase revised simplex.
 
-    Keywords, result fields and status codes follow the usual `linprog`
-    convention (see _SimplexResult).  A_ub is a dense array or SeparableRows.
+    Keywords and the result fields nit and x follow the usual `linprog`
+    convention; the status is the LP's own (see _SimplexResult), and a pivot
+    cap or a ray in phase 1, which is bounded below by 0, is a
+    tolerance-failure.  A_ub is a dense array or SeparableRows.
     `solve` passes its rows A x >= b as A_ub = -A, so a slack here is a
     surplus column -e_i of the >= form.  tol is the pricing tolerance and,
     relative to the magnitude of the row arithmetic, the phase-1 feasibility
@@ -250,15 +253,13 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     if violated.any():
         cost = np.concatenate([np.zeros(n + m), np.ones(m)])
         status, nit, x_B, _ = _pivot(A_ub, b_ub, cost, basis, tol, budget)
-        if status == 3:
-            status = 4  # phase 1 is bounded below by 0, so a ray is numerical trouble
-        if status != 0:
-            return _SimplexResult(status, nit)
+        if status != "optimal":
+            return _SimplexResult("tolerance-failure", nit)
         used = basis < n
         columns, values = A_ub[:, basis[used]], x_B[used]
         scale = 1.0 + np.max(np.abs(b_ub)) + np.max(np.abs(columns) @ np.abs(values), initial=0.0)
         if np.max(columns @ values - b_ub) > tol * scale:
-            return _SimplexResult(2, nit)
+            return _SimplexResult("infeasible", nit)
         for p in np.flatnonzero(basis >= n + m):
             # row p of the basis inverse; a slack with a nonzero entry there replaces the artificial
             z = np.linalg.solve(_basis_matrix(A_ub, basis).T, np.eye(m)[p])
@@ -268,16 +269,12 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     cost = np.concatenate([c, np.zeros(2 * m)])
     status, pivots, x_B, y = _pivot(A_ub, b_ub, cost, basis, tol, budget - nit)
     nit += pivots
-    if status != 0:
+    if status != "optimal":
         return _SimplexResult(status, nit)
     x = np.zeros(n)
     used = basis < n
     x[basis[used]] = x_B[used]
-    return _SimplexResult(0, nit, x, float(c[basis[used]] @ x_B[used]), y)
-
-
-# linprog statuses that describe the LP rather than the solve
-_STATUS = {2: "infeasible", 3: "unbounded"}
+    return _SimplexResult("optimal", nit, x, float(c[basis[used]] @ x_B[used]), y)
 
 
 def _violation(*arrays) -> float:
@@ -307,9 +304,8 @@ def solve(lp: LinearProgram) -> LPSolution:
     """
     tol = SOLVER_TOL
     res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol, start=lp.start)
-    if res.status != 0:
-        status = _STATUS.get(res.status, "tolerance-failure")
-        return LPSolution(status, None, None, None, math.inf, math.inf, math.inf, math.inf)
+    if res.status != "optimal":
+        return LPSolution(res.status, None, None, None, math.inf, math.inf, math.inf, math.inf)
 
     x = res.x
     # each surplus column is priced, so y >= -tol; the rounding-level

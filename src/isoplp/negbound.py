@@ -29,7 +29,6 @@ from .spaceform import (
 )
 
 __all__ = [
-    "SmallnessInput",
     "SmallnessCheck",
     "CounterexampleResult",
     "CH2_SPECTRUM",
@@ -49,34 +48,25 @@ CH2_SPECTRUM = CurvatureSpectrum((-9.0 / 4.0, -9.0 / 16.0, -9.0 / 16.0))
 
 
 @dataclass(frozen=True)
-class SmallnessInput:
-    """Curvature bound kappa < 0, max geodesic length L, comparison radius r."""
-
-    kappa: float
-    L: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (self.kappa < 0.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be negative and finite, got {self.kappa}")
-        if not (self.L > 0.0 and self.r > 0.0):
-            raise ValueError("L and r must be positive")
-
-
-@dataclass(frozen=True)
 class SmallnessCheck:
     ok: bool
     margin: float
     product: float
 
 
-def smallness_ok(inp: SmallnessInput) -> SmallnessCheck:
+def smallness_ok(kappa: float, L: float, r: float) -> SmallnessCheck:
     """tanh(L sqrt(-kappa)) * tanh(r sqrt(-kappa)) <= 1/2, with its margin.
 
-    The product is invariant under (kappa, L, r) -> (lam^2 kappa, L/lam, r/lam).
+    kappa < 0 is the curvature bound, L the maximal geodesic length and r the
+    comparison radius; ValueError otherwise.  The product is invariant under
+    (kappa, L, r) -> (lam^2 kappa, L/lam, r/lam).
     """
-    rt = math.sqrt(-inp.kappa)
-    product = math.tanh(inp.L * rt) * math.tanh(inp.r * rt)
+    if not (kappa < 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be negative and finite, got {kappa}")
+    if not (L > 0.0 and r > 0.0):
+        raise ValueError("L and r must be positive")
+    rt = math.sqrt(-kappa)
+    product = math.tanh(L * rt) * math.tanh(r * rt)
     return SmallnessCheck(ok=product <= 0.5, margin=0.5 - product, product=product)
 
 

@@ -189,6 +189,26 @@ def test_profile_csv_format(capsys):
     assert fields[2] == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
 
 
+def test_key_value_csv_format(capsys):
+    # a report without rows is written as sorted key,value lines of its
+    # dotted paths, one per leaf of the JSON report
+    def leaves(obj, prefix=""):
+        if isinstance(obj, dict):
+            return [leaf for k, v in obj.items() for leaf in leaves(v, f"{prefix}{k}.")]
+        return [(prefix[:-1], str(obj))]
+
+    argv = ("prince", "--shape", "disk")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "key,value"
+    pairs = [tuple(line.split(",", 1)) for line in lines]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert pairs == sorted(leaves(json.loads(out)))
+    assert ("report.area", repr(math.pi)) in pairs and ("passed", "True") in pairs
+
+
 def test_lp_flat_disk(capsys):
     code, out, _ = run_cli(
         capsys, "lp", "--dim", "2", "--kappa", "0", "--radius", "1", "--grid", "40x20"

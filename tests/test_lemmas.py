@@ -319,12 +319,44 @@ def test_dG_dt_matches_finite_difference():
             assert_allclose(dG_dt(case, t, p, q), fd, rtol=1e-7, atol=1e-7)
 
 
+def _at(table, x):
+    """A table of the system at one point x = (t, p, q), as a batch of one.
+
+    A table sums each row on its own, so this row is the point's value in
+    any batch (test_tables_sum_each_term_in_row_order).
+    """
+    return table(np.array([x], dtype=float))[0]
+
+
+def _values(system, x):
+    return _at(system._values, x)
+
+
+def _jacobian(system, x):
+    """d(numerator r)/d(variable v) at [r, v]."""
+    return _at(system._jacobian, x).reshape(3, 3)
+
+
+def _scale(system, x):
+    return _at(system._scale, x)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_t_numerator_is_three_quarters_of_dG_dt_numerator(case):
+    # _et and _dG_dt_numerator are one quartic written twice; on 2,000 seeded
+    # points of the search box they agree to rounding of the scale 1 + sum |terms|
+    s, _, _ = lemmas._curvature(case)
+    system = critical_system(case)
+    lows, highs = np.array(system.box).T
+    x = lows + np.random.Generator(np.random.Philox(key=26)).random((2000, 3)) * (highs - lows)
+    et = system._values(x)[:, 0]
+    num = lemmas._dG_dt_numerator(s, *x.T)
+    assert np.all(np.abs(et - 0.75 * num) <= 1e-14 * system._scale(x)[:, 0])
+
+
 def gradient_of_H(system, t, p, q) -> tuple:
-    """Rebuild (dH/dt, dH/dp, dH/dq) from the system's numerators."""
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    et, ep, eq = system.eval(t, p, q)
+    """Rebuild (dH/dt, dH/dp, dH/dq) from the system's numerators at one point."""
+    et, ep, eq = _values(system, (t, p, q))
     if system.case == "spherical":
         dt = -(16.0 / 3.0) * et / (1.0 + t * t) ** 4
         dp = (8.0 / 3.0) * ep / ((9.0 * p * p + 1.0) ** 2 * (1.0 + t * t) ** 3)
@@ -358,7 +390,7 @@ def test_gradient_numerator_values_at_unit_point():
     # frozen oracle: the p-numerator evaluates to 848 at (1, 1, 1), so
     # dH/dp there is (8/3) * 848 / ((9+1)^2 (1+1)^3) = 2.82666...
     system = critical_system("spherical")
-    et, ep, eq = system.eval(1.0, 1.0, 1.0)
+    et, ep, eq = _values(system, (1.0, 1.0, 1.0))
     assert et == -8.0
     assert ep == 848.0
     assert eq == 848.0
@@ -390,10 +422,10 @@ def test_polysystem_jacobian_matches_finite_difference():
     h = 1e-7
     for case in CASES:
         system = critical_system(case)
-        t, p, q = (0.7, 1.2, 0.8) if case == "spherical" else (0.6, 0.9, 1.4)
-        jac = system.jacobian(t, p, q)
+        x = np.array((0.7, 1.2, 0.8) if case == "spherical" else (0.6, 0.9, 1.4))
+        jac = _jacobian(system, x)
         for j, dx in enumerate(np.eye(3) * h):
-            fd = (system.eval(t + dx[0], p + dx[1], q + dx[2]) - system.eval(t - dx[0], p - dx[1], q - dx[2])) / (2.0 * h)
+            fd = (_values(system, x + dx) - _values(system, x - dx)) / (2.0 * h)
             assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-4)
 
 
@@ -612,7 +644,7 @@ def test_multistart_root_coordinates_pinned(case, first, last):
 
 
 def _per_point_filter(system, points):
-    """Domain and rank filter one converged point at a time, through the public API."""
+    """Domain and rank filter one converged point at a time."""
     _, _, (t_hi, p_lo) = lemmas._curvature(system.case)
     n_out = n_degenerate = 0
     kept = []
@@ -620,8 +652,8 @@ def _per_point_filter(system, points):
         if not (1e-8 < t < t_hi - 1e-10 and min(p, q) > max(p_lo, 1e-8)):
             n_out += 1
             continue
-        sv = np.linalg.svd(system.jacobian(t, p, q), compute_uv=False)
-        if sv[1] <= 1e-6 * max(sv[0], float(np.max(system.scale(t, p, q)))):
+        sv = np.linalg.svd(_jacobian(system, (t, p, q)), compute_uv=False)
+        if sv[1] <= 1e-6 * max(sv[0], float(np.max(_scale(system, (t, p, q))))):
             n_degenerate += 1
             continue
         kept.append((t, p, q))
@@ -631,7 +663,7 @@ def _per_point_filter(system, points):
 @pytest.mark.parametrize("case", CASES)
 def test_batched_root_filter_matches_the_per_point_api(case):
     # the benchmark's run: the batched domain and rank filter and the batched
-    # residuals equal the public scalar API at every point, bit for bit
+    # residuals equal a point-by-point filter and residual, bit for bit
     system = critical_system(case)
     result = solve_critical_points(system, n_starts=250, seed=1)
     lows, highs = np.array(system.box).T
@@ -643,7 +675,8 @@ def test_batched_root_filter_matches_the_per_point_api(case):
     assert sum(r.n_merged for r in result.roots) == len(kept)
     for r in result.roots:
         assert (r.t, r.p, r.q) in kept
-        assert r.residual == float(np.max(np.abs(system.eval(r.t, r.p, r.q) / system.scale(r.t, r.p, r.q))))
+        x = (r.t, r.p, r.q)
+        assert r.residual == float(np.max(np.abs(_values(system, x) / _scale(system, x))))
 
 
 def test_multistart_with_no_converged_start():
@@ -655,7 +688,7 @@ def test_multistart_with_no_converged_start():
 
 
 def _per_start_multistart(system, n_starts, seed):
-    """The multistart one start at a time, through the public scalar API."""
+    """The multistart one start at a time, each table taken at one point."""
     lows = np.array([b[0] for b in system.box])
     highs = np.array([b[1] for b in system.box])
     starts = lows + np.random.Generator(np.random.Philox(key=seed)).random((n_starts, 3)) * (highs - lows)
@@ -663,11 +696,11 @@ def _per_start_multistart(system, n_starts, seed):
     for x in starts:
         ok = singular = False
         for _ in range(120):
-            F, scale = system.eval(*x), system.scale(*x)
+            F, scale = _values(system, x), _scale(system, x)
             if np.max(np.abs(F) / scale) < 1e-13:
                 ok = True
                 break
-            J = system.jacobian(*x)
+            J = _jacobian(system, x)
             try:
                 step = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
@@ -682,7 +715,7 @@ def _per_start_multistart(system, n_starts, seed):
             lam_step = 1.0
             while lam_step >= 1.0 / 4096.0:
                 xn = x + lam_step * step
-                if np.linalg.norm(system.eval(*xn) / system.scale(*xn)) < nF:
+                if np.linalg.norm(_values(system, xn) / _scale(system, xn)) < nF:
                     x = xn
                     break
                 lam_step *= 0.5
@@ -724,12 +757,12 @@ def test_multistart_singular_jacobian_takes_levenberg_steps():
 
 def _first_improving_depth(system, x):
     """The first k with |F/scale| below its value at x at x + 2^-k step, k <= 20."""
-    F, scale = system.eval(*x), system.scale(*x)
-    step = np.linalg.solve(system.jacobian(*x), -F)
+    F, scale = _values(system, x), _scale(system, x)
+    step = np.linalg.solve(_jacobian(system, x), -F)
     norm = np.linalg.norm(F / scale)
     for k in range(21):
         xn = x + 0.5 ** k * step
-        if np.linalg.norm(system.eval(*xn) / system.scale(*xn)) < norm:
+        if np.linalg.norm(_values(system, xn) / _scale(system, xn)) < norm:
             return k
     return None
 
@@ -754,19 +787,6 @@ def test_multistart_line_search_takes_every_depth():
     assert result.roots and all((r.t, r.p, r.q) in converged for r in result.roots)
     points, outcome = _lockstep_newton(system, starts)
     assert [tuple(float(v) for v in x) for x in points[outcome == _CONVERGED]] == converged
-
-
-def test_polysystem_broadcasts_arrays():
-    system = critical_system("hyperbolic")
-    t = np.array([[0.3], [0.6]])
-    p, q = np.array([0.5, 0.9, 1.4]), 2.0
-    vals, jac, scale = system.eval(t, p, q), system.jacobian(t, p, q), system.scale(t, p, q)
-    assert vals.shape == scale.shape == (3, 2, 3) and jac.shape == (3, 3, 2, 3)
-    for a in range(2):
-        for b in range(3):
-            assert np.array_equal(vals[:, a, b], system.eval(t[a, 0], p[b], q))
-            assert np.array_equal(jac[:, :, a, b], system.jacobian(t[a, 0], p[b], q))
-            assert np.array_equal(scale[:, a, b], system.scale(t[a, 0], p[b], q))
 
 
 def test_default_grid_ranges_inside_domain():

@@ -12,7 +12,6 @@ from isoplp.chordmeasure import DiscreteMeasure, ball_moments, discretize_ball_m
 from isoplp.negbound import (
     CH2_SPECTRUM,
     CounterexampleResult,
-    SmallnessInput,
     _ch2_difference_closed,
     _difference_kernels,
     _rhs_terms,
@@ -29,27 +28,25 @@ from isoplp.spaceform import CurvatureSpectrum, ModelParams, ball_from_radius
 
 
 def test_smallness_value_and_flag():
-    chk = smallness_ok(SmallnessInput(-1.0, 2.0, 0.3))
+    chk = smallness_ok(-1.0, 2.0, 0.3)
     assert chk.ok
     assert chk.margin == pytest.approx(0.5 - math.tanh(2.0) * math.tanh(0.3), rel=1e-15)
     assert chk.product == pytest.approx(math.tanh(2.0) * math.tanh(0.3), rel=1e-15)
 
 
 def test_smallness_fails_for_long_geodesics():
-    chk = smallness_ok(SmallnessInput(-1.0, 50.0, 3.0))
+    chk = smallness_ok(-1.0, 50.0, 3.0)
     assert not chk.ok
     assert chk.margin < 0.0
 
 
 def test_smallness_input_validation():
-    with pytest.raises(ValueError):
-        SmallnessInput(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SmallnessInput(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SmallnessInput(-1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        SmallnessInput(-1.0, 2.0, 0.0)
+    for kappa in (0.0, 1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa must be negative and finite"):
+            smallness_ok(kappa, 1.0, 1.0)
+    for L, r in ((-2.0, 1.0), (2.0, 0.0)):
+        with pytest.raises(ValueError, match="L and r must be positive"):
+            smallness_ok(-1.0, L, r)
 
 
 @given(
@@ -60,8 +57,8 @@ def test_smallness_input_validation():
 )
 @settings(max_examples=60, deadline=None)
 def test_smallness_scale_invariant(kappa, L, r, lam):
-    base = smallness_ok(SmallnessInput(kappa, L, r))
-    scaled = smallness_ok(SmallnessInput(kappa * lam * lam, L / lam, r / lam))
+    base = smallness_ok(kappa, L, r)
+    scaled = smallness_ok(kappa * lam * lam, L / lam, r / lam)
     assert scaled.product == pytest.approx(base.product, rel=1e-12, abs=1e-15)
 
 
