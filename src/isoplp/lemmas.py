@@ -9,11 +9,14 @@ admissibility of the induced f reduces to global nonnegativity of
     H(t, p, q) = G(1/(3p), p, p) + G(1/(3q), q, q) - 2 G(t, p, q),
 
 which vanishes exactly on the curve {p = q, 3pt = 1}.  This module holds
-the S table, G and H, the two identities both curvature signs' arguments
-turn on (the quartic factorization of dG/dt on the diagonal, and dG/dp of
-the diagonal peak), gradient numerators of H (a 3-polynomial critical
-system), a seeded multistart Newton search for its roots, and a dense grid
-plus escape-ray verification that H >= 0.
+the S table, G and H, the gradient numerators of H (a 3-polynomial critical
+system with integer coefficients), the two identities both curvature signs'
+arguments turn on, a seeded multistart Newton search for the system's roots,
+and a dense grid plus escape-ray verification that H >= 0.  The quartic
+numerator of dG/dt is the system's t-row e_t; its factorization on the
+diagonal p = q is checked exactly, in integers, so it is a proof.  dG/dp of
+the diagonal peak is checked against a central difference, and the multistart
+and the grid are samples: evidence, not proof.
 
 G and H are written once, as in-place kernels (_G_into, _H_into) that the
 public G and H and the grid scan all call; the scan writes H slab by slab
@@ -32,6 +35,7 @@ converged points are filtered by domain and Jacobian rank in one batch too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +80,7 @@ def _curvature(case: str):
     Every formula below is written once in s; s t^2 enters where t^2 did,
     with the signs of the spherical case."""
     _check_case(case)
-    return (1.0, np.arctan, (math.inf, 0.0)) if case == "spherical" else (-1.0, np.arctanh, (1.0, 1.0 / 3.0))
+    return (1, np.arctan, (math.inf, 0.0)) if case == "spherical" else (-1, np.arctanh, (1.0, 1.0 / 3.0))
 
 
 def S_table(case: str, t):
@@ -158,39 +162,32 @@ def H(case: str, t, p, q):
     return _H_into(out, tmp, _G_terms(case, t), p * q, p + q, peaks)[()]
 
 
-def _dG_dt_numerator(s: float, t, p, q):
-    """12 p q t^4 - 8 (p + q) t^3 + (4 - 12 s p q) t^2 + 4 s/3, the quartic numerator of dG/dt.
-
-    The critical system's t-numerator _et is the same polynomial times 3/4,
-    written as monomial rows.  Each form keeps its own arithmetic: this one
-    fixes the factorization residual, _et's rows fix the multistart.
-    """
-    return 12.0 * (p * q) * t ** 4 - 8.0 * (p + q) * t ** 3 + (4.0 - s * 12.0 * (p * q)) * t ** 2 + s * 4.0 / 3.0
-
-
 def dG_dt(case: str, t, p, q):
-    """Closed-form t-derivative of G."""
+    """Closed-form t-derivative of G: (8 s/3) e_t / (1 + s t^2)^4, with e_t the critical system's _et rows."""
     s, _, _ = _curvature(case)
-    t = np.asarray(t, dtype=float)
-    return 2.0 * s * _dG_dt_numerator(s, t, p, q) / (1.0 + s * t * t) ** 4
+    t, p, q = (np.asarray(v, dtype=float) for v in (t, p, q))
+    et = sum(c * t ** i * p ** j * q ** k for i, j, k, c in _et(s))
+    return (8.0 / 3.0) * s * et / (1.0 + s * t * t) ** 4
 
 
-def check_factorization(case: str, p, t):
-    """Relative residual of the factorization of dG/dt's numerator on the diagonal:
+def check_factorization(case: str) -> float:
+    """Largest leftover coefficient of e_t(t, p, p) - (3 p t - 1)(3 p t^3 - 3 t^2 - 3 s p t - s).
 
-    12 p^2 t^4 - 16 p t^3 + (4 - 12 s p^2) t^2 + 4 s/3
-        = 4 (3 p t - 1) (p t^3 - t^2 - s p t - s/3).
-
-    The left side is dG_dt's numerator at q = p, so dG/dt(t, p, p) has the sign of
-    s times the right side.  Divided by 1 + |rhs|, rounding noise stays
-    bounded however large the quartic grows; on 3pt = 1 it is the absolute one.
+    e_t is dG/dt's numerator (dG_dt), so on the diagonal p = q the slope has
+    the sign of s (3 p t - 1)(3 p t^3 - 3 t^2 - 3 s p t - s).  Both sides are
+    expanded in plain Python integers, from the integer _et rows, into
+    coefficients of t^i p^j: 0.0 proves the identity; it is no sample.
     """
     s, _, _ = _curvature(case)
-    p = np.asarray(p, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lhs = _dG_dt_numerator(s, t, p, p)
-    rhs = 4.0 * (3.0 * p * t - 1.0) * (p * t ** 3 - t ** 2 - s * p * t - s / 3.0)
-    return (lhs - rhs) / (1.0 + np.abs(rhs))
+    leftover = Counter()
+    for i, j, k, c in _et(s):
+        leftover[i, j + k] += c
+    first = {(1, 1): 3, (0, 0): -1}
+    second = {(3, 1): 3, (2, 0): -3, (1, 1): -3 * s, (0, 0): -s}
+    for (i, j), c in first.items():
+        for (a, b), d in second.items():
+            leftover[i + a, j + b] -= c * d
+    return float(max(map(abs, leftover.values())))
 
 
 @dataclass(frozen=True)
@@ -230,16 +227,18 @@ def dGdp_identity(case: str, p: float) -> DGdpCheck:
 # critical system: gradient numerators of H as monomial tables
 # A row (i, j, k, c) is the monomial c t^i p^j q^k.  A polynomial is summed in
 # row order; that order fixes its floating-point value bit for bit.  Like the
-# formulas above, each table is written once in the curvature sign s.
+# formulas above, each table is written once in the curvature sign s = +-1, and
+# its coefficients are integers.  These rows are the only written form of the
+# numerators: dG_dt and check_factorization read _et too.
 
-def _et(s: float) -> tuple:
-    """9 p q t^4 - 6 (p + q) t^3 + (3 - 9 s p q) t^2 + s: 3/4 of _dG_dt_numerator, in rows."""
-    return ((4, 1, 1, 9.0), (3, 1, 0, -6.0), (3, 0, 1, -6.0), (2, 0, 0, 3.0), (2, 1, 1, -9.0 * s), (0, 0, 0, s))
+def _et(s: int) -> tuple:
+    """9 p q t^4 - 6 (p + q) t^3 + (3 - 9 s p q) t^2 + s, the numerator of dG/dt, in rows."""
+    return ((4, 1, 1, 9), (3, 1, 0, -6), (3, 0, 1, -6), (2, 0, 0, 3), (2, 1, 1, -9 * s), (0, 0, 0, s))
 
 
-def _ep(s: float) -> tuple:
-    return ((6, 4, 0, 81.0), (4, 4, 0, 243.0 * s), (3, 4, 1, 486.0), (3, 2, 1, 108.0 * s), (3, 0, 1, 6.0),
-            (2, 2, 0, -54.0 * s), (2, 0, 0, -3.0), (0, 2, 0, -18.0), (0, 0, 0, -s))
+def _ep(s: int) -> tuple:
+    return ((6, 4, 0, 81), (4, 4, 0, 243 * s), (3, 4, 1, 486), (3, 2, 1, 108 * s), (3, 0, 1, 6),
+            (2, 2, 0, -54 * s), (2, 0, 0, -3), (0, 2, 0, -18), (0, 0, 0, -s))
 
 
 class _Table:

@@ -53,9 +53,6 @@ class StarDomain:
     tag: str
     knots: tuple[float, ...] = ()
 
-    def __call__(self, alpha):
-        return self.L(alpha)
-
 
 def disk(r: float) -> StarDomain:
     """Disk of radius r with the observer on its boundary: L = 2 r cos(alpha)."""

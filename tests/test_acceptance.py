@@ -113,10 +113,8 @@ def test_criterion_5_polynomial_lemmas_verified():
         assert len(roots) > 0, case
         worst = max(r.curve_distance for r in roots)
         assert worst <= 1e-6, (case, worst)
-    rng = np.random.Generator(np.random.Philox(key=0))
-    pts = rng.random((10000, 2)) * 5.0
-    residual = lemmas.check_factorization("spherical", pts[:, 0], pts[:, 1])
-    assert float(np.max(np.abs(residual))) <= 1e-10
+        # the quartic factorization of dG/dt on the diagonal, exact in integers
+        assert lemmas.check_factorization(case) == 0.0, case
     for p in (1.0, 2.0):
         check = lemmas.dGdp_identity("spherical", p)
         assert abs(check.residual) <= 1e-5 * (1.0 + abs(check.closed)), p

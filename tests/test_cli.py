@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -381,7 +382,28 @@ def test_lp_table2_quotient(capsys):
     body = report["report"]
     assert body["table2_rescaled"]["status"] == "optimal"
     assert body["table2_rescaled"]["relative_error"] <= 0.02
-    assert "table2_printed_scaling" in body
+    assert body["table2_printed_scaling"]["optimum"] <= body["table2_rescaled"]["optimum"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--dim 4 --kappa 1 --m 3 --volume 0.4",
+        "--dim 2 --kappa 1 --m 3 --volume 0.3 --grid 40x20",
+        "--dim 4 --kappa 0 --m 4 --volume 2.0 --grid 40x20",
+        "--dim 3 --kappa 0 --m 2 --volume 1.0 --grid 40x20",
+    ],
+)
+def test_lp_table2_printed_scaling_relaxes_the_rescaled_rows(capsys, argv):
+    # the printed rhs omega m V^2 (F3 cap) and V (total length) are looser than the
+    # rescaled m V^2 and omega V wherever omega_{n-1} >= 1, so the printed LP is a
+    # relaxation of the rescaled one and its minimum area can only be lower
+    code, out, _ = run_cli(capsys, "lp", "--table", "2", *argv.split())
+    assert code == 0
+    body = json.loads(out)["report"]
+    printed, rescaled = body["table2_printed_scaling"], body["table2_rescaled"]
+    assert printed["status"] == rescaled["status"] == "optimal"
+    assert printed["optimum"] <= rescaled["optimum"]
 
 
 def test_lp_reports_the_solver_tolerance_it_used(capsys, monkeypatch):
@@ -441,6 +463,7 @@ print(
     any(name == "scipy" or name.startswith("scipy.") for name in sys.modules),
     "numpy.ma" in sys.modules,
     "numpy.random" in sys.modules,
+    any(name in sys.modules for name in ("fractions", "decimal", "_decimal", "sympy")),
 )
 """
 
@@ -467,13 +490,18 @@ print(
 def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     table = tmp_path / "profile.csv"
     table.write_text("alpha,L\n-1.5,0.1\n0,2\n1.5,0.1\n")
-    code, loaded, ma_loaded, random_loaded = _run_probe(_SCIPY_PROBE, *(a.format(csv=table) for a in argv))
+    code, loaded, ma_loaded, random_loaded, exact_loaded = _run_probe(
+        _SCIPY_PROBE, *(a.format(csv=table) for a in argv)
+    )
     assert code == "0"
     assert loaded == str(uses_scipy)
     # np.unique imports numpy.ma at every call; no CLI path needs it
     assert ma_loaded == "False"
     # numpy imports numpy.random lazily, at about 5 MB of RSS; the seeded draws use isoplp._philox
     assert random_loaded == "False"
+    # importing fractions loads _decimal, about 0.3 MB of RSS; lemma's exact
+    # factorization check works in plain ints
+    assert exact_loaded == "False"
 
 
 LAYERS = ("spaceform", "chordmeasure", "certificate", "lpcore", "lemmas", "negbound", "littleprince", "relative")
@@ -676,7 +704,7 @@ def test_lemma_spherical(capsys):
     assert report["passed"] is True
     body = report["report"]
     assert body["min_H"] >= -1e-9
-    assert body["factorization_max_residual"] <= 1e-10
+    assert body["factorization_max_residual"] == 0.0
     assert body["multistart"]["n_converged"] > 0
     assert len(body["critical_roots"]) > 0
     assert body["max_root_curve_distance"] <= 1e-6
@@ -694,6 +722,26 @@ def test_lemma_hyperbolic(capsys):
     for c in body["dGdp"]:
         assert abs(c["residual"]) <= tols["dGdp"] * (1.0 + abs(c["closed"]))
     assert body["dGdp"][0]["closed"] == 47.0 / 24.0
+
+
+def test_lemma_seed_moves_only_the_multistart(capsys):
+    # --seed draws the multistart's starts and nothing else: the grid, the rays
+    # and the exact factorization read no random number
+    reports = []
+    for seed in ("1", "7"):
+        code, out, _ = run_cli(
+            capsys, "lemma", "--case", "hyperbolic", "--grid", "40", "--starts", "40", "--seed", seed
+        )
+        assert code == 0
+        reports.append(json.loads(out))
+    first, second = reports
+    assert first["config"].pop("seed") == 1 and second["config"].pop("seed") == 7
+    moved = ("multistart", "critical_roots", "max_root_curve_distance")
+    assert first["report"]["multistart"] != second["report"]["multistart"]
+    for report in reports:
+        for key in moved:
+            del report["report"][key]
+    assert first == second
 
 
 def test_lemma_single_node_grid_exits_2(capsys):
@@ -1066,20 +1114,66 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def _readme_cli_lines():
+def _readme_cli_examples():
+    """(argv, quoted output) of each isoplp line of the README's CLI quick start.
+
+    The quoted output is the text under a "$ isoplp" line up to the next such
+    line or the end of its code block, and "" for a line without a "$".
+    """
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text().split("## Quick start (CLI)")[1].split("\n## ")[0]
-    lines = []
+    examples, quoted = [], None
     for line in section.splitlines():
-        line = line.split("#")[0].strip().removeprefix("$ ")
-        if line.startswith("isoplp "):
-            lines.append(shlex.split(line)[1:])
-    return lines
+        command = line.split("#")[0].strip()
+        if command.removeprefix("$ ").startswith("isoplp "):
+            quoted = [] if command.startswith("$ ") else None
+            examples.append((shlex.split(command.removeprefix("$ "))[1:], quoted))
+        elif command.startswith("```"):
+            quoted = None
+        elif quoted is not None:
+            quoted.append(line)
+    return [(argv, "\n".join(quoted or ())) for argv, quoted in examples]
 
 
 def test_readme_cli_invocations_parse():
-    lines = _readme_cli_lines()
+    lines = [argv for argv, _ in _readme_cli_examples()]
     parser = build_parser()
     for argv in lines:
         parser.parse_args(argv)
     assert {argv[0] for argv in lines} == set(isoplp.cli._COMMANDS)
+
+
+# a quoted "key": value, a nested "key": {, or the } that closes it
+_QUOTED_FIELD = re.compile(r'"(\w+)":\s*(\{|"[^"]*"|-?\d[\d.e+-]*)|\}')
+
+
+def _agrees(printed: float, quoted: str) -> bool:
+    """printed is within one unit of quoted's last digit: "6.1778..." cuts its digits, "3.5e-16" rounds them."""
+    mantissa, _, exponent = quoted.removesuffix("...").partition("e")
+    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+    return abs(printed - float(quoted.removesuffix("..."))) < unit
+
+
+@pytest.mark.parametrize("argv,quoted", _readme_cli_examples(), ids=[" ".join(a) for a, _ in _readme_cli_examples()])
+def test_readme_cli_examples_print_what_they_quote(capsys, argv, quoted):
+    # every example exits 0, and each number quoted under a "$ isoplp" line is the
+    # printed one to its last quoted digit, found by the keys that enclose it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report, path, checked = json.loads(out)["report"], [], 0
+    for match in _QUOTED_FIELD.finditer(quoted):
+        key, value = match.groups()
+        if key is None:
+            path.pop()
+        elif value == "{":
+            path.append(key)
+        else:
+            printed = report
+            for name in (*path, key):
+                printed = printed[name]
+            if value.startswith('"'):
+                assert printed == json.loads(value), (path, key)
+            else:
+                assert _agrees(printed, value), (path, key, printed, value)
+            checked += 1
+    assert checked > 0 or not quoted
