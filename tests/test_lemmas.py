@@ -416,13 +416,20 @@ def test_polysystem_jacobian_matches_finite_difference():
             assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-4)
 
 
-def test_factorization_identity():
+def _assert_exact_factorization(case):
     # e_t(t, p, p) = (3pt - 1)(3pt^3 - 3t^2 - 3spt - s) coefficient by coefficient,
-    # in integers: the rows' coefficients are ints for both signs, so nothing rounds
-    for case in CASES:
-        s, _, _ = lemmas._curvature(case)
-        assert all(type(c) is int for rows in (lemmas._et(s), lemmas._ep(s)) for *_, c in rows), case
-        assert check_factorization(case) == 0.0, case
+    # in integers: the rows' coefficients are ints, so nothing rounds
+    s, _, _ = lemmas._curvature(case)
+    assert all(type(c) is int for rows in (lemmas._et(s), lemmas._ep(s)) for *_, c in rows), case
+    assert check_factorization(case) == 0.0, case
+
+
+def test_factorization_identity():
+    _assert_exact_factorization("spherical")
+
+
+def test_factorization_identity_hyperbolic():
+    _assert_exact_factorization("hyperbolic")
 
 
 @pytest.mark.parametrize("case", CASES)
