@@ -125,8 +125,11 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
                 lines.append(f"{k},{flat[k]}")
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -591,10 +594,10 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k not in ("command", "format", "out") and v is not None}
     try:
         body, tols, passed = _COMMANDS[args.command](config)
+        _emit(_report_shell(args.command, config, tols, body, passed), args.format, args.out)
     except ValueError as exc:  # UsageError, or invalid input found by the library
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(_report_shell(args.command, config, tols, body, passed), args.format, args.out)
     return 0 if passed else 1
 
 

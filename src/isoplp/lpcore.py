@@ -16,15 +16,15 @@ as these factors (SeparableRows): the candle functions once per chord
 length and each angle factor once per angle pair, never the m x K matrix.
 
 The solver is a two-phase revised simplex over every grid column.  It
-reads the row matrix only through its shape, y @ A, A @ x, the column
-gather A[:, j], abs(A) and -A, which a dense ndarray and SeparableRows
-both provide, so the tests' generic LPs and the grid LP take one code
-path.  With 4 + n_alpha rows, the basis is small enough to solve afresh at
-every pivot, and one y @ A prices all columns; on separable rows that is
-an (n_ell x m)(m x n_alpha^2) product.  This is the full pricing that
-Gilmore & Gomory's (1961) column generation performs, without a
-restricted master program.  The grid LP starts at the ball's chord curve,
-and phase 1 puts artificials only on the rows that the start violates, so
+reads the row matrix only through its shape, the column gather A[:, j],
+abs(A), -A and y @ A in blocks of at most _BLOCK columns (_prices), so the
+tests' dense LPs and the grid LP take one code path.  With 4 + n_alpha
+rows, the basis is small enough to solve afresh at every pivot; on
+separable rows a block is a (k x m)(m x n_alpha^2) product over k chord
+lengths, and no array spans all columns.  This is the full pricing that
+Gilmore & Gomory's (1961) column generation performs, without a restricted
+master program.  The grid LP starts at the ball's chord curve, and phase 1
+puts artificials only on the rows that the start violates, so
 infeasibility is decided over the whole grid.  The acceptance test
 (primal, dual, gap and complementary-slackness residuals) of the basic
 solution runs over every column of the row matrix.  What is certified is
@@ -34,6 +34,7 @@ primal, so its optimum is evidence for the bound, not a lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +65,9 @@ class SeparableRows:
     Column 0 is `first`; column 1 + l * n_pair + p holds
     ell_factor[:, l] * pair_factor[:, p].  It provides what the simplex and
     the acceptance test read of a row matrix, as a dense ndarray does: .shape,
-    y @ R (also np.matmul(y, R, out=...)), R @ x over the support of x, the
-    column gather R[:, j] for an index or an index array, abs(R) and -R.
-    abs is exact, because |g * phi| = |g| * |phi| in floating point.
+    the column gather R[:, j] for an index or an index array, abs(R) and -R;
+    _prices forms y @ R a run of ell-rows at a time.  abs is exact, because
+    |g * phi| = |g| * |phi| in floating point.
     """
 
     def __init__(self, first, ell_factor, pair_factor):
@@ -89,20 +90,6 @@ class SeparableRows:
         ell, pair = np.divmod(j - 1, self.pair_factor.shape[1])
         first = self.first.reshape(-1, *(1,) * j.ndim)
         return np.where(j == 0, first, self.ell_factor[:, ell] * self.pair_factor[:, pair])
-
-    def __matmul__(self, x) -> np.ndarray:
-        support = np.flatnonzero(x)
-        return self[:, support] @ x[support]
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        # only y @ R: the (n_ell x m)(m x n_pair) product, written into out when given
-        if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[1] is not self:
-            return NotImplemented
-        y = inputs[0]
-        prices = np.empty(self.shape[1]) if out is None else out[0]
-        prices[0] = y @ self.first
-        np.matmul(self.ell_factor.T * y, self.pair_factor, out=prices[1:].reshape(self.ell_factor.shape[1], -1))
-        return prices
 
 
 @dataclass(frozen=True)
@@ -169,6 +156,9 @@ _DEGENERATE_RUN = 10
 # pivot cap per row of the LP; reaching it is a tolerance-failure
 _PIVOTS_PER_ROW = 100
 
+# columns priced at a time, so that no pricing holds an array with one entry per column
+_BLOCK = 1 << 15
+
 # pricing and acceptance tolerance of solve, and the one `isoplp lp` reports;
 # at 1e-7 the simplex stopped early enough to move grid optima by up to 1.4e-7
 SOLVER_TOL = 1e-9
@@ -185,31 +175,61 @@ def _basis_matrix(A_ub: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return B
 
 
-def _pivot(A_ub, b_ub, cost, basis, tol, budget):
+def _prices(A, y):
+    """Yield (lo, y @ A[:, lo:lo + k]) over A's columns in ascending blocks of k <= _BLOCK, all in one buffer.
+
+    On SeparableRows column 0 comes alone, then runs of whole ell-rows (one
+    when a row is longer), each one product of the factors; a dense A is
+    cut into column slices.  Each block overwrites the one before.
+    """
+    n = A.shape[1]
+    if not isinstance(A, SeparableRows):
+        buffer = np.empty(min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            yield lo, np.matmul(y, A[:, lo : lo + _BLOCK], out=buffer[: min(_BLOCK, n - lo)])
+        return
+    yield 0, np.array([y @ A.first])
+    n_ell, n_pair = A.ell_factor.shape[1], A.pair_factor.shape[1]
+    run = min(n_ell, max(1, _BLOCK // n_pair))
+    buffer = np.empty((run, n_pair))
+    for a in range(0, n_ell, run):
+        ell = A.ell_factor[:, a : a + run]
+        yield 1 + a * n_pair, np.matmul(ell.T * y, A.pair_factor, out=buffer[: ell.shape[1]]).reshape(-1)
+
+
+def _pivot(A_ub, b_ub, c, basis, tol, budget):
     """Primal simplex from the feasible `basis`, updated in place; returns (status, pivots, x_B, duals).
 
-    Every pivot solves the basis afresh, so nothing drifts.  All n + m
-    structural and slack columns are priced with one c - y @ A, written into
-    one reduced-cost buffer; artificials never enter.  Dantzig's rule picks
-    the entering column, and the ratio test takes the largest pivot among
-    tied rows; after _DEGENERATE_RUN degenerate pivots in a row, Bland's
-    rule takes over for both choices.  The status is optimal, unbounded, or
-    tolerance-failure at the pivot budget.
+    c holds the structural costs; a slack costs 0, an artificial 1.  Every
+    pivot solves the basis afresh, so nothing drifts.  The structural
+    columns are priced in _prices' blocks, then the slacks; artificials
+    never enter.  Dantzig's rule picks the entering column, the first of
+    ties, and the ratio test the largest pivot among tied rows; after
+    _DEGENERATE_RUN degenerate pivots in a row, Bland's rule takes over for
+    both.  The status is optimal, unbounded, or tolerance-failure at the budget.
     """
     m, n = A_ub.shape
     pivots = degenerate = 0
-    reduced = np.empty(n + m)
     while True:
         B = _basis_matrix(A_ub, basis)
         x_B = np.linalg.solve(B, b_ub)
-        y = np.linalg.solve(B.T, cost[basis])
-        np.matmul(y, A_ub, out=reduced[:n])
-        reduced[n:] = y
-        np.subtract(cost[: n + m], reduced, out=reduced)
-        reduced[basis[basis < n + m]] = 0.0
+        cost = (basis >= n + m).astype(float)
+        cost[basis < n] = c[basis[basis < n]]
+        y = np.linalg.solve(B.T, cost)
         bland = degenerate >= _DEGENERATE_RUN
-        q = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
-        if reduced[q] >= -tol:
+        basic = basis[basis < n + m]
+        q, d = -1, math.inf
+        for lo, reduced in itertools.chain(_prices(A_ub, y), [(n, y.copy())]):
+            np.subtract(c[lo : lo + reduced.size] if lo < n else 0.0, reduced, out=reduced)
+            reduced[basic[(basic >= lo) & (basic < lo + reduced.size)] - lo] = 0.0
+            k = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
+            if bland and reduced[k] < -tol:
+                q, d = lo + k, reduced[k]
+                break
+            # a strict < keeps the first of tied columns; a NaN wins, as in np.argmin
+            if not bland and (reduced[k] < d or (math.isnan(reduced[k]) and not math.isnan(d))):
+                q, d = lo + k, reduced[k]
+        if d >= -tol:
             return "optimal", pivots, x_B, y
         if pivots == budget:
             return "tolerance-failure", pivots, x_B, y
@@ -240,8 +260,9 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     relative to the magnitude of the row arithmetic, the phase-1 feasibility
     tolerance.  The first basis is `start`, or else the slacks; phase 1 puts
     artificials only on rows whose basic slack is below -tol, and those left
-    in the basis at zero are pivoted out for slacks before phase 2.  `solve`
-    looks this name up at call time, so a rebinding of `linprog` takes effect.
+    in the basis at zero are pivoted out for slacks before phase 2; phase 1's
+    structural costs are a broadcast 0.  `solve` looks this name up at call
+    time, so a rebinding of `linprog` takes effect.
     """
     m, n = A_ub.shape
     basis = n + np.arange(m) if start is None else np.array(start)
@@ -251,8 +272,7 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     budget = _PIVOTS_PER_ROW * (m + 1)
     nit = 0
     if violated.any():
-        cost = np.concatenate([np.zeros(n + m), np.ones(m)])
-        status, nit, x_B, _ = _pivot(A_ub, b_ub, cost, basis, tol, budget)
+        status, nit, x_B, _ = _pivot(A_ub, b_ub, np.broadcast_to(0.0, n), basis, tol, budget)
         if status != "optimal":
             return _SimplexResult("tolerance-failure", nit)
         used = basis < n
@@ -266,8 +286,7 @@ def linprog(c, A_ub, b_ub, tol, start=None):
             z[basis[(basis >= n) & (basis < n + m)] - n] = 0.0
             basis[p] = n + int(np.argmax(np.abs(z)))
             nit += 1
-    cost = np.concatenate([c, np.zeros(2 * m)])
-    status, pivots, x_B, y = _pivot(A_ub, b_ub, cost, basis, tol, budget - nit)
+    status, pivots, x_B, y = _pivot(A_ub, b_ub, c, basis, tol, budget - nit)
     nit += pivots
     if status != "optimal":
         return _SimplexResult(status, nit)
@@ -279,18 +298,21 @@ def linprog(c, A_ub, b_ub, tol, start=None):
 
 def _violation(*arrays) -> float:
     """Largest amount by which an entry falls below zero; 0.0, never -0.0, when none does."""
-    return max(0.0, *(float(np.max(-a, initial=0.0)) for a in arrays))
+    return max(0.0, *(-float(np.min(a, initial=0.0)) for a in arrays))
 
 
 def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
-    slack = lp.row_matrix @ x - lp.rhs
-    reduced = lp.objective - y @ lp.row_matrix
+    support = np.flatnonzero(x)
+    slack = lp.row_matrix[:, support] @ x[support] - lp.rhs
     gap = float(lp.objective @ x - lp.rhs @ y)
-    cs = max(
-        float(np.max(np.abs(y * slack), initial=0.0)),
-        float(np.max(np.abs(x * reduced), initial=0.0)),
-    )
-    return _violation(slack, x), _violation(reduced, y), gap, cs
+    dual = _violation(y)
+    cs = float(np.max(np.abs(y * slack), initial=0.0))
+    for lo, reduced in _prices(lp.row_matrix, y):
+        np.subtract(lp.objective[lo : lo + reduced.size], reduced, out=reduced)
+        dual = max(dual, _violation(reduced))
+        np.multiply(x[lo : lo + reduced.size], reduced, out=reduced)
+        cs = max(cs, float(np.max(np.abs(reduced, out=reduced))))
+    return _violation(slack, x), dual, gap, cs
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -311,19 +333,19 @@ def solve(lp: LinearProgram) -> LPSolution:
     # each surplus column is priced, so y >= -tol; the rounding-level
     # negatives (and -0.0) are zeroed so the residuals describe the reported y
     y = np.maximum(-res.marginals, 0.0)
-    abs_matrix = abs(lp.row_matrix)
     primal_res, dual_res, gap, cs = _residuals(lp, x, y)
+    support = np.flatnonzero(x)
     # each residual is judged against the magnitude of the arithmetic that
     # produced it; the rhs alone undersells rows whose matrix entries are large
     primal_tol = tol * (
         1.0
         + float(np.max(np.abs(lp.rhs), initial=0.0))
-        + float(np.max(abs_matrix @ np.abs(x), initial=0.0))
+        + float(np.max(np.abs(lp.row_matrix[:, support]) @ np.abs(x[support]), initial=0.0))
     )
     dual_tol = tol * (
         1.0
-        + float(np.max(np.abs(lp.objective), initial=0.0))
-        + float(np.max(np.abs(y) @ abs_matrix, initial=0.0))
+        + max(float(np.max(lp.objective, initial=0.0)), -float(np.min(lp.objective, initial=0.0)))
+        + max((float(np.max(prices)) for _, prices in _prices(abs(lp.row_matrix), np.abs(y))), default=0.0)
     )
     gap_scale = 1.0 + abs(float(lp.objective @ x)) + abs(float(lp.rhs @ y))
     ok = (

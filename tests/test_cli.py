@@ -175,6 +175,15 @@ def test_certificate_out_file(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(capsys, "prince", "--shape", "disk", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_profile_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -431,6 +431,17 @@ def _reference_rows(params, V, m, grid):
     return labels, np.hstack([first, atoms])
 
 
+def _block_prices(R, y):
+    """y @ R gathered from lpcore._prices, whose blocks must tile the columns in order."""
+    prices, end = np.empty(R.shape[1]), 0
+    for lo, block in lpcore._prices(R, y):
+        assert lo == end and block.size > 0
+        prices[lo : lo + block.size] = block
+        end = lo + block.size
+    assert end == R.shape[1]
+    return prices
+
+
 @pytest.mark.parametrize("n, kappa, m, V", ROW_CASES)
 def test_separable_rows_match_the_dense_rows(n, kappa, m, V):
     # every operation the simplex and the acceptance test read of the rows, against
@@ -446,19 +457,12 @@ def test_separable_rows_match_the_dense_rows(n, kappa, m, V):
         assert_allclose(R[:, j], D[:, j], rtol=1e-12, atol=0.0)
     assert_allclose(abs(R)[:, every], np.abs(D), rtol=1e-12, atol=0.0)
     assert_allclose((-R)[:, every], -D, rtol=1e-12, atol=0.0)
-    # y @ R: each row alone, then a positive combination against the magnitude of its terms
+    # y @ R in the pricing blocks: each row alone, then a positive combination
+    # against the magnitude of its terms
     for i, e in enumerate(np.eye(R.shape[0])):
-        assert_allclose(e @ R, D[i], rtol=1e-12, atol=0.0)
-    rng = np.random.default_rng(n)
-    y = rng.uniform(0.1, 1.0, R.shape[0])
-    prices = np.empty(R.shape[1])
-    assert np.matmul(y, R, out=prices) is prices
-    assert np.all(np.abs(prices - y @ D) <= 1e-12 * (y @ np.abs(D)))
-    # R @ x on a basic solution's support: one column per row, the area column among them
-    x = np.zeros(R.shape[1])
-    support = np.concatenate([[0], rng.choice(every[1:], R.shape[0] - 1, replace=False)])
-    x[support] = rng.uniform(0.1, 1.0, support.size)
-    assert np.all(np.abs(R @ x - D @ x) <= 1e-12 * (np.abs(D) @ x))
+        assert_allclose(_block_prices(R, e), D[i], rtol=1e-12, atol=0.0)
+    y = np.random.default_rng(n).uniform(0.1, 1.0, R.shape[0])
+    assert np.all(np.abs(_block_prices(R, y) - y @ D) <= 1e-12 * (y @ np.abs(D)))
 
 
 # the eight cases of the cone-LP prototype in ROADMAP item 1
@@ -492,6 +496,78 @@ def test_grid_lp_build_and_solve_stay_small(n, kappa, r):
         tracemalloc.stop()
     assert sol.status == "optimal"
     assert peak < 8e6
+
+
+def test_grid_lp_solve_holds_no_array_over_all_columns():
+    # the built 80x40 LP has n = 128,001 columns; besides the dense x it returns,
+    # solve's pricing and acceptance test hold blocks of at most 2^15 columns
+    params = ModelParams(4, 1.0)
+    lp = build_relative_lp(params, ball_from_radius(params, 0.8).volume, 1, GridSpec(80, 40))
+    tracemalloc.start()
+    try:
+        sol = solve(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < 3 * 8 * lp.n_vars
+
+
+def _simplex(c, A_ub, b_ub, start=None):
+    return lpcore.linprog(c=c, A_ub=A_ub, b_ub=b_ub, tol=lpcore.SOLVER_TOL, start=start)
+
+
+def _assert_same_path(res, ref):
+    assert (res.status, res.nit) == (ref.status, ref.nit)
+    assert res.x.tobytes() == ref.x.tobytes() and res.marginals.tobytes() == ref.marginals.tobytes()
+    assert res.fun.hex() == ref.fun.hex()
+
+
+@pytest.mark.parametrize("degenerate_run", [lpcore._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pricing_blocks_keep_the_dense_simplex_path(monkeypatch, degenerate_run, seed):
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", degenerate_run)
+    lp = _random_lp_with_decoys(6, seed)
+    args = (lp.objective, -lp.row_matrix, -lp.rhs)
+    monkeypatch.setattr(lpcore, "_BLOCK", lp.n_vars)
+    ref = _simplex(*args)
+    monkeypatch.setattr(lpcore, "_BLOCK", 97)
+    assert ref.status == "optimal" and ref.nit > 0
+    _assert_same_path(_simplex(*args), ref)
+
+
+@pytest.mark.parametrize("run", [1, 3])
+def test_pricing_blocks_keep_the_grid_simplex_path(monkeypatch, run):
+    # runs of `run` chord lengths (1,600 columns each) against one run over all of them
+    params = ModelParams(4, 1.0)
+    lp = build_relative_lp(params, ball_from_radius(params, 0.8).volume, 1, GridSpec(80, 40))
+    args = (lp.objective, -lp.row_matrix, -lp.rhs, lp.start)
+    monkeypatch.setattr(lpcore, "_BLOCK", lp.n_vars)
+    ref = _simplex(*args)
+    monkeypatch.setattr(lpcore, "_BLOCK", run * 40 * 40 + 7)
+    assert ref.status == "optimal"
+    _assert_same_path(_simplex(*args), ref)
+
+
+@pytest.mark.parametrize("block", [3, 6])
+def test_dantzig_tie_across_blocks_takes_the_first_column(monkeypatch, block):
+    # columns 2 and 3 tie at reduced cost -1, in different blocks when block = 3
+    monkeypatch.setattr(lpcore, "_BLOCK", block)
+    res = _simplex(np.array([0.0, 0.0, -1.0, -1.0, 0.0, 0.0]), np.ones((1, 6)), np.ones(1))
+    assert res.status == "optimal" and res.nit == 1
+    assert res.x.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("block", [3, 6])
+def test_bland_takes_the_first_negative_column_in_a_later_block(monkeypatch, block):
+    # the first block prices nonnegative; Bland enters column 4 and then 5, where Dantzig enters 5 at once
+    monkeypatch.setattr(lpcore, "_BLOCK", block)
+    c, A_ub, b_ub = np.array([1.0, 1.0, 1.0, 0.0, -1.0, -2.0]), np.ones((1, 6)), np.ones(1)
+    assert _simplex(c, A_ub, b_ub).nit == 1
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", 0)
+    res = _simplex(c, A_ub, b_ub)
+    assert res.status == "optimal" and res.nit == 2
+    assert res.x.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def _certificate_dual(params, V, m, grid):
