@@ -63,11 +63,13 @@ class SeparableRows:
     """m rows over 1 + n_ell * n_pair columns, kept as their factors.
 
     Column 0 is `first`; column 1 + l * n_pair + p holds
-    ell_factor[:, l] * pair_factor[:, p].  It provides what the simplex and
-    the acceptance test read of a row matrix, as a dense ndarray does: .shape,
+    ell_factor[:, l] * pair_factor[:, p], where pair_factor >= 0: a row's
+    sign sits in its ell factor.  It provides what the simplex and the
+    acceptance test read of a row matrix, as a dense ndarray does: .shape,
     the column gather R[:, j] for an index or an index array, abs(R) and -R;
-    _prices forms y @ R a run of ell-rows at a time.  abs is exact, because
-    |g * phi| = |g| * |phi| in floating point.
+    _prices forms y @ R a run of ell-rows at a time.  abs and -R share
+    pair_factor; abs is exact, because |g * phi| = |g| * phi in floating
+    point for phi >= 0.
     """
 
     def __init__(self, first, ell_factor, pair_factor):
@@ -79,7 +81,7 @@ class SeparableRows:
         return SeparableRows(-self.first, -self.ell_factor, self.pair_factor)
 
     def __abs__(self) -> "SeparableRows":
-        return SeparableRows(np.abs(self.first), np.abs(self.ell_factor), np.abs(self.pair_factor))
+        return SeparableRows(np.abs(self.first), np.abs(self.ell_factor), self.pair_factor)
 
     def __getitem__(self, key) -> np.ndarray:
         rows, j = key
@@ -96,24 +98,31 @@ class SeparableRows:
 class LinearProgram:
     """min objective . x  subject to  row_matrix . x >= rhs,  x >= 0.
 
-    row_matrix is a dense array or, for the grid LP, SeparableRows.  start, the
-    first basis, holds j < n for x_j and n + i for row i's surplus (None: all surpluses).
+    row_matrix is a dense array or, for the grid LP, SeparableRows; objective
+    is one row of the same kind (a dense one is stored with shape (1, n)).
+    start, the first basis, holds j < n for x_j and n + i for row i's
+    surplus (None: all surpluses).
     """
 
-    objective: np.ndarray
+    objective: np.ndarray | SeparableRows
     row_matrix: np.ndarray | SeparableRows
     rhs: np.ndarray
     row_labels: tuple[str, ...]
     start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
+        object.__setattr__(self, "objective", _one_row(self.objective))
         if not isinstance(self.row_matrix, SeparableRows):
             object.__setattr__(self, "row_matrix", np.asarray(self.row_matrix, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         m, n = self.row_matrix.shape
-        if self.objective.shape != (n,):
-            raise ValueError(f"objective length {self.objective.shape} does not match {n} variables")
+        separable = isinstance(self.row_matrix, SeparableRows)
+        if isinstance(self.objective, SeparableRows) != separable or (
+            separable and self.objective.pair_factor.shape[1] != self.row_matrix.pair_factor.shape[1]
+        ):
+            raise ValueError("objective and row_matrix must be of one kind, SeparableRows over the same angle pairs")
+        if self.objective.shape != (1, n):
+            raise ValueError(f"objective shape {self.objective.shape} is not one row over {n} variables")
         if self.rhs.shape != (m,):
             raise ValueError(f"rhs length {self.rhs.shape} does not match {m} rows")
         if len(self.row_labels) != m:
@@ -129,7 +138,7 @@ class LPSolution:
     """Solver output plus independently recomputed residuals."""
 
     status: str  # optimal | infeasible | unbounded | tolerance-failure
-    primal: np.ndarray | None
+    primal: tuple[np.ndarray, np.ndarray] | None  # (support, values): x's nonzero entries, ascending
     dual: np.ndarray | None
     objective_value: float | None
     primal_residual: float
@@ -144,9 +153,10 @@ class _SimplexResult:
 
     status: str  # optimal | infeasible | unbounded | tolerance-failure, as in LPSolution
     nit: int  # pivots over both phases
-    x: np.ndarray | None = None
+    x: np.ndarray | None = None  # the nonzero entries of the primal, at `support`
     fun: float | None = None
     marginals: np.ndarray | None = None  # d fun / d b_ub, <= 0 at an optimum
+    support: np.ndarray | None = None  # ascending column indices of x
 
 
 # consecutive degenerate pivots after which Bland's rule prices and picks the
@@ -159,9 +169,17 @@ _PIVOTS_PER_ROW = 100
 # columns priced at a time, so that no pricing holds an array with one entry per column
 _BLOCK = 1 << 15
 
+# the weight that prices a one-row cost matrix as its cost vector
+_ONE = np.ones(1)
+
 # pricing and acceptance tolerance of solve, and the one `isoplp lp` reports;
 # at 1e-7 the simplex stopped early enough to move grid optima by up to 1.4e-7
 SOLVER_TOL = 1e-9
+
+
+def _one_row(c):
+    """c as a one-row matrix: SeparableRows as it is, an array reshaped to (1, n)."""
+    return c if isinstance(c, SeparableRows) else np.asarray(c, dtype=float).reshape(1, -1)
 
 
 def _basis_matrix(A_ub: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -197,12 +215,13 @@ def _prices(A, y):
         yield 1 + a * n_pair, np.matmul(ell.T * y, A.pair_factor, out=buffer[: ell.shape[1]]).reshape(-1)
 
 
-def _pivot(A_ub, b_ub, c, basis, tol, budget):
+def _pivot(A_ub, b_ub, C, basis, tol, budget):
     """Primal simplex from the feasible `basis`, updated in place; returns (status, pivots, x_B, duals).
 
-    c holds the structural costs; a slack costs 0, an artificial 1.  Every
+    C is the one-row matrix of the structural costs, of A_ub's kind, or None
+    where they are 0 (phase 1); a slack costs 0, an artificial 1.  Every
     pivot solves the basis afresh, so nothing drifts.  The structural
-    columns are priced in _prices' blocks, then the slacks; artificials
+    columns are priced in _prices' blocks, beside the same blocks of C, then the slacks; artificials
     never enter.  Dantzig's rule picks the entering column, the first of
     ties, and the ratio test the largest pivot among tied rows; after
     _DEGENERATE_RUN degenerate pivots in a row, Bland's rule takes over for
@@ -214,13 +233,15 @@ def _pivot(A_ub, b_ub, c, basis, tol, budget):
         B = _basis_matrix(A_ub, basis)
         x_B = np.linalg.solve(B, b_ub)
         cost = (basis >= n + m).astype(float)
-        cost[basis < n] = c[basis[basis < n]]
+        if C is not None:
+            cost[basis < n] = C[:, basis[basis < n]][0]
         y = np.linalg.solve(B.T, cost)
         bland = degenerate >= _DEGENERATE_RUN
         basic = basis[basis < n + m]
         q, d = -1, math.inf
-        for lo, reduced in itertools.chain(_prices(A_ub, y), [(n, y.copy())]):
-            np.subtract(c[lo : lo + reduced.size] if lo < n else 0.0, reduced, out=reduced)
+        costs = itertools.repeat((0, 0.0)) if C is None else itertools.chain(_prices(C, _ONE), [(n, 0.0)])
+        for (lo, reduced), (_, c) in zip(itertools.chain(_prices(A_ub, y), [(n, y.copy())]), costs):
+            np.subtract(c, reduced, out=reduced)
             reduced[basic[(basic >= lo) & (basic < lo + reduced.size)] - lo] = 0.0
             k = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
             if bland and reduced[k] < -tol:
@@ -251,20 +272,22 @@ def _pivot(A_ub, b_ub, c, basis, tol, budget):
 def linprog(c, A_ub, b_ub, tol, start=None):
     """min c . x subject to A_ub x <= b_ub, x >= 0: a two-phase revised simplex.
 
-    Keywords and the result fields nit and x follow the usual `linprog`
-    convention; the status is the LP's own (see _SimplexResult), and a pivot
-    cap or a ray in phase 1, which is bounded below by 0, is a
-    tolerance-failure.  A_ub is a dense array or SeparableRows.
+    Keywords and the result field nit follow the usual `linprog`
+    convention; x holds only the primal's nonzero entries, at the ascending
+    columns `support`.  The status is the LP's own (see _SimplexResult), and
+    a pivot cap or a ray in phase 1, which is bounded below by 0, is a
+    tolerance-failure.  A_ub is a dense array or SeparableRows, and c one
+    row of the same kind or a dense vector.
     `solve` passes its rows A x >= b as A_ub = -A, so a slack here is a
     surplus column -e_i of the >= form.  tol is the pricing tolerance and,
     relative to the magnitude of the row arithmetic, the phase-1 feasibility
     tolerance.  The first basis is `start`, or else the slacks; phase 1 puts
     artificials only on rows whose basic slack is below -tol, and those left
-    in the basis at zero are pivoted out for slacks before phase 2; phase 1's
-    structural costs are a broadcast 0.  `solve` looks this name up at call
+    in the basis at zero are pivoted out for slacks before phase 2.  `solve` looks this name up at call
     time, so a rebinding of `linprog` takes effect.
     """
     m, n = A_ub.shape
+    C = _one_row(c)
     basis = n + np.arange(m) if start is None else np.array(start)
     x_B = np.linalg.solve(_basis_matrix(A_ub, basis), b_ub)
     violated = (basis >= n) & (x_B < -tol * (1.0 + np.max(np.abs(x_B))))
@@ -272,7 +295,7 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     budget = _PIVOTS_PER_ROW * (m + 1)
     nit = 0
     if violated.any():
-        status, nit, x_B, _ = _pivot(A_ub, b_ub, np.broadcast_to(0.0, n), basis, tol, budget)
+        status, nit, x_B, _ = _pivot(A_ub, b_ub, None, basis, tol, budget)
         if status != "optimal":
             return _SimplexResult("tolerance-failure", nit)
         used = basis < n
@@ -286,33 +309,42 @@ def linprog(c, A_ub, b_ub, tol, start=None):
             z[basis[(basis >= n) & (basis < n + m)] - n] = 0.0
             basis[p] = n + int(np.argmax(np.abs(z)))
             nit += 1
-    status, pivots, x_B, y = _pivot(A_ub, b_ub, c, basis, tol, budget - nit)
+    status, pivots, x_B, y = _pivot(A_ub, b_ub, C, basis, tol, budget - nit)
     nit += pivots
     if status != "optimal":
         return _SimplexResult(status, nit)
-    x = np.zeros(n)
     used = basis < n
-    x[basis[used]] = x_B[used]
-    return _SimplexResult("optimal", nit, x, float(c[basis[used]] @ x_B[used]), y)
+    fun = float(C[:, basis[used]][0] @ x_B[used])
+    order = np.argsort(basis[used])
+    support, x = basis[used][order], x_B[used][order]
+    return _SimplexResult("optimal", nit, x[x != 0.0], fun, y, support[x != 0.0])
 
 
 def _violation(*arrays) -> float:
-    """Largest amount by which an entry falls below zero; 0.0, never -0.0, when none does."""
-    return max(0.0, *(-float(np.min(a, initial=0.0)) for a in arrays))
+    """Largest amount by which an entry falls below zero; 0.0, never -0.0, when none does, and nan at a nan."""
+    return float(np.max([-np.min(a, initial=0.0) for a in arrays])) + 0.0
 
 
-def _residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray):
-    support = np.flatnonzero(x)
-    slack = lp.row_matrix[:, support] @ x[support] - lp.rhs
-    gap = float(lp.objective @ x - lp.rhs @ y)
-    dual = _violation(y)
-    cs = float(np.max(np.abs(y * slack), initial=0.0))
-    for lo, reduced in _prices(lp.row_matrix, y):
-        np.subtract(lp.objective[lo : lo + reduced.size], reduced, out=reduced)
-        dual = max(dual, _violation(reduced))
-        np.multiply(x[lo : lo + reduced.size], reduced, out=reduced)
-        cs = max(cs, float(np.max(np.abs(reduced, out=reduced))))
-    return _violation(slack, x), dual, gap, cs
+def _magnitude(R, y) -> float:
+    """Largest entry of |y| @ |R|, over every column."""
+    return max((float(np.max(prices)) for _, prices in _prices(abs(R), np.abs(y))), default=0.0)
+
+
+def _residuals(lp: LinearProgram, primal, y: np.ndarray):
+    """Primal, dual, gap and complementary-slackness residuals of x = (support, values) and y.
+
+    A nan anywhere in x, y or the rows makes its residual nan.
+    """
+    support, values = primal
+    slack = lp.row_matrix[:, support] @ values - lp.rhs
+    gap = float((lp.objective[:, support] @ values)[0] - lp.rhs @ y)
+    dual, cs = [_violation(y)], [np.max(np.abs(y * slack), initial=0.0)]
+    for (lo, reduced), (_, c) in zip(_prices(lp.row_matrix, y), _prices(lp.objective, _ONE)):
+        np.subtract(c, reduced, out=reduced)
+        dual.append(_violation(reduced))
+        inside = (support >= lo) & (support < lo + reduced.size)
+        cs.append(np.max(np.abs(values[inside] * reduced[support[inside] - lo]), initial=0.0))
+    return _violation(slack, values), float(np.max(dual)), gap, float(np.max(cs))
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -322,39 +354,39 @@ def solve(lp: LinearProgram) -> LPSolution:
     time, and returns a basic solution, exact to rounding.  SOLVER_TOL also
     bounds the accepted feasibility/stationarity residuals, each taken
     relative to the magnitude of the arithmetic that produced it, and the
-    acceptance test runs over every column of the row matrix.
+    acceptance test runs over every column of the row matrix.  A primal,
+    dual or residual that is not finite is a tolerance-failure.
     """
     tol = SOLVER_TOL
     res = linprog(c=lp.objective, A_ub=-lp.row_matrix, b_ub=-lp.rhs, tol=tol, start=lp.start)
     if res.status != "optimal":
         return LPSolution(res.status, None, None, None, math.inf, math.inf, math.inf, math.inf)
 
-    x = res.x
+    support, x = res.support, res.x
     # each surplus column is priced, so y >= -tol; the rounding-level
     # negatives (and -0.0) are zeroed so the residuals describe the reported y
     y = np.maximum(-res.marginals, 0.0)
-    primal_res, dual_res, gap, cs = _residuals(lp, x, y)
-    support = np.flatnonzero(x)
-    # each residual is judged against the magnitude of the arithmetic that
-    # produced it; the rhs alone undersells rows whose matrix entries are large
-    primal_tol = tol * (
-        1.0
-        + float(np.max(np.abs(lp.rhs), initial=0.0))
-        + float(np.max(np.abs(lp.row_matrix[:, support]) @ np.abs(x[support]), initial=0.0))
-    )
-    dual_tol = tol * (
-        1.0
-        + max(float(np.max(lp.objective, initial=0.0)), -float(np.min(lp.objective, initial=0.0)))
-        + max((float(np.max(prices)) for _, prices in _prices(abs(lp.row_matrix), np.abs(y))), default=0.0)
-    )
-    gap_scale = 1.0 + abs(float(lp.objective @ x)) + abs(float(lp.rhs @ y))
+    # x, y and the residuals must be finite; the arithmetic on a nan or inf is quiet
+    with np.errstate(invalid="ignore", over="ignore"):
+        residuals = _residuals(lp, (support, x), y)
+        # each residual is judged against the magnitude of the arithmetic that
+        # produced it; the rhs alone undersells rows whose matrix entries are large
+        primal_tol = tol * (
+            1.0
+            + float(np.max(np.abs(lp.rhs), initial=0.0))
+            + float(np.max(np.abs(lp.row_matrix[:, support]) @ np.abs(x), initial=0.0))
+        )
+        dual_tol = tol * (1.0 + _magnitude(lp.objective, _ONE) + _magnitude(lp.row_matrix, y))
+        gap_scale = 1.0 + abs(float((lp.objective[:, support] @ x)[0])) + abs(float(lp.rhs @ y))
+    primal_res, dual_res, gap, cs = residuals
     ok = (
-        primal_res <= primal_tol
+        all(np.isfinite(a).all() for a in (x, y, residuals))
+        and primal_res <= primal_tol
         and dual_res <= dual_tol
         and abs(gap) <= tol * gap_scale
         and cs <= max(primal_tol, dual_tol)
     )
-    return LPSolution("optimal" if ok else "tolerance-failure", x, y, res.fun, primal_res, dual_res, gap, cs)
+    return LPSolution("optimal" if ok else "tolerance-failure", (support, x), y, res.fun, primal_res, dual_res, gap, cs)
 
 
 @dataclass(frozen=True)
@@ -408,7 +440,9 @@ def build_relative_lp(
     generated by h = e_i, so row i's dual is the LP's own f(alpha_i, alpha_i).
     The rows are SeparableRows: column 0 holds (area(B0), m*V, 0, ...),
     rows 0-3 take F1..F4's two factors from chord_functional_factors, negated
-    for F1..F3, and row marginal-<i> is 1 x -(delta(a = i) + delta(b = i))/2.
+    for F1..F3, and row marginal-<i> is -1 x (delta(a = i) + delta(b = i))/2,
+    so that every pair factor is >= 0.  The objective is the one row
+    SeparableRows([1], 0, 0): no array spans the columns.
     The start basis is B0's chord curve: A, the curve atoms
     (chord_length(alpha_i), alpha_i, alpha_i) and the surpluses of rows 1-3,
     which hold to quadrature accuracy.
@@ -434,14 +468,13 @@ def build_relative_lp(
         ell_factor[k - 1], p, q = chord_functional_factors(params, k, ell, cos[:, None], cos[None, :])
         pair_factor[k - 1] = 1.0 if p is None else p / q
     ell_factor[:3] *= -1.0
-    pair_factor[4 + node, node, :] -= 0.5
-    pair_factor[4 + node, :, node] -= 0.5
+    ell_factor[4:] = -1.0
+    pair_factor[4 + node, node, :] += 0.5
+    pair_factor[4 + node, :, node] += 0.5
     first = np.zeros(len(labels))
     first[:2] = ball0.area, m * V
     row_matrix = SeparableRows(first, ell_factor, pair_factor.reshape(len(labels), -1))
-
-    objective = np.zeros(row_matrix.shape[1])
-    objective[0] = 1.0
+    objective = SeparableRows(np.ones(1), np.zeros((1, ell.size)), np.zeros((1, n_alpha * n_alpha)))
     curve_atoms = 1 + np.searchsorted(ell, curve) * n_alpha * n_alpha + node * (n_alpha + 1)
     start = np.concatenate(([0], curve_atoms, row_matrix.shape[1] + np.arange(1, 4)))
     return LinearProgram(objective, row_matrix, np.concatenate([rhs, -mass / m]), labels, start)

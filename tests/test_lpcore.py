@@ -36,6 +36,13 @@ def _dense(lp):
     return lp.row_matrix[:, np.arange(lp.n_vars)]
 
 
+def _dense_primal(sol, n):
+    """The solution's primal (support, values) as a vector of n entries."""
+    x = np.zeros(n)
+    x[sol.primal[0]] = sol.primal[1]
+    return x
+
+
 def _certifies(sol, tol):
     return sol.primal_residual <= tol and sol.dual_residual <= tol and abs(sol.duality_gap) <= tol
 
@@ -54,7 +61,7 @@ def test_solve_tiny():
     sol = solve(_tiny_lp())
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, 3.0, rtol=1e-12)
-    assert_allclose(sol.primal, [3.0], rtol=1e-12)
+    assert_allclose(_dense_primal(sol, 1), [3.0], rtol=1e-12)
     # dual of min x st x >= 3 is y = 1
     assert_allclose(sol.dual, [1.0], rtol=1e-9)
     assert sol.duality_gap <= 1e-9
@@ -71,7 +78,7 @@ def test_solve_two_constraints():
     sol = solve(lp)
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, 14.0 / 5.0, rtol=1e-11)
-    assert_allclose(sol.primal, [8.0 / 5.0, 6.0 / 5.0], rtol=1e-10)
+    assert_allclose(_dense_primal(sol, 2), [8.0 / 5.0, 6.0 / 5.0], rtol=1e-10)
     assert _certifies(sol, 1e-8)
     assert sol.duality_gap <= 1e-9
 
@@ -110,7 +117,7 @@ def test_lp_shape_validation():
 
 def test_weak_duality_flags_violations():
     lp = _tiny_lp()
-    primal_violation, _, gap, _ = _residuals(lp, np.array([2.0]), np.array([1.0]))
+    primal_violation, _, gap, _ = _residuals(lp, (np.array([0]), np.array([2.0])), np.array([1.0]))
     assert primal_violation > 0.9  # x = 2 violates x >= 3 by 1
     assert gap == -1.0
 
@@ -134,7 +141,8 @@ def test_weak_duality_on_random_solvable_lps(n_vars, n_rows, seed):
     assert sol.status == "optimal"
     assert _certifies(sol, 1e-7)
     # weak duality: dual objective never exceeds primal objective
-    primal_objective, dual_objective = float(lp.objective @ sol.primal), float(lp.rhs @ sol.dual)
+    primal_objective = float(lp.objective[0] @ _dense_primal(sol, n_vars))
+    dual_objective = float(lp.rhs @ sol.dual)
     assert dual_objective <= primal_objective + 1e-7 * (1 + abs(primal_objective))
 
 
@@ -218,12 +226,35 @@ def test_relative_lp_flat_bound():
 def test_exact_pair_reports_zero_violation_with_positive_sign():
     # slack and reduced cost are exactly 0 at x = 3, y = 1; the report must
     # read 0.0, not -0.0
-    primal_violation, dual_violation, _, _ = _residuals(_tiny_lp(), np.array([3.0]), np.array([1.0]))
+    primal_violation, dual_violation, _, _ = _residuals(_tiny_lp(), (np.array([0]), np.array([3.0])), np.array([1.0]))
     assert primal_violation == 0.0 and math.copysign(1.0, primal_violation) == 1.0
     assert dual_violation == 0.0 and math.copysign(1.0, dual_violation) == 1.0
     sol = solve(_tiny_lp())
     assert math.copysign(1.0, sol.primal_residual) == 1.0
     assert math.copysign(1.0, sol.dual_residual) == 1.0
+
+
+def test_violation_and_residuals_keep_a_nan():
+    # max(0.0, nan) is 0.0, so a nan entry read as no violation at all
+    assert math.isnan(lpcore._violation(np.array([np.nan, 1.0])))
+    assert math.isnan(lpcore._violation(np.zeros(2), np.array([1.0, np.nan])))
+    primal, dual, _, cs = _residuals(_tiny_lp(), (np.array([0]), np.array([np.nan])), np.array([1.0]))
+    assert math.isnan(primal) and math.isnan(cs)
+    assert math.isnan(_residuals(_tiny_lp(), (np.array([0]), np.array([3.0])), np.array([np.nan]))[1])
+
+
+@pytest.mark.parametrize("field", ["x", "marginals"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_primal_or_dual_that_is_not_finite_is_a_tolerance_failure(monkeypatch, field, value):
+    simplex = lpcore.linprog
+
+    def corrupted(*args, **kwargs):
+        res = simplex(*args, **kwargs)
+        return dataclasses.replace(res, **{field: np.full_like(getattr(res, field), value)})
+
+    monkeypatch.setattr(lpcore, "linprog", corrupted)
+    sol = solve(_tiny_lp())
+    assert sol.status == "tolerance-failure"
 
 
 def _beale_lp():
@@ -242,7 +273,7 @@ def test_beale_cycling_lp_reaches_its_optimum(monkeypatch, degenerate_run):
     sol = solve(_beale_lp())
     assert sol.status == "optimal"
     assert_allclose(sol.objective_value, -1.0 / 20.0, rtol=1e-14)
-    assert_allclose(sol.primal, [1.0 / 25.0, 0.0, 1.0, 0.0], atol=1e-15)
+    assert_allclose(_dense_primal(sol, 4), [1.0 / 25.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_pivot_cap_is_a_tolerance_failure(monkeypatch):
@@ -477,7 +508,7 @@ def test_solve_on_separable_rows_matches_the_dense_materialization(n, kappa, r):
     params = ModelParams(n, kappa)
     lp = build_relative_lp(params, ball_from_radius(params, r).volume, 1, GridSpec(40, 20))
     sol = solve(lp)
-    ref = solve(LinearProgram(lp.objective, _dense(lp), lp.rhs, lp.row_labels))
+    ref = solve(LinearProgram(lp.objective[:, np.arange(lp.n_vars)], _dense(lp), lp.rhs, lp.row_labels))
     assert sol.status == ref.status == "optimal"
     assert abs(sol.objective_value - ref.objective_value) <= lpcore.SOLVER_TOL * abs(ref.objective_value)
 
@@ -499,8 +530,8 @@ def test_grid_lp_build_and_solve_stay_small(n, kappa, r):
 
 
 def test_grid_lp_solve_holds_no_array_over_all_columns():
-    # the built 80x40 LP has n = 128,001 columns; besides the dense x it returns,
-    # solve's pricing and acceptance test hold blocks of at most 2^15 columns
+    # the built 80x40 LP has n = 128,001 columns; solve returns the primal's support
+    # alone, and its pricing and acceptance test hold blocks of at most 2^15 columns
     params = ModelParams(4, 1.0)
     lp = build_relative_lp(params, ball_from_radius(params, 0.8).volume, 1, GridSpec(80, 40))
     tracemalloc.start()
@@ -510,7 +541,23 @@ def test_grid_lp_solve_holds_no_array_over_all_columns():
     finally:
         tracemalloc.stop()
     assert sol.status == "optimal"
-    assert peak < 3 * 8 * lp.n_vars
+    assert peak < 8 * lp.n_vars
+
+
+def test_grid_lp_build_holds_no_array_over_all_columns():
+    # the objective is a one-row SeparableRows, so the build's largest array is the
+    # pair factor, (4 + n_alpha) x n_alpha^2 floats, not one float per column
+    params = ModelParams(4, 1.0)
+    V = ball_from_radius(params, 0.8).volume
+    tracemalloc.start()
+    try:
+        lp = build_relative_lp(params, V, 1, GridSpec(80, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * lp.n_vars
+    assert abs(lp.row_matrix).pair_factor is lp.row_matrix.pair_factor
+    assert np.all(lp.row_matrix.pair_factor >= 0.0)
 
 
 def _simplex(c, A_ub, b_ub, start=None):
@@ -519,7 +566,8 @@ def _simplex(c, A_ub, b_ub, start=None):
 
 def _assert_same_path(res, ref):
     assert (res.status, res.nit) == (ref.status, ref.nit)
-    assert res.x.tobytes() == ref.x.tobytes() and res.marginals.tobytes() == ref.marginals.tobytes()
+    assert res.support.tobytes() == ref.support.tobytes() and res.x.tobytes() == ref.x.tobytes()
+    assert res.marginals.tobytes() == ref.marginals.tobytes()
     assert res.fun.hex() == ref.fun.hex()
 
 
@@ -555,7 +603,7 @@ def test_dantzig_tie_across_blocks_takes_the_first_column(monkeypatch, block):
     monkeypatch.setattr(lpcore, "_BLOCK", block)
     res = _simplex(np.array([0.0, 0.0, -1.0, -1.0, 0.0, 0.0]), np.ones((1, 6)), np.ones(1))
     assert res.status == "optimal" and res.nit == 1
-    assert res.x.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    assert (res.support.tolist(), res.x.tolist()) == ([2], [1.0])
 
 
 @pytest.mark.parametrize("block", [3, 6])
@@ -567,7 +615,7 @@ def test_bland_takes_the_first_negative_column_in_a_later_block(monkeypatch, blo
     monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", 0)
     res = _simplex(c, A_ub, b_ub)
     assert res.status == "optimal" and res.nit == 2
-    assert res.x.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    assert (res.support.tolist(), res.x.tolist()) == ([5], [1.0])
 
 
 def _certificate_dual(params, V, m, grid):
