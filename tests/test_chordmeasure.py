@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,8 +46,6 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
-    ref = np.polynomial.legendre.leggauss(200)
-    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
     # what the angle rule hands out, plain or graded, is the caller's own copy
     for kappa, r in ((0.0, 1.0), (1.0, 1.5), (-1.0, 7.0)):
         nodes, weights = _angle_rule(kappa, r, 200)
@@ -55,6 +54,58 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         weights[:] = 0.0
         again = _angle_rule(kappa, r, 200)
         assert np.array_equal(again[0], expect[0]) and np.array_equal(again[1], expect[1])
+
+
+def _mp_gauss_node(x0, n):
+    """The root of P_n next to x0 and its Gauss weight 2 / ((1 - x^2) P_n'(x)^2), in 40-digit mpmath.
+
+    Two Newton steps in x from a start within a few ulps of the root, on the
+    textbook three-term recurrence; the third evaluation gives the weight.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for step in range(3):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            slope = n * (x * p1 - p0) / (x * x - 1)
+            if step < 2:
+                x -= p1 / slope
+        return x, 2 / ((1 - x * x) * slope ** 2)
+
+
+def _error(value, ref):
+    """|value - ref| in ulps of ref, and relative to ref (0 and 0 at an exact 0)."""
+    with mpmath.workdps(40):
+        gap = abs(mpmath.mpf(value) - ref)
+        return float(gap / np.spacing(abs(float(ref)))), float(gap / abs(ref)) if ref else float(gap)
+
+
+# the rule sizes the package reads: the LP grids' angle rules (6, 20, 40), measure-check's
+# (128) and the diagonal integral's (200), the panel rule (24), and those of the tests
+@pytest.mark.parametrize("n", [2, 3, 6, 20, 24, 40, 128, 200, 400, 1000])
+def test_gauss_legendre_rule_matches_40_digit_mpmath(n):
+    x, w = _legendre_rule(n)
+    assert x.size == w.size == n and np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    # n distinct ascending points, each at a root of P_n, are all of its roots; the
+    # positive half is checked whole up to n = 40, else at its three outermost and
+    # innermost nodes and two between (the mirror test covers the negative half)
+    half = range(n // 2, n)
+    checked = half if n <= 40 else sorted({*half[:3], *half[-3:], half[len(half) // 3], half[2 * len(half) // 3]})
+    errors = [_error(v, ref) for i in checked for v, ref in zip((x[i], w[i]), _mp_gauss_node(x[i], n))]
+    if n <= 400:
+        assert max(ulps for ulps, _ in errors) <= 4.0
+    else:
+        assert max(rel for _, rel in errors) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 24, 41, 128, 201])
+def test_gauss_legendre_rule_is_mirror_symmetric(n):
+    x, w = _legendre_rule(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        middle = x[n // 2]
+        assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
 
 
 def test_measure_validation():

@@ -473,6 +473,7 @@ print(
     "numpy.ma" in sys.modules,
     "numpy.random" in sys.modules,
     any(name in sys.modules for name in ("fractions", "decimal", "_decimal", "sympy")),
+    any(name == "numpy.polynomial" or name.startswith("numpy.polynomial.") for name in sys.modules),
 )
 """
 
@@ -499,7 +500,7 @@ print(
 def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     table = tmp_path / "profile.csv"
     table.write_text("alpha,L\n-1.5,0.1\n0,2\n1.5,0.1\n")
-    code, loaded, ma_loaded, random_loaded, exact_loaded = _run_probe(
+    code, loaded, ma_loaded, random_loaded, exact_loaded, polynomial_loaded = _run_probe(
         _SCIPY_PROBE, *(a.format(csv=table) for a in argv)
     )
     assert code == "0"
@@ -511,6 +512,8 @@ def test_scipy_loaded_only_where_used(argv, uses_scipy, tmp_path):
     # importing fractions loads _decimal, about 0.3 MB of RSS; lemma's exact
     # factorization check works in plain ints
     assert exact_loaded == "False"
+    # numpy.polynomial is 9 modules; the Gauss-Legendre rules come from spaceform's own Newton iteration
+    assert polynomial_loaded == "False"
 
 
 LAYERS = ("spaceform", "chordmeasure", "certificate", "lpcore", "lemmas", "negbound", "littleprince", "relative")

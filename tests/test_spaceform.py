@@ -356,15 +356,14 @@ GRADED = [(1.0, 0.8), (1.0, 1.5), (1.0, 1.56), (1.0, 1.57), (4.0, 0.78), (-1.0, 
 
 @pytest.mark.parametrize("kappa,r", GRADED)
 def test_graded_angle_rule_integrates_constants_and_cos(kappa, r):
-    # numpy's leggauss weights carry relative errors near 1e-14 (1e-11 at the
-    # end nodes); the plain rule's normalization to sum 2 hides them, and a
-    # graded rule shows them, so these sums are good to a few 1e-14
+    # a graded rule shows the errors of the Gauss-Legendre weights, which the
+    # plain rule's sum 2 hides; Newton-polished weights keep these sums within 1e-15
     for n in (128, 200):  # measure-check's default count and the diagonal integral's
         alpha, w = _angle_rule(kappa, r, n)
         assert np.all(np.diff(alpha) > 0.0) and 0.0 < alpha[0] and alpha[-1] < math.pi / 2.0
         assert np.all(w > 0.0)
-        assert abs(w.sum() - math.pi / 2.0) <= 1e-13
-        assert abs(np.dot(w, np.cos(alpha)) - 1.0) <= 1e-13
+        assert abs(w.sum() - math.pi / 2.0) <= 1e-15
+        assert abs(np.dot(w, np.cos(alpha)) - 1.0) <= 1e-15
         # the nodes crowd toward the chord curve's boundary layer
         gap = math.pi / 2.0 - alpha[-1] if kappa > 0.0 else alpha[0]
         assert gap < _angle_rule(0.0, r, n)[0][0]
