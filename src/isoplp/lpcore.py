@@ -99,9 +99,9 @@ class LinearProgram:
     """min objective . x  subject to  row_matrix . x >= rhs,  x >= 0.
 
     row_matrix is a dense array or, for the grid LP, SeparableRows; objective
-    is one row of the same kind (a dense one is stored with shape (1, n)).
-    start, the first basis, holds j < n for x_j and n + i for row i's
-    surplus (None: all surpluses).
+    is one row over the same columns, an array (stored with shape (1, n)) or,
+    for the grid LP, SeparableRows.  start, the first basis, holds j < n for
+    x_j and n + i for row i's surplus (None: all surpluses).
     """
 
     objective: np.ndarray | SeparableRows
@@ -116,11 +116,6 @@ class LinearProgram:
             object.__setattr__(self, "row_matrix", np.asarray(self.row_matrix, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
         m, n = self.row_matrix.shape
-        separable = isinstance(self.row_matrix, SeparableRows)
-        if isinstance(self.objective, SeparableRows) != separable or (
-            separable and self.objective.pair_factor.shape[1] != self.row_matrix.pair_factor.shape[1]
-        ):
-            raise ValueError("objective and row_matrix must be of one kind, SeparableRows over the same angle pairs")
         if self.objective.shape != (1, n):
             raise ValueError(f"objective shape {self.objective.shape} is not one row over {n} variables")
         if self.rhs.shape != (m,):
@@ -169,8 +164,8 @@ _PIVOTS_PER_ROW = 100
 # columns priced at a time, so that no pricing holds an array with one entry per column
 _BLOCK = 1 << 15
 
-# the weight that prices a one-row cost matrix as its cost vector
-_ONE = np.ones(1)
+# the nonzero structural costs of phase 1: none
+_NO_COST = (np.zeros(0, dtype=np.intp), np.zeros(0))
 
 # pricing and acceptance tolerance of solve, and the one `isoplp lp` reports;
 # at 1e-7 the simplex stopped early enough to move grid optima by up to 1.4e-7
@@ -180,6 +175,40 @@ SOLVER_TOL = 1e-9
 def _one_row(c):
     """c as a one-row matrix: SeparableRows as it is, an array reshaped to (1, n)."""
     return c if isinstance(c, SeparableRows) else np.asarray(c, dtype=float).reshape(1, -1)
+
+
+def _nonzero(C):
+    """The nonzero entries of the one-row matrix C, as (ascending columns, values).
+
+    On SeparableRows only column 0 and the products of a nonzero ell factor
+    and a nonzero pair factor are gathered, so the grid LP's objective costs
+    one column.
+    """
+    if isinstance(C, SeparableRows):
+        ell, pair = np.flatnonzero(C.ell_factor[0]), np.flatnonzero(C.pair_factor[0])
+        columns = np.concatenate(([0], 1 + (ell[:, None] * C.pair_factor.shape[1] + pair).ravel()))
+    else:
+        columns = np.flatnonzero(C[0])
+    values = C[:, columns][0]
+    return columns[values != 0.0], values[values != 0.0]
+
+
+def _cost_at(c, columns) -> np.ndarray:
+    """The costs c = (columns, values) at the given columns, 0.0 where c has no entry."""
+    cost = dict(zip(*(a.tolist() for a in c)))
+    return np.array([cost.get(j, 0.0) for j in columns.tolist()], dtype=float)
+
+
+def _reduce(c, lo, prices) -> None:
+    """Overwrite the prices of the columns from lo on by their reduced costs, c - prices.
+
+    0.0 - p, plus c_j where c = (columns, values) has an entry: the bits of
+    c_j - p_j, since a - b is a + (-b), and no cost block is formed.
+    """
+    np.subtract(0.0, prices, out=prices)
+    columns, values = c
+    inside = (columns >= lo) & (columns < lo + prices.size)
+    prices[columns[inside] - lo] += values[inside]
 
 
 def _basis_matrix(A_ub: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -215,17 +244,17 @@ def _prices(A, y):
         yield 1 + a * n_pair, np.matmul(ell.T * y, A.pair_factor, out=buffer[: ell.shape[1]]).reshape(-1)
 
 
-def _pivot(A_ub, b_ub, C, basis, tol, budget):
+def _pivot(A_ub, b_ub, c, basis, tol, budget):
     """Primal simplex from the feasible `basis`, updated in place; returns (status, pivots, x_B, duals).
 
-    C is the one-row matrix of the structural costs, of A_ub's kind, or None
-    where they are 0 (phase 1); a slack costs 0, an artificial 1.  Every
-    pivot solves the basis afresh, so nothing drifts.  The structural
-    columns are priced in _prices' blocks, beside the same blocks of C, then the slacks; artificials
-    never enter.  Dantzig's rule picks the entering column, the first of
-    ties, and the ratio test the largest pivot among tied rows; after
-    _DEGENERATE_RUN degenerate pivots in a row, Bland's rule takes over for
-    both.  The status is optimal, unbounded, or tolerance-failure at the budget.
+    c = (columns, values) holds the nonzero structural costs; a slack costs
+    0, an artificial 1.  Every pivot solves the basis afresh, so nothing
+    drifts.  The structural columns are priced in _prices' blocks, then the
+    slacks; artificials never enter.  Dantzig's rule picks the entering
+    column, the first of ties, and the ratio test the largest pivot among
+    tied rows; after _DEGENERATE_RUN degenerate pivots in a row, Bland's
+    rule takes over for both.  The status is optimal, unbounded, or
+    tolerance-failure at the budget.
     """
     m, n = A_ub.shape
     pivots = degenerate = 0
@@ -233,15 +262,13 @@ def _pivot(A_ub, b_ub, C, basis, tol, budget):
         B = _basis_matrix(A_ub, basis)
         x_B = np.linalg.solve(B, b_ub)
         cost = (basis >= n + m).astype(float)
-        if C is not None:
-            cost[basis < n] = C[:, basis[basis < n]][0]
+        cost[basis < n] = _cost_at(c, basis[basis < n])
         y = np.linalg.solve(B.T, cost)
         bland = degenerate >= _DEGENERATE_RUN
         basic = basis[basis < n + m]
         q, d = -1, math.inf
-        costs = itertools.repeat((0, 0.0)) if C is None else itertools.chain(_prices(C, _ONE), [(n, 0.0)])
-        for (lo, reduced), (_, c) in zip(itertools.chain(_prices(A_ub, y), [(n, y.copy())]), costs):
-            np.subtract(c, reduced, out=reduced)
+        for lo, reduced in itertools.chain(_prices(A_ub, y), [(n, y.copy())]):
+            _reduce(c, lo, reduced)
             reduced[basic[(basic >= lo) & (basic < lo + reduced.size)] - lo] = 0.0
             k = int(np.argmax(reduced < -tol)) if bland else int(np.argmin(reduced))
             if bland and reduced[k] < -tol:
@@ -276,18 +303,18 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     convention; x holds only the primal's nonzero entries, at the ascending
     columns `support`.  The status is the LP's own (see _SimplexResult), and
     a pivot cap or a ray in phase 1, which is bounded below by 0, is a
-    tolerance-failure.  A_ub is a dense array or SeparableRows, and c one
-    row of the same kind or a dense vector.
+    tolerance-failure.  A_ub is a dense array or SeparableRows, and c a
+    vector or a one-row matrix, whose nonzero entries are read once.
     `solve` passes its rows A x >= b as A_ub = -A, so a slack here is a
     surplus column -e_i of the >= form.  tol is the pricing tolerance and,
     relative to the magnitude of the row arithmetic, the phase-1 feasibility
     tolerance.  The first basis is `start`, or else the slacks; phase 1 puts
     artificials only on rows whose basic slack is below -tol, and those left
-    in the basis at zero are pivoted out for slacks before phase 2.  `solve` looks this name up at call
-    time, so a rebinding of `linprog` takes effect.
+    in the basis at zero are pivoted out for slacks before phase 2.  `solve`
+    looks this name up at call time, so a rebinding of `linprog` takes effect.
     """
     m, n = A_ub.shape
-    C = _one_row(c)
+    c = _nonzero(_one_row(c))
     basis = n + np.arange(m) if start is None else np.array(start)
     x_B = np.linalg.solve(_basis_matrix(A_ub, basis), b_ub)
     violated = (basis >= n) & (x_B < -tol * (1.0 + np.max(np.abs(x_B))))
@@ -295,7 +322,7 @@ def linprog(c, A_ub, b_ub, tol, start=None):
     budget = _PIVOTS_PER_ROW * (m + 1)
     nit = 0
     if violated.any():
-        status, nit, x_B, _ = _pivot(A_ub, b_ub, None, basis, tol, budget)
+        status, nit, x_B, _ = _pivot(A_ub, b_ub, _NO_COST, basis, tol, budget)
         if status != "optimal":
             return _SimplexResult("tolerance-failure", nit)
         used = basis < n
@@ -309,12 +336,12 @@ def linprog(c, A_ub, b_ub, tol, start=None):
             z[basis[(basis >= n) & (basis < n + m)] - n] = 0.0
             basis[p] = n + int(np.argmax(np.abs(z)))
             nit += 1
-    status, pivots, x_B, y = _pivot(A_ub, b_ub, C, basis, tol, budget - nit)
+    status, pivots, x_B, y = _pivot(A_ub, b_ub, c, basis, tol, budget - nit)
     nit += pivots
     if status != "optimal":
         return _SimplexResult(status, nit)
     used = basis < n
-    fun = float(C[:, basis[used]][0] @ x_B[used])
+    fun = float(_cost_at(c, basis[used]) @ x_B[used])
     order = np.argsort(basis[used])
     support, x = basis[used][order], x_B[used][order]
     return _SimplexResult("optimal", nit, x[x != 0.0], fun, y, support[x != 0.0])
@@ -325,22 +352,18 @@ def _violation(*arrays) -> float:
     return float(np.max([-np.min(a, initial=0.0) for a in arrays])) + 0.0
 
 
-def _magnitude(R, y) -> float:
-    """Largest entry of |y| @ |R|, over every column."""
-    return max((float(np.max(prices)) for _, prices in _prices(abs(R), np.abs(y))), default=0.0)
-
-
 def _residuals(lp: LinearProgram, primal, y: np.ndarray):
     """Primal, dual, gap and complementary-slackness residuals of x = (support, values) and y.
 
     A nan anywhere in x, y or the rows makes its residual nan.
     """
     support, values = primal
+    c = _nonzero(lp.objective)
     slack = lp.row_matrix[:, support] @ values - lp.rhs
-    gap = float((lp.objective[:, support] @ values)[0] - lp.rhs @ y)
+    gap = float(_cost_at(c, support) @ values - lp.rhs @ y)
     dual, cs = [_violation(y)], [np.max(np.abs(y * slack), initial=0.0)]
-    for (lo, reduced), (_, c) in zip(_prices(lp.row_matrix, y), _prices(lp.objective, _ONE)):
-        np.subtract(c, reduced, out=reduced)
+    for lo, reduced in _prices(lp.row_matrix, y):
+        _reduce(c, lo, reduced)
         dual.append(_violation(reduced))
         inside = (support >= lo) & (support < lo + reduced.size)
         cs.append(np.max(np.abs(values[inside] * reduced[support[inside] - lo]), initial=0.0))
@@ -363,6 +386,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         return LPSolution(res.status, None, None, None, math.inf, math.inf, math.inf, math.inf)
 
     support, x = res.support, res.x
+    c = _nonzero(lp.objective)
     # each surplus column is priced, so y >= -tol; the rounding-level
     # negatives (and -0.0) are zeroed so the residuals describe the reported y
     y = np.maximum(-res.marginals, 0.0)
@@ -376,8 +400,12 @@ def solve(lp: LinearProgram) -> LPSolution:
             + float(np.max(np.abs(lp.rhs), initial=0.0))
             + float(np.max(np.abs(lp.row_matrix[:, support]) @ np.abs(x), initial=0.0))
         )
-        dual_tol = tol * (1.0 + _magnitude(lp.objective, _ONE) + _magnitude(lp.row_matrix, y))
-        gap_scale = 1.0 + abs(float((lp.objective[:, support] @ x)[0])) + abs(float(lp.rhs @ y))
+        dual_tol = tol * (
+            1.0
+            + float(np.max(np.abs(c[1]), initial=0.0))
+            + max((float(np.max(prices)) for _, prices in _prices(abs(lp.row_matrix), np.abs(y))), default=0.0)
+        )
+        gap_scale = 1.0 + abs(float(_cost_at(c, support) @ x)) + abs(float(lp.rhs @ y))
     primal_res, dual_res, gap, cs = residuals
     ok = (
         all(np.isfinite(a).all() for a in (x, y, residuals))

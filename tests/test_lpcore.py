@@ -508,7 +508,7 @@ def test_solve_on_separable_rows_matches_the_dense_materialization(n, kappa, r):
     params = ModelParams(n, kappa)
     lp = build_relative_lp(params, ball_from_radius(params, r).volume, 1, GridSpec(40, 20))
     sol = solve(lp)
-    ref = solve(LinearProgram(lp.objective[:, np.arange(lp.n_vars)], _dense(lp), lp.rhs, lp.row_labels))
+    ref = solve(LinearProgram(lp.objective, _dense(lp), lp.rhs, lp.row_labels))
     assert sol.status == ref.status == "optimal"
     assert abs(sol.objective_value - ref.objective_value) <= lpcore.SOLVER_TOL * abs(ref.objective_value)
 
