@@ -81,8 +81,9 @@ def _error(value, ref):
         return float(gap / np.spacing(abs(float(ref)))), float(gap / abs(ref)) if ref else float(gap)
 
 
-# the rule sizes the package reads: the LP grids' angle rules (6, 20, 40), measure-check's
-# (128) and the diagonal integral's (200), the panel rule (24), and those of the tests
+# the rule sizes in use: the smallest (2, 3), the angle rules of the LP grids (6, 20, 40),
+# the panel rule (24), the default of measure-check, negbound and relative (128), and
+# the larger grids of the tests (200, 400)
 @pytest.mark.parametrize("n", [2, 3, 6, 20, 24, 40, 128, 200, 400, 1000])
 def test_gauss_legendre_rule_matches_40_digit_mpmath(n):
     x, w = _legendre_rule(n)

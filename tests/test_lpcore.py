@@ -238,7 +238,7 @@ def test_violation_and_residuals_keep_a_nan():
     # max(0.0, nan) is 0.0, so a nan entry read as no violation at all
     assert math.isnan(lpcore._violation(np.array([np.nan, 1.0])))
     assert math.isnan(lpcore._violation(np.zeros(2), np.array([1.0, np.nan])))
-    primal, dual, _, cs = _residuals(_tiny_lp(), (np.array([0]), np.array([np.nan])), np.array([1.0]))
+    primal, _, _, cs = _residuals(_tiny_lp(), (np.array([0]), np.array([np.nan])), np.array([1.0]))
     assert math.isnan(primal) and math.isnan(cs)
     assert math.isnan(_residuals(_tiny_lp(), (np.array([0]), np.array([3.0])), np.array([np.nan]))[1])
 
